@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import EmptyCorpusError, TableParseError
+from .model import split_lines
 
 log = logging.getLogger(__name__)
 
@@ -42,8 +43,8 @@ class ParallelCorpus:
     def from_texts(cls, source_text: str, target_text: str) -> "ParallelCorpus":
         """Build from two parallel files (one sentence per line).  Lines that
         are blank on either side are dropped as a pair."""
-        src_lines = source_text.splitlines()
-        tgt_lines = target_text.splitlines()
+        src_lines = split_lines(source_text)
+        tgt_lines = split_lines(target_text)
         if len(src_lines) != len(tgt_lines):
             raise ValueError(
                 f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
@@ -229,7 +230,7 @@ def load_translation_table(text: str) -> TranslationTable:
     iterations = 0
     null_word = False
     perplexity = float("nan")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -274,13 +275,16 @@ def dump_dictionary(dictionary: LemmaDictionary) -> str:
 
 def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
     """Read a dictionary TSV (``source<TAB>target[<TAB>probability]``); a
-    missing probability column defaults to 1.0.  Keys are lowercased."""
+    missing probability column defaults to 1.0.  Keys are lowercased.  Entries
+    below ``threshold`` are dropped; an empty word or one containing
+    whitespace cannot be a gloss morph and is rejected with its line number."""
     entries: dict[str, tuple[str, float]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        # strip the fields, not the line: a leading tab is an empty source
+        fields = [f.strip() for f in raw.rstrip().split("\t")]
         if len(fields) not in (2, 3):
             raise TableParseError(
                 "expected source<TAB>target[<TAB>probability]", line=lineno
@@ -291,5 +295,11 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
                 prob = float(fields[2])
             except ValueError as exc:
                 raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
-        entries[fields[0].lower()] = (fields[1], prob)
+        for word in fields[:2]:
+            if word.split() != [word]:  # empty, or contains whitespace
+                raise TableParseError(
+                    f"dictionary word {word!r} is empty or contains whitespace", line=lineno
+                )
+        if prob >= threshold:
+            entries[fields[0].lower()] = (fields[1], prob)
     return LemmaDictionary(entries=dict(sorted(entries.items())), threshold=threshold)

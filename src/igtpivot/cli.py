@@ -18,7 +18,7 @@ from . import normalize as normalize_mod
 from . import parsing as parsing_mod
 from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .model import LemmaSide
+from .model import LemmaSide, split_lines
 from .tables import DEFAULT_TABLE_TEXT
 
 
@@ -50,6 +50,13 @@ def _write(path: "str | None", text: str) -> None:
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+
+
+def _map_lines(args: argparse.Namespace, convert) -> int:
+    """Write ``convert`` of each non-blank input line; blank lines stay blank."""
+    lines = split_lines(_read(args.infile))
+    _write(args.outfile, "".join((convert(line) if line.strip() else "") + "\n" for line in lines))
+    return 0
 
 
 def _emit_warnings(warnings: "list[ParseWarning]") -> None:
@@ -114,30 +121,23 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
 
 def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
     table = _load_norm_table(args.table, not args.number_first)
-    out_lines = []
-    for line in _read(args.infile).splitlines():
-        if not line.strip():
-            out_lines.append("")
-            continue
+
+    def convert(line: str) -> str:
         tokens = parsing_mod.parse_analyzer_line(line)
-        gloss = normalize_mod.analyzer_to_gloss(tokens, table)
-        out_lines.append(gloss.render())
-    _write(args.outfile, "".join(l + "\n" for l in out_lines))
-    return 0
+        return normalize_mod.analyzer_to_gloss(tokens, table).render()
+
+    return _map_lines(args, convert)
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     table = _load_norm_table(args.table, not args.number_first)
     registry = table.label_registry()
-    out_lines = []
-    for line in _read(args.infile).splitlines():
-        if not line.strip():
-            out_lines.append("")
-            continue
+
+    def convert(line: str) -> str:
         gloss = parsing_mod.tokenize_gloss(line, label_registry=registry)
-        out_lines.append(normalize_mod.normalize_gloss_line(gloss, table).render())
-    _write(args.outfile, "".join(l + "\n" for l in out_lines))
-    return 0
+        return normalize_mod.normalize_gloss_line(gloss, table).render()
+
+    return _map_lines(args, convert)
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
@@ -186,15 +186,12 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 def _cmd_subst(args: argparse.Namespace) -> int:
     dictionary = align_mod.load_dictionary(_read(args.dict))
     policy = _OOV_BY_NAME[args.oov]
-    out_lines = []
-    for line in _read(args.infile).splitlines():
-        if not line.strip():
-            out_lines.append("")
-            continue
+
+    def convert(line: str) -> str:
         gloss = parsing_mod.tokenize_gloss(line, lemma_side=LemmaSide.SOURCE)
-        out_lines.append(pipeline_mod.substitute_lemmas(gloss, dictionary, policy).render())
-    _write(args.outfile, "".join(l + "\n" for l in out_lines))
-    return 0
+        return pipeline_mod.substitute_lemmas(gloss, dictionary, policy).render()
+
+    return _map_lines(args, convert)
 
 
 def _cmd_prepare_multi(args: argparse.Namespace) -> int:
@@ -230,8 +227,8 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    hyps = [line.split() for line in _read(args.hyp).splitlines()]
-    refs = [line.split() for line in _read(args.ref).splitlines()]
+    hyps = [line.split() for line in split_lines(_read(args.hyp))]
+    refs = [line.split() for line in split_lines(_read(args.ref))]
     annotations = None
     if args.ann:
         rows = metrics_mod.parse_annotations(_read(args.ann))

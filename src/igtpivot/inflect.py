@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .model import split_lines
+
 # lemma: (simple past, past participle)
 _IRREGULAR_VERBS = {
     "arise": ("arose", "arisen"), "awake": ("awoke", "awoken"),
@@ -194,7 +196,7 @@ def load_lexicon(text: str) -> InflectionLexicon:
     past = dict(base.irregular_past)
     third = dict(base.irregular_3sg)
     participle = dict(base.irregular_participle)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

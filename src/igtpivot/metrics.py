@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import LengthMismatchError
 from .inflect import InflectionLexicon, default_lexicon
-from .model import PUNCT_CHARS
+from .model import is_punct, split_lines
 
 _TENSES = ("PST", "PRS", "FUT")
 
@@ -63,7 +63,7 @@ class EvalReport:
 
 
 def _content_tokens(tokens: TokenList) -> list[str]:
-    return [t.lower() for t in tokens if t and not all(ch in PUNCT_CHARS for ch in t)]
+    return [t.lower() for t in tokens if not is_punct(t)]
 
 
 # --- BLEU ---------------------------------------------------------------------
@@ -334,8 +334,7 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
     (all fields after the id are optional).  Row order aligns with the test
     set's line order."""
     rows: list[tuple[str, EvalAnnotation]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

@@ -30,6 +30,26 @@ PUNCT_CHARS = ".,!?;:"
 _LANG_RE = re.compile(r"^[a-z]{3}$")
 
 
+def has_delimiter(text: str) -> bool:
+    """True when ``text`` contains a morph delimiter (``-``, ``.`` or ``=``)."""
+    return any(delimiter in text for delimiter in DELIMITERS)
+
+
+def is_punct(text: str) -> bool:
+    """True when ``text`` consists of sentence punctuation only (and for ``""``)."""
+    return not text.strip(PUNCT_CHARS)
+
+
+def split_lines(text: str) -> list[str]:
+    r"""Lines of ``text`` split at ``\n`` only, each without one trailing
+    ``\r``; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v`` and ``\f``
+    stay inside their line, so a line is never counted as two."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 class Joiner(Enum):
     """How a morph attaches to the one before it; the value is the literal
     delimiter character (empty for the first morph of a token)."""
@@ -88,7 +108,7 @@ class GlossMorph:
             raise ValueError("morph text must be non-empty")
         if any(ch.isspace() for ch in self.text):
             raise ValueError(f"morph text contains whitespace: {self.text!r}")
-        if not self.opaque and any(ch in DELIMITERS for ch in self.text):
+        if not self.opaque and has_delimiter(self.text):
             raise ValueError(
                 f"morph text contains a delimiter and is not flagged opaque: {self.text!r}"
             )
@@ -114,9 +134,7 @@ class GlossToken:
 
     @property
     def is_punctuation(self) -> bool:
-        return len(self.morphs) == 1 and all(
-            ch in PUNCT_CHARS for ch in self.morphs[0].text
-        )
+        return len(self.morphs) == 1 and is_punct(self.morphs[0].text)
 
     def lemma_texts(self) -> list[str]:
         return [m.text for m in self.morphs if m.kind is MorphKind.LEMMA]
@@ -323,7 +341,7 @@ def parse_record(line: str) -> IgtRecord:
 def load_corpus(text: str) -> list[IgtRecord]:
     """Parse a corpus file body; blank lines are ignored."""
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:

@@ -18,13 +18,14 @@ from functools import cached_property, lru_cache
 
 from .errors import CycleDetectedError, TableParseError
 from .model import (
-    DELIMITERS,
     GlossLine,
     GlossMorph,
     GlossToken,
     Joiner,
     LemmaSide,
     MorphKind,
+    has_delimiter,
+    split_lines,
 )
 from .parsing import AnalyzerToken
 from .tables import DEFAULT_TABLE_TEXT
@@ -126,7 +127,7 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
     pending: list[tuple[int, str, str]] = []  # (line, section, content)
 
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -235,8 +236,7 @@ def _label_morphs(
     morphs = []
     for i, label in enumerate(labels):
         joiner = first_joiner if i == 0 else Joiner.PERIOD
-        opaque = any(ch in DELIMITERS for ch in label)
-        morphs.append(GlossMorph(MorphKind.LABEL, label, joiner, opaque=opaque))
+        morphs.append(GlossMorph(MorphKind.LABEL, label, joiner, opaque=has_delimiter(label)))
     return morphs
 
 
@@ -276,10 +276,7 @@ def analyzer_to_gloss(
         lemma_text = table.restore_map.get(token.surface, token.surface)
         morphs = [
             GlossMorph(
-                MorphKind.LEMMA,
-                lemma_text,
-                Joiner.WORD_INITIAL,
-                opaque=any(ch in DELIMITERS for ch in lemma_text),
+                MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL, opaque=has_delimiter(lemma_text)
             )
         ]
         for tag in token.tags:

@@ -30,6 +30,9 @@ from .model import (
     LemmaSide,
     MorphKind,
     as_language_tag,
+    has_delimiter,
+    is_punct,
+    split_lines,
 )
 
 _JOINER_BY_CHAR = {"-": Joiner.HYPHEN, ".": Joiner.PERIOD, "=": Joiner.EQUALS}
@@ -53,7 +56,7 @@ class AnalyzerToken:
 
     @property
     def is_punctuation(self) -> bool:
-        return all(ch in PUNCT_CHARS for ch in self.surface)
+        return is_punct(self.surface)
 
     def render(self) -> str:
         return "+".join((self.surface,) + self.tags)
@@ -119,25 +122,25 @@ def _looks_like_label(text: str, registry: "frozenset[str] | set[str]") -> bool:
 def _word_to_tokens(
     word: str, registry: "frozenset[str] | set[str]"
 ) -> list[GlossToken]:
-    if all(ch in PUNCT_CHARS for ch in word):
-        morph = GlossMorph(
-            MorphKind.LEMMA,
-            word,
-            Joiner.WORD_INITIAL,
-            opaque=any(ch in DELIMITERS for ch in word),
-        )
+    if is_punct(word):
+        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL, opaque=has_delimiter(word))
         return [GlossToken((morph,))]
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
     morphs = []
     for joiner, text in _split_segments(core):
-        opaque = any(ch in DELIMITERS for ch in text)
         kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-        morphs.append(GlossMorph(kind, text, joiner, opaque=opaque))
+        morphs.append(GlossMorph(kind, text, joiner, opaque=has_delimiter(text)))
     tokens = [GlossToken(tuple(morphs))]
     if trailing:
         tokens.extend(_word_to_tokens(trailing, registry))
     return tokens
+
+
+def _tokenize_optional(
+    text: "str | None", side: LemmaSide, registry: "frozenset[str] | set[str] | None"
+) -> "GlossLine | None":
+    return None if text is None else tokenize_gloss(text, lemma_side=side, label_registry=registry)
 
 
 def tokenize_gloss(
@@ -196,7 +199,7 @@ def parse_odin_blocks(text: str) -> tuple[list[RawIgtBlock], list[ParseWarning]]
                 )
             )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if line:
             if not run:
@@ -232,20 +235,12 @@ def block_to_record(
         raise BlockShapeError(
             f"cannot map a {len(block.lines)}-line block to an IGT record"
         )
-    gloss_src = (
-        tokenize_gloss(gloss_src_text, lemma_side=LemmaSide.SOURCE, label_registry=label_registry)
-        if gloss_src_text is not None
-        else None
-    )
-    gloss_tgt = tokenize_gloss(
-        gloss_tgt_text, lemma_side=LemmaSide.TARGET, label_registry=label_registry
-    )
     return IgtRecord(
         id=record_id,
         lang=tag,
         source_text=source,
-        gloss_src=gloss_src,
-        gloss_tgt=gloss_tgt,
+        gloss_src=_tokenize_optional(gloss_src_text, LemmaSide.SOURCE, label_registry),
+        gloss_tgt=_tokenize_optional(gloss_tgt_text, LemmaSide.TARGET, label_registry),
         target_text=target,
         provenance=block.source_language_hint or "",
     )
@@ -298,7 +293,7 @@ def parse_toolbox(
     chunks: list[list[tuple[str, str, int]]] = []  # (marker, content, lineno)
     delimiter: str | None = None
     current: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip():
             continue
         match = _MARKER_RE.match(raw)
@@ -341,23 +336,11 @@ def parse_toolbox(
                     id=f"{id_prefix}-{index + 1:04d}",
                     lang=tag,
                     source_text=fields.get("source"),
-                    gloss_src=(
-                        tokenize_gloss(
-                            fields["gloss_src"],
-                            lemma_side=LemmaSide.SOURCE,
-                            label_registry=label_registry,
-                        )
-                        if "gloss_src" in fields
-                        else None
+                    gloss_src=_tokenize_optional(
+                        fields.get("gloss_src"), LemmaSide.SOURCE, label_registry
                     ),
-                    gloss_tgt=(
-                        tokenize_gloss(
-                            fields["gloss_tgt"],
-                            lemma_side=LemmaSide.TARGET,
-                            label_registry=label_registry,
-                        )
-                        if "gloss_tgt" in fields
-                        else None
+                    gloss_tgt=_tokenize_optional(
+                        fields.get("gloss_tgt"), LemmaSide.TARGET, label_registry
                     ),
                     target_text=fields.get("target"),
                 )
@@ -378,7 +361,7 @@ def parse_analyzer_line(line: str) -> list[AnalyzerToken]:
     """
     tokens: list[AnalyzerToken] = []
     for word in line.split():
-        if all(ch in PUNCT_CHARS for ch in word):
+        if is_punct(word):
             tokens.append(AnalyzerToken(word))
             continue
         core = word.rstrip(PUNCT_CHARS)

@@ -9,7 +9,9 @@ an identity echo for plumbing tests.
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +27,6 @@ from .errors import (
     TranslatorTimeoutError,
 )
 from .model import (
-    DELIMITERS,
     GlossLine,
     GlossMorph,
     GlossToken,
@@ -33,7 +34,9 @@ from .model import (
     Joiner,
     LemmaSide,
     MorphKind,
-    PUNCT_CHARS,
+    has_delimiter,
+    is_punct,
+    split_lines,
 )
 from .normalize import NormalizationTable, analyzer_to_gloss, unknown_analyzer_tags
 from .parsing import parse_analyzer_line, tokenize_gloss
@@ -92,16 +95,12 @@ class PipelineReport:
     sentences: list[SentenceTrace] = field(default_factory=list)
 
 
-def _is_punct_text(text: str) -> bool:
-    return all(ch in PUNCT_CHARS for ch in text)
-
-
 def _substitute_token(
-    token: GlossToken, dictionary: LemmaDictionary, policy: OovPolicy
+    token: GlossToken, dictionary: LemmaDictionary, policy: OovPolicy, missing: list[str]
 ) -> GlossToken:
     morphs: list[GlossMorph] = []
     for morph in token.morphs:
-        if morph.kind is not MorphKind.LEMMA or _is_punct_text(morph.text):
+        if morph.kind is not MorphKind.LEMMA or is_punct(morph.text):
             morphs.append(morph)
             continue
         hit = dictionary.lookup(morph.text)
@@ -110,14 +109,11 @@ def _substitute_token(
             if morph.text[:1].isupper():
                 target = target[:1].upper() + target[1:]
             morphs.append(
-                GlossMorph(
-                    MorphKind.LEMMA,
-                    target,
-                    morph.joiner,
-                    opaque=any(ch in DELIMITERS for ch in target),
-                )
+                GlossMorph(MorphKind.LEMMA, target, morph.joiner, opaque=has_delimiter(target))
             )
-        elif policy is OovPolicy.KEEP:
+            continue
+        missing.append(morph.text)
+        if policy is OovPolicy.KEEP:
             morphs.append(morph)
         elif policy is OovPolicy.KEEP_MARKED:
             marked = f"{OOV_OPEN}{morph.text}{OOV_CLOSE}"
@@ -134,6 +130,18 @@ def _substitute_token(
     return GlossToken(tuple(morphs))
 
 
+def _substitute(
+    gloss: GlossLine, dictionary: LemmaDictionary, oov_policy: OovPolicy
+) -> tuple[GlossLine, list[str]]:
+    """The target-lemma gloss and the lemmas the dictionary lacked, from one
+    lookup per non-punctuation lemma."""
+    missing: list[str] = []
+    tokens = tuple(
+        _substitute_token(token, dictionary, oov_policy, missing) for token in gloss.tokens
+    )
+    return GlossLine(tokens=tokens, lemma_side=LemmaSide.TARGET), missing
+
+
 def substitute_lemmas(
     gloss: GlossLine,
     dictionary: LemmaDictionary,
@@ -146,24 +154,12 @@ def substitute_lemmas(
     punctuation are never touched and the token count is preserved.  Lemmas
     missing from the dictionary follow ``oov_policy``.
     """
-    tokens = tuple(
-        _substitute_token(token, dictionary, oov_policy) for token in gloss.tokens
-    )
-    return GlossLine(tokens=tokens, lemma_side=LemmaSide.TARGET)
+    return _substitute(gloss, dictionary, oov_policy)[0]
 
 
 def oov_lemmas(gloss: GlossLine, dictionary: LemmaDictionary) -> list[str]:
     """Non-punctuation lemmas with no dictionary entry."""
-    missing = []
-    for token in gloss.tokens:
-        for morph in token.morphs:
-            if (
-                morph.kind is MorphKind.LEMMA
-                and not _is_punct_text(morph.text)
-                and dictionary.lookup(morph.text) is None
-            ):
-                missing.append(morph.text)
-    return missing
+    return _substitute(gloss, dictionary, OovPolicy.KEEP)[1]
 
 
 def prepare_multilingual(
@@ -198,19 +194,21 @@ def baseline_detokenize(
 ) -> str:
     """Crude gloss-to-English baseline: strip all labels, turn underscores
     into spaces, capitalize the first character, keep punctuation tokens."""
-    gloss = tokenize_gloss(line, label_registry=label_registry)
+    return _strip_labels(tokenize_gloss(line, label_registry=label_registry))
+
+
+def _strip_labels(gloss: GlossLine) -> str:
+    """:func:`baseline_detokenize` of a gloss that is already tokenized, so
+    each morph keeps the kind the stage that made it gave it."""
     words: list[str] = []
     for token in gloss.tokens:
         if token.is_punctuation:
             words.append(token.render())
             continue
-        lemma_morphs = [m for m in token.morphs if m.kind is MorphKind.LEMMA]
-        if not lemma_morphs:
-            continue
-        rendered = "".join(
-            (m.joiner.value if i else "") + m.text for i, m in enumerate(lemma_morphs)
-        )
-        words.append(rendered.replace("_", " "))
+        lemmas = [m for m in token.morphs if m.kind is MorphKind.LEMMA]
+        if lemmas:
+            rendered = lemmas[0].text + "".join(m.joiner.value + m.text for m in lemmas[1:])
+            words.append(rendered.replace("_", " "))
     sentence = " ".join(words)
     return sentence[:1].upper() + sentence[1:]
 
@@ -225,6 +223,7 @@ def _run_external(lines: list[str], translator: TranslatorHandle) -> list[str]:
             stderr=subprocess.PIPE,
             text=True,
             encoding="utf-8",
+            start_new_session=True,  # own process group, killed as one on timeout
         )
     except (OSError, ValueError) as exc:
         raise TranslatorSpawnFailureError(
@@ -234,8 +233,11 @@ def _run_external(lines: list[str], translator: TranslatorHandle) -> list[str]:
     try:
         stdout, stderr = proc.communicate(payload, timeout=translator.timeout)
     except subprocess.TimeoutExpired as exc:
-        proc.kill()
-        proc.communicate()
+        # the whole group: a child of the translator may hold its pipes open
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
         raise TranslatorTimeoutError(
             f"translator exceeded {translator.timeout} s"
         ) from exc
@@ -243,7 +245,7 @@ def _run_external(lines: list[str], translator: TranslatorHandle) -> list[str]:
         raise TranslatorSpawnFailureError(
             f"translator exited with status {proc.returncode}: {stderr.strip()[:200]}"
         )
-    outputs = stdout.splitlines()
+    outputs = split_lines(stdout)
     if len(outputs) != len(lines):
         raise TranslatorCountMismatchError(
             f"translator returned {len(outputs)} line(s) for {len(lines)} input(s)"
@@ -279,11 +281,14 @@ def run_pipeline(
     progression of each sentence can be audited or printed.
     """
     report = PipelineReport()
-    glosses_src: list[GlossLine] = []
-    glosses_tgt: list[GlossLine] = []
-    analyzer_lines = [line for line in analyzer_text.splitlines() if line.strip()]
+    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
+    rows: list[tuple[str, str, str]] = []
+    # baseline translations, or the lines the translator will be given
+    outputs: list[str] = []
 
-    for line in analyzer_lines:
+    for line in split_lines(analyzer_text):
+        if not line.strip():
+            continue
         try:
             tokens = parse_analyzer_line(line)
         except IgtError as exc:
@@ -293,7 +298,7 @@ def run_pipeline(
         except IgtError as exc:
             raise PipelineStageError("analyzer-to-gloss", exc) from exc
         try:
-            gloss_tgt = substitute_lemmas(gloss_src, dictionary, oov_policy)
+            gloss_tgt, missing = _substitute(gloss_src, dictionary, oov_policy)
         except IgtError as exc:
             raise PipelineStageError("substitute", exc) from exc
 
@@ -302,31 +307,19 @@ def run_pipeline(
         report.gloss_src_tokens += len(gloss_src.tokens)
         report.gloss_tgt_tokens += len(gloss_tgt.tokens)
         report.unknown_labels += len(unknown_analyzer_tags(tokens, table))
-        report.oov_lemmas += len(oov_lemmas(gloss_src, dictionary))
-        glosses_src.append(gloss_src)
-        glosses_tgt.append(gloss_tgt)
-        report.sentences.append(
-            SentenceTrace(
-                analyzer=line,
-                gloss_src=gloss_src.render(),
-                gloss_tgt=gloss_tgt.render(),
-            )
+        report.oov_lemmas += len(missing)
+        rows.append((line, gloss_src.render(), gloss_tgt.render()))
+        outputs.append(
+            _strip_labels(gloss_tgt) if baseline else gloss_tgt.render_spaced(split_morphs)
         )
 
-    if translator.kind is TranslatorKind.BASELINE_DETOKENIZE:
-        # the baseline re-tokenizes its input, so feed unsplit tokens
-        translator_input = [g.render_spaced(False) for g in glosses_tgt]
-    else:
-        translator_input = [g.render_spaced(split_morphs) for g in glosses_tgt]
-    try:
-        targets = translate(translator_input, translator)
-    except IgtError as exc:
-        raise PipelineStageError("translate", exc) from exc
-
-    report.sentences = [
-        SentenceTrace(t.analyzer, t.gloss_src, t.gloss_tgt, target)
-        for t, target in zip(report.sentences, targets)
-    ]
+    targets = outputs
+    if not baseline:
+        try:
+            targets = translate(outputs, translator)
+        except IgtError as exc:
+            raise PipelineStageError("translate", exc) from exc
+    report.sentences = [SentenceTrace(*row, target) for row, target in zip(rows, targets)]
     return targets, report
 
 

@@ -8,6 +8,7 @@ is an exact inverse by construction.
 import random
 
 from igtpivot import (
+    AnalyzerToken,
     GlossLine,
     GlossMorph,
     GlossToken,
@@ -16,6 +17,7 @@ from igtpivot import (
     LanguageTag,
     LemmaSide,
     MorphKind,
+    default_table,
 )
 
 LEMMA_POOL = [
@@ -119,3 +121,54 @@ def random_parallel_corpus(rng: random.Random, max_pairs: int = 20, vocab: int =
         tgt = tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 5)))
         pairs.append((src, tgt))
     return pairs
+
+
+# --- analyzer output ---------------------------------------------------------------
+
+SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+
+NOMINAL_TAGS = (("A3sg", "A3pl", "A1sg", "A2pl"), ("Pnon", "P1sg", "P3pl"), ("Nom", "Acc", "Loc"))
+VERBAL_TAGS = (("Past", "Prog1", "Aor", "Fut", "Narr"), ("A3sg", "A1sg", "A3pl"))
+# upper case, so the gloss tokenizer reads them as labels, as the pipeline does
+UNKNOWN_TAGS = ("DIM", "EMPH", "QUES", "HON")
+
+
+def cv_words(rng: random.Random, k: int) -> list[str]:
+    """``k`` distinct lowercase consonant-vowel words of two or three
+    syllables that the gloss tokenizer reads as lemmas and the default table
+    does not restore."""
+    table = default_table()
+    registry = table.label_registry()
+    words: set[str] = set()
+    while len(words) < k:
+        word = "".join(rng.choice(SYLLABLES) for _ in range(rng.randint(2, 3)))
+        if word.upper() not in registry and word not in registry and word not in table.restore_map:
+            words.add(word)
+    return sorted(words)
+
+
+def random_analyzer_corpus(rng: random.Random, n_lines: int, vocab: int = 40) -> tuple[str, str]:
+    """Analyzer output of ``n_lines`` sentences plus a dictionary TSV covering
+    about four fifths of the roots; some tags are unknown to the table."""
+    words = cv_words(rng, 2 * vocab)
+    roots, targets = words[:vocab], words[vocab:]
+    known = roots[: vocab * 4 // 5]
+    dictionary = "".join(f"{root}\t{target}\n" for root, target in zip(known, targets))
+    lines = []
+    for _ in range(n_lines):
+        words_out = []
+        for _ in range(rng.randint(1, 8)):
+            template = NOMINAL_TAGS if rng.random() < 0.6 else VERBAL_TAGS
+            tags = [
+                rng.choice(UNKNOWN_TAGS) if rng.random() < 0.05 else rng.choice(choices)
+                for choices in template
+            ]
+            word = AnalyzerToken(rng.choice(roots), tuple(tags)).render()
+            if rng.random() < 0.1:
+                word += ","
+            words_out.append(word)
+        words_out[-1] += rng.choice([".", "?", ""])
+        lines.append(" ".join(words_out))
+        if rng.random() < 0.1:
+            lines.append("")
+    return "".join(line + "\n" for line in lines), dictionary

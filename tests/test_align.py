@@ -10,6 +10,7 @@ from igtpivot import (
     EmptyCorpusError,
     LemmaDictionary,
     ParallelCorpus,
+    TableParseError,
     align_pair,
     dump_dictionary,
     dump_translation_table,
@@ -281,3 +282,22 @@ def test_dictionary_two_column_defaults_probability():
 def test_lemma_dictionary_type_invariants():
     d = LemmaDictionary(entries={"a": ("b", 0.7)}, threshold=0.5)
     assert all(p >= d.threshold for _, p in d.entries.values())
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["kadin\told woman", "kadin\t\t0.5", "\twoman\t0.5", "ka din\twoman", "kadin\two\u2028man"],
+)
+def test_dictionary_rejects_words_that_cannot_be_morphs(row):
+    with pytest.raises(TableParseError) as info:
+        load_dictionary(f"dans\tdance\n{row}\n")
+    assert info.value.line == 2
+    assert info.value.code == "TABLE_PARSE_ERROR"
+
+
+def test_dictionary_load_applies_threshold():
+    text = "low\tx\t0.1\nedge\ty\t0.5\nhigh\tz\t0.9\nbare\tw\n"
+    dictionary = load_dictionary(text, threshold=0.5)
+    assert dictionary.entries == {"bare": ("w", 1.0), "edge": ("y", 0.5), "high": ("z", 0.9)}
+    assert dictionary.threshold == 0.5
+    assert load_dictionary(text).entries["low"] == ("x", 0.1)

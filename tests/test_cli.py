@@ -323,3 +323,36 @@ def test_parser_registers_all_commands():
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     choices = set(actions[0].choices)
     assert choices == set(ALL_COMMANDS)
+
+
+# --- line-oriented readers -----------------------------------------------------------------
+
+
+def test_line_mapping_commands_keep_blank_lines_and_accept_crlf(tmp_path):
+    infile = write(tmp_path / "analyzed.txt", "gör+Past+A3sg\r\n\r\ndans+A3sg+Pnon+Nom\r\n")
+    outfile = tmp_path / "gloss.txt"
+    assert main(["parse-analyzer", "--in", infile, "--out", str(outfile)]) == 0
+    assert read(outfile) == "gör-PST.3.SG\n\ndans.3.SG.NPOSS.NOM\n"
+    normalized = tmp_path / "norm.txt"
+    assert main(["normalize", "--in", str(outfile), "--out", str(normalized)]) == 0
+    assert read(normalized) == read(outfile)
+    dict_file = write(tmp_path / "dict.tsv", PIVOT_DICTIONARY_TSV)
+    substituted = tmp_path / "subst.txt"
+    assert main(["subst", "--in", str(outfile), "--dict", dict_file, "--out", str(substituted)]) == 0
+    assert read(substituted) == "see-PST.3.SG\n\ndance.3.SG.NPOSS.NOM\n"
+
+
+def test_eval_counts_a_line_separator_as_part_of_its_line(tmp_path, capsys):
+    # U+2028 is whitespace inside a line, not a line break: one hypothesis
+    hyp = write(tmp_path / "h.txt", "the man\u2028saw\n")
+    ref = write(tmp_path / "r.txt", "the man saw\n")
+    assert main(["eval", "--hyp", hyp, "--ref", ref]) == 0
+    assert "n_sentences=1" in capsys.readouterr().out
+
+
+def test_pivot_reports_multiword_dictionary_entry_with_its_line(tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", TURKISH_ANALYZER_FIXTURE)
+    dict_file = write(tmp_path / "dict.tsv", "dans\tdance\nkadin\told woman\n")
+    code = main(["pivot", "--analyzer-out", analyzer, "--dict", dict_file])
+    assert code == 1
+    assert "igt: TABLE_PARSE_ERROR: line 2:" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from igtpivot import (
     BadRatiosError,
@@ -23,6 +25,7 @@ from igtpivot import (
     split_corpus,
     tokenize_gloss,
 )
+from igtpivot.model import split_lines
 
 from gen_helpers import random_record
 from golden_data import IGT_EXAMPLES
@@ -229,3 +232,32 @@ def test_split_partition_property_random_sizes():
 def test_split_rejects_bad_ratios(ratios):
     with pytest.raises(BadRatiosError):
         split_corpus(_records(4), ratios, seed=0)
+
+
+# --- line splitting ---------------------------------------------------------------
+
+# every character str.splitlines treats as a line boundary
+_LINE_BOUNDARIES = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_line_text = st.text(st.characters(exclude_characters=_LINE_BOUNDARIES))
+
+
+@given(st.lists(st.tuples(_line_text, st.sampled_from(["\n", "\r\n"]))), _line_text)
+def test_split_lines_equals_splitlines_on_newline_only_text(ended, last):
+    text = "".join(line + end for line, end in ended) + last
+    assert split_lines(text) == text.splitlines()
+
+
+def test_split_lines_keeps_other_unicode_boundaries_inside_a_line():
+    text = "a\u2028b\x85c\vd\fe\r\n\nf\n"
+    assert split_lines(text) == ["a\u2028b\x85c\vd\fe", "", "f"]
+    assert split_lines("") == []
+
+
+def test_corpus_round_trip_keeps_line_separator_in_a_field():
+    record = IgtRecord(
+        id="ls-1",
+        lang=LanguageTag("tur"),
+        source_text="bir\u2028iki",
+        target_text="one\u2028two\x85three",
+    )
+    assert load_corpus(dump_corpus([record, record])) == [record, record]

@@ -2,6 +2,8 @@
 
 import random
 import sys
+import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -22,19 +24,22 @@ from igtpivot import (
     default_table,
     load_dictionary,
     oov_lemmas,
+    parse_analyzer_line,
     prepare_multilingual,
     run_pipeline,
     substitute_lemmas,
     tokenize_gloss,
     translate,
 )
+from igtpivot.pipeline import format_report
 
-from gen_helpers import random_record
+from gen_helpers import random_analyzer_corpus, random_record
 from golden_data import (
     PIVOT_DICTIONARY_TSV,
     SUBSTITUTION_GOLD,
     TURKISH_ANALYZER_FIXTURE,
 )
+from pipeline_reference import reference_run_pipeline
 
 
 def pivot_dictionary():
@@ -317,3 +322,118 @@ def test_pipeline_report_renders_intermediates():
     assert "oov_lemmas=0" in text
     assert SUBSTITUTION_GOLD[0][1] in text
     assert "Woman dance be ." in text
+
+
+# --- one pass over GlossLine ------------------------------------------------------------
+
+BASELINE = TranslatorHandle(TranslatorKind.BASELINE_DETOKENIZE)
+SMALL_DICTIONARY_TSV = "ben\tI\ngel\tcome\nyil\t2\ngec\tpast\n"
+
+
+@pytest.mark.parametrize(
+    "analyzer, expected",
+    [
+        # a target lemma spelled like a label ("I") is still a lemma
+        ("ben+A1sg+Pnon+Nom gel+Past+A1sg.", "I come ."),
+        # an unknown tag is still a label, whatever its case
+        ("gel+Dim+Past+A3sg.", "Come ."),
+        # digits and label variants ("past") made by substitution are lemmas
+        ("yil+A3sg gec+Past.", "2 past ."),
+        # a kept upper-case OOV lemma is not taken for a label
+        ("ABD+Prop+A3sg gel+Past+A3sg.", "ABD come ."),
+    ],
+)
+def test_baseline_keeps_the_kind_each_stage_gave_a_morph(analyzer, expected):
+    dictionary = load_dictionary(SMALL_DICTIONARY_TSV)
+    targets, report = run_pipeline(analyzer, default_table(), dictionary, BASELINE)
+    assert targets == [expected]
+    assert report.sentences[0].target == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("policy", list(OovPolicy))
+def test_pipeline_matches_render_and_retokenize_reference(seed, policy):
+    # roots and targets are lowercase consonant-vowel words, which the gloss
+    # tokenizer reads as lemmas, and unknown tags are upper case, which it
+    # reads as labels: there both compositions must agree byte for byte
+    analyzer_text, dictionary_tsv = random_analyzer_corpus(random.Random(seed), 30)
+    table, dictionary = default_table(), load_dictionary(dictionary_tsv)
+    targets, report = run_pipeline(analyzer_text, table, dictionary, BASELINE, oov_policy=policy)
+    ref_targets, ref_report = reference_run_pipeline(analyzer_text, table, dictionary, policy)
+    assert targets == ref_targets
+    assert format_report(report) == format_report(ref_report)
+    assert report.oov_lemmas > 0 and report.unknown_labels > 0
+
+
+@dataclass(frozen=True)
+class CountingDictionary(LemmaDictionary):
+    looked_up: list = field(default_factory=list)
+
+    def lookup(self, lemma):
+        self.looked_up.append(lemma)
+        return super().lookup(lemma)
+
+
+@pytest.mark.parametrize("kind", [TranslatorKind.BASELINE_DETOKENIZE, TranslatorKind.IDENTITY])
+def test_pipeline_looks_up_each_lemma_once(kind):
+    analyzer_text, dictionary_tsv = random_analyzer_corpus(random.Random(7), 25)
+    analyzer_text += TURKISH_ANALYZER_FIXTURE
+    dictionary = CountingDictionary(entries=load_dictionary(dictionary_tsv).entries)
+    _, report = run_pipeline(
+        analyzer_text, default_table(), dictionary, TranslatorHandle(kind)
+    )
+    lemmas = [
+        token.surface
+        for line in analyzer_text.split("\n")
+        for token in parse_analyzer_line(line)
+        if not token.is_punctuation
+    ]
+    assert len(dictionary.looked_up) == len(lemmas)
+    missed = [lemma for lemma in dictionary.looked_up if lemma.lower() not in dictionary.entries]
+    assert report.oov_lemmas == len(missed) > 0
+
+
+def test_pipeline_baseline_never_tokenizes_a_gloss(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tokenize_gloss called")
+
+    monkeypatch.setattr("igtpivot.pipeline.tokenize_gloss", refuse)
+    monkeypatch.setattr("igtpivot.parsing.tokenize_gloss", refuse)
+    targets, _ = run_pipeline(
+        TURKISH_ANALYZER_FIXTURE, default_table(), pivot_dictionary(), BASELINE
+    )
+    assert targets == ["Woman dance be .", "Man woman see ."]
+
+
+# --- external translator line protocol -----------------------------------------------------
+
+
+def test_external_translator_keeps_line_separator_inside_a_line():
+    marker = _stub(
+        "import sys; [sys.stdout.buffer.write((l.rstrip('\\n') + '\\u2028!\\n')"
+        ".encode('utf-8')) for l in sys.stdin]"
+    )
+    handle = TranslatorHandle(TranslatorKind.EXTERNAL, command=marker, timeout=30)
+    assert translate(["a", "b"], handle) == ["a\u2028!", "b\u2028!"]
+
+
+def test_external_translator_dropped_line_is_not_hidden_by_line_separator():
+    # two inputs, one output line that str.splitlines would count as two
+    dropper = _stub(
+        "import sys; sys.stdin.read(); sys.stdout.buffer.write('a\\u2028b\\n'.encode('utf-8'))"
+    )
+    handle = TranslatorHandle(TranslatorKind.EXTERNAL, command=dropper, timeout=30)
+    with pytest.raises(TranslatorCountMismatchError):
+        translate(["a", "b"], handle)
+
+
+def test_external_translator_timeout_kills_the_translators_children():
+    # the shell's children hold the output pipe; killing only the shell would
+    # leave the read waiting for the sleep to end
+    handle = TranslatorHandle(
+        TranslatorKind.EXTERNAL, command="sh -c 'sleep 20 | cat'", timeout=0.5
+    )
+    start = time.monotonic()
+    with pytest.raises(TranslatorTimeoutError):
+        translate(["a"], handle)
+    assert time.monotonic() - start < 10
