@@ -1,0 +1,6 @@
+"""``python -m igtpivot``: the ``igt`` command."""
+
+from .cli import entry_point
+
+if __name__ == "__main__":
+    entry_point()

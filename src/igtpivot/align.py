@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
+import re
 from dataclasses import dataclass
 
 from .errors import EmptyCorpusError, TableParseError
@@ -50,9 +50,9 @@ class ParallelCorpus:
                 f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
             )
         pairs = []
-        for src, tgt in zip(src_lines, tgt_lines):
-            if src.split() and tgt.split():
-                pairs.append((tuple(src.split()), tuple(tgt.split())))
+        for src_words, tgt_words in zip(map(str.split, src_lines), map(str.split, tgt_lines)):
+            if src_words and tgt_words:
+                pairs.append((tuple(src_words), tuple(tgt_words)))
         return cls(pairs=tuple(pairs))
 
 
@@ -83,29 +83,6 @@ class LemmaDictionary:
         return self.entries.get(lemma.lower())
 
 
-def _lowered(corpus: ParallelCorpus, null_word: bool) -> list[tuple[list[str], list[str]]]:
-    extra = [NULL_TOKEN] if null_word else []
-    return [
-        ([f.lower() for f in src], extra + [e.lower() for e in tgt])
-        for src, tgt in corpus.pairs
-    ]
-
-
-def _perplexity(pairs: list[tuple[list[str], list[str]]], probs: dict) -> float:
-    """exp of the mean negative log-likelihood per source token under the
-    model: P(f | targets) = (1/m) * sum_e t(f|e).  Non-increasing across EM
-    iterations."""
-    log_total = 0.0
-    n_tokens = 0
-    for src, tgt in pairs:
-        m = len(tgt)
-        for f in src:
-            mass = sum(probs.get((f, e), 0.0) for e in tgt)
-            log_total += math.log(mass / m)
-            n_tokens += 1
-    return math.exp(-log_total / n_tokens)
-
-
 def train_model1(
     corpus: ParallelCorpus,
     iterations: int = 5,
@@ -116,44 +93,67 @@ def train_model1(
     Initialization is uniform over co-occurring pairs.  When ``null_word`` is
     set, a synthetic NULL token is prepended to every target sentence so
     source words without a counterpart can align to it.
+
+    Words are lowercased and interned to ids once; t(f|e) is one ``{e: p}``
+    row per source id.  Perplexity (exp of the mean -log(sum_e t(f|e) / m)
+    per source token, non-increasing) is summed from the E-step denominators,
+    so only the final table needs a pass of its own.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
 
-    pairs = _lowered(corpus, null_word)
-    cooc: dict[str, set[str]] = defaultdict(set)  # target word -> source words
-    for src, tgt in pairs:
-        for e in tgt:
-            cooc[e].update(src)
-    probs: dict[tuple[str, str], float] = {}
-    for e in sorted(cooc):
-        uniform = 1.0 / len(cooc[e])
-        for f in sorted(cooc[e]):
-            probs[(f, e)] = uniform
+    source_ids: dict[str, int] = {}
+    target_ids: dict[str, int] = {NULL_TOKEN: 0} if null_word else {}
+    null = (0,) if null_word else ()
+    pairs = [
+        (tuple(source_ids.setdefault(f.lower(), len(source_ids)) for f in src),
+         null + tuple(target_ids.setdefault(e.lower(), len(target_ids)) for e in tgt))
+        for src, tgt in corpus.pairs
+    ]
+    cooc: list[set[int]] = [set() for _ in target_ids]  # target id -> source ids
+    for src_ids, tgt_ids in pairs:
+        for e in tgt_ids:
+            cooc[e].update(src_ids)
+    rows: list[dict[int, float]] = [{} for _ in source_ids]  # rows[f][e] = t(f|e)
+    for e, sources in enumerate(cooc):
+        uniform = 1.0 / len(sources)
+        for f in sources:
+            rows[f][e] = uniform
 
-    history = [_perplexity(pairs, probs)]
-    for iteration in range(iterations):
-        counts: dict[tuple[str, str], float] = defaultdict(float)
-        totals: dict[str, float] = defaultdict(float)
-        for src, tgt in pairs:
-            for f in src:
-                denom = sum(probs.get((f, e), 0.0) for e in tgt)
-                for e in tgt:
-                    share = probs.get((f, e), 0.0) / denom
-                    counts[(f, e)] += share
-                    totals[e] += share
-        probs = {(f, e): count / totals[e] for (f, e), count in counts.items()}
-        history.append(_perplexity(pairs, probs))
-        log.debug("model1 iteration %d perplexity %.6f", iteration + 1, history[-1])
+    n_tokens = sum(len(src_ids) for src_ids, _ in pairs)
+    history: list[float] = []
+    for iteration in range(iterations + 1):
+        # the pass after the last M-step only measures the final table
+        counts = [dict.fromkeys(row, 0.0) for row in rows] if iteration < iterations else None
+        totals = [0.0] * len(target_ids)
+        log_total = 0.0
+        for src_ids, tgt_ids in pairs:
+            for f in src_ids:
+                row = rows[f]
+                masses = [row[e] for e in tgt_ids]
+                denom = sum(masses)
+                log_total += math.log(denom / len(tgt_ids))
+                if counts is not None:
+                    count = counts[f]
+                    for e, p in zip(tgt_ids, masses):
+                        share = p / denom
+                        count[e] += share
+                        totals[e] += share
+        history.append(math.exp(-log_total / n_tokens))
+        if iteration:
+            log.debug("model1 iteration %d perplexity %.6f", iteration, history[-1])
+        if counts is not None:
+            rows = [{e: c / totals[e] for e, c in count.items()} for count in counts]
 
-    source_vocab = frozenset(f for src, _ in pairs for f in src)
-    target_vocab = frozenset(e for e in cooc if e != NULL_TOKEN)
+    source_words, target_words = list(source_ids), list(target_ids)
     return TranslationTable(
-        probs=probs,
-        source_vocab=source_vocab,
-        target_vocab=target_vocab,
+        probs={
+            (source_words[f], target_words[e]): p for f, row in enumerate(rows) for e, p in row.items()
+        },
+        source_vocab=frozenset(source_words),
+        target_vocab=frozenset(target_words[len(null):]),
         iterations_run=iterations,
         final_perplexity=history[-1],
         null_word=null_word,
@@ -214,14 +214,28 @@ def align_pair(
 # --- file formats -------------------------------------------------------------
 
 
+_two_words = re.compile(r"\S+\t\S+\t").match
+
+
+def _check_words(words: "list[str]", kind: str, lineno: int) -> None:
+    """Reject an empty word or one containing whitespace: it cannot be a
+    gloss morph."""
+    for word in words:
+        if word.split() != [word]:
+            raise TableParseError(
+                f"{kind} word {word!r} is empty or contains whitespace", line=lineno
+            )
+
+
 def dump_translation_table(table: TranslationTable) -> str:
     lines = [
         f"# iterations={table.iterations_run}",
         f"# null_word={'true' if table.null_word else 'false'}",
         f"# final_perplexity={table.final_perplexity!r}",
     ]
-    for (f, e), p in sorted(table.probs.items()):
-        lines.append(f"{f}\t{e}\t{p!r}")
+    probs = table.probs
+    for key in sorted(probs):
+        lines.append(f"{key[0]}\t{key[1]}\t{probs[key]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -251,9 +265,14 @@ def load_translation_table(text: str) -> TranslationTable:
         if len(fields) != 3:
             raise TableParseError("expected source<TAB>target<TAB>prob", line=lineno)
         try:
-            probs[(fields[0], fields[1])] = float(fields[2])
+            prob = float(fields[2])
         except ValueError as exc:
             raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
+        if not 0.0 <= prob <= 1.0:  # also false for nan
+            raise TableParseError(f"probability {fields[2]!r} is not in [0, 1]", line=lineno)
+        if not _two_words(line):  # the fast test; _check_words names the bad word
+            _check_words(fields[:2], "table", lineno)
+        probs[(fields[0], fields[1])] = prob
     if not probs:
         raise TableParseError("no probability rows found")
     return TranslationTable(
@@ -295,11 +314,7 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
                 prob = float(fields[2])
             except ValueError as exc:
                 raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
-        for word in fields[:2]:
-            if word.split() != [word]:  # empty, or contains whitespace
-                raise TableParseError(
-                    f"dictionary word {word!r} is empty or contains whitespace", line=lineno
-                )
+        _check_words(fields[:2], "dictionary", lineno)
         if prob >= threshold:
             entries[fields[0].lower()] = (fields[1], prob)
     return LemmaDictionary(entries=dict(sorted(entries.items())), threshold=threshold)

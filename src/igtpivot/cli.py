@@ -385,3 +385,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

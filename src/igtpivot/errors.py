@@ -54,6 +54,27 @@ class TableParseError(IgtError):
         self.line = line
 
 
+class _NumberedLineError(IgtError, ValueError):
+    """A malformed row of a line-oriented file, reported as ``<kind> line N:
+    message``.  Also a ``ValueError``, so callers catching that still work."""
+
+    kind = ""
+
+    def __init__(self, message: str, *, line: int):
+        super().__init__(f"{self.kind} line {line}: {message}")
+        self.line = line
+
+
+class AnnotationParseError(_NumberedLineError):
+    code = "ANNOTATION_PARSE_ERROR"
+    kind = "annotation"
+
+
+class LexiconParseError(_NumberedLineError):
+    code = "LEXICON_PARSE_ERROR"
+    kind = "lexicon"
+
+
 class CycleDetectedError(IgtError):
     code = "CYCLE_DETECTED"
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import LexiconParseError
 from .model import split_lines
 
 # lemma: (simple past, past participle)
@@ -202,7 +203,7 @@ def load_lexicon(text: str) -> InflectionLexicon:
             continue
         fields = line.split("\t")
         if len(fields) < 2:
-            raise ValueError(f"lexicon line {lineno}: expected lemma<TAB>past")
+            raise LexiconParseError("expected lemma<TAB>past", line=lineno)
         lemma = fields[0].strip().lower()
         past[lemma] = fields[1].strip().lower()
         if len(fields) > 2 and fields[2].strip():

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import LengthMismatchError
+from .errors import AnnotationParseError, LengthMismatchError
 from .inflect import InflectionLexicon, default_lexicon
 from .model import is_punct, split_lines
 
@@ -349,7 +349,7 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
                 continue
             key, sep, value = chunk.partition("=")
             if not sep:
-                raise ValueError(f"annotation line {lineno}: field without '=': {chunk!r}")
+                raise AnnotationParseError(f"field without '=': {chunk!r}", line=lineno)
             key = key.strip().lower()
             value = value.strip()
             if key == "nouns":
@@ -361,13 +361,11 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
                 try:
                     subject = (int(person_str), number.strip().upper())
                 except ValueError as exc:
-                    raise ValueError(
-                        f"annotation line {lineno}: bad subj {value!r}"
-                    ) from exc
+                    raise AnnotationParseError(f"bad subj {value!r}", line=lineno) from exc
             elif key == "tense":
                 tense = value.upper()
             else:
-                raise ValueError(f"annotation line {lineno}: unknown field {key!r}")
+                raise AnnotationParseError(f"unknown field {key!r}", line=lineno)
         try:
             rows.append(
                 (
@@ -381,5 +379,5 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
                 )
             )
         except ValueError as exc:
-            raise ValueError(f"annotation line {lineno}: {exc}") from exc
+            raise AnnotationParseError(str(exc), line=lineno) from exc
     return rows

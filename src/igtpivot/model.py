@@ -28,11 +28,13 @@ DELIMITERS = "-.="
 PUNCT_CHARS = ".,!?;:"
 
 _LANG_RE = re.compile(r"^[a-z]{3}$")
+# ``\s`` matches exactly the characters for which ``str.isspace`` is true
+_find_space = re.compile(r"\s").search
 
 
 def has_delimiter(text: str) -> bool:
     """True when ``text`` contains a morph delimiter (``-``, ``.`` or ``=``)."""
-    return any(delimiter in text for delimiter in DELIMITERS)
+    return "-" in text or "." in text or "=" in text
 
 
 def is_punct(text: str) -> bool:
@@ -106,7 +108,7 @@ class GlossMorph:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("morph text must be non-empty")
-        if any(ch.isspace() for ch in self.text):
+        if _find_space(self.text):
             raise ValueError(f"morph text contains whitespace: {self.text!r}")
         if not self.opaque and has_delimiter(self.text):
             raise ValueError(
@@ -235,6 +237,8 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str, *, offset: int, fieldname: str) -> str:
+    if "\\" not in value:
+        return value
     out: list[str] = []
     i = 0
     while i < len(value):

@@ -19,7 +19,6 @@ from .errors import (
     TokenCountMismatchError,
 )
 from .model import (
-    DELIMITERS,
     PUNCT_CHARS,
     GlossLine,
     GlossMorph,
@@ -80,6 +79,9 @@ class RawIgtBlock:
 # --- gloss tokenizer ---------------------------------------------------------
 
 
+_SPLIT_RE = re.compile(r"(?!^)([-.=])(?=[^-.=])")
+
+
 def _split_segments(core: str) -> list[tuple[Joiner, str]]:
     """Split a word at ``-``/``.``/``=``.
 
@@ -87,21 +89,12 @@ def _split_segments(core: str) -> list[tuple[Joiner, str]]:
     the word, or immediately before another delimiter) is kept as literal
     text of the adjacent segment, so rendering reproduces the input exactly.
     """
-    segments: list[tuple[Joiner, str]] = []
-    joiner = Joiner.WORD_INITIAL
-    buf: list[str] = []
-    for i, ch in enumerate(core):
-        if ch in DELIMITERS:
-            nxt = core[i + 1] if i + 1 < len(core) else None
-            if buf and nxt is not None and nxt not in DELIMITERS:
-                segments.append((joiner, "".join(buf)))
-                buf = []
-                joiner = _JOINER_BY_CHAR[ch]
-            else:
-                buf.append(ch)
-        else:
-            buf.append(ch)
-    segments.append((joiner, "".join(buf)))
+    if not has_delimiter(core):
+        return [(Joiner.WORD_INITIAL, core)]
+    parts = _SPLIT_RE.split(core)  # text, delimiter, text, delimiter, ...
+    segments = [(Joiner.WORD_INITIAL, parts[0])]
+    for i in range(1, len(parts), 2):
+        segments.append((_JOINER_BY_CHAR[parts[i]], parts[i + 1]))
     return segments
 
 

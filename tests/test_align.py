@@ -21,6 +21,7 @@ from igtpivot import (
 )
 
 import model1_oracle
+import model1_reference
 from gen_helpers import random_parallel_corpus
 
 TOY_PAIRS = (
@@ -301,3 +302,87 @@ def test_dictionary_load_applies_threshold():
     assert dictionary.entries == {"bare": ("w", 1.0), "edge": ("y", 0.5), "high": ("z", 0.9)}
     assert dictionary.threshold == 0.5
     assert load_dictionary(text).entries["low"] == ("x", 0.1)
+
+
+# --- interned-id trainer against the string-keyed reference ---------------------------
+
+
+def _mixed_case(rng, pairs):
+    def vary(sentence):
+        return tuple(word.upper() if rng.random() < 0.3 else word for word in sentence)
+
+    return tuple((vary(src), vary(tgt)) for src, tgt in pairs)
+
+
+def assert_same_training(corpus, iterations, null_word):
+    table = train_model1(corpus, iterations=iterations, null_word=null_word)
+    expected = model1_reference.train_model1(corpus, iterations=iterations, null_word=null_word)
+    assert table.probs == expected.probs
+    assert table.perplexity_history == expected.perplexity_history
+    assert table.final_perplexity == expected.final_perplexity
+    assert table.source_vocab == expected.source_vocab
+    assert table.target_vocab == expected.target_vocab
+    assert dump_translation_table(table) == dump_translation_table(expected)
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+@pytest.mark.parametrize("iterations", range(1, 7))
+def test_interned_trainer_is_bit_identical_to_reference(iterations, null_word):
+    repeated = 0
+    for seed in range(8):
+        rng = random.Random(100 * iterations + seed)
+        pairs = _mixed_case(rng, random_parallel_corpus(rng))
+        repeated += sum(len(set(src)) < len(src) or len(set(tgt)) < len(tgt) for src, tgt in pairs)
+        assert_same_training(ParallelCorpus(pairs), iterations, null_word)
+    assert repeated  # the corpora repeat tokens within a sentence
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+def test_interned_trainer_matches_reference_on_repeats_across_case(null_word):
+    corpus = ParallelCorpus((
+        (("Das", "das", "Haus"), ("the", "THE", "house")),
+        (("das", "Buch", "BUCH", "buch"), ("The", "book", "Book")),
+        (("ein", "Buch"), ("a", "book", "a")),
+    ))
+    for iterations in range(1, 7):
+        assert_same_training(corpus, iterations, null_word)
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+def test_trained_tables_load_back_exactly(null_word):
+    for seed in range(10):
+        rng = random.Random(seed)
+        corpus = ParallelCorpus(_mixed_case(rng, random_parallel_corpus(rng)))
+        table = train_model1(corpus, iterations=5, null_word=null_word)
+        again = load_translation_table(dump_translation_table(table))
+        assert again.probs == table.probs
+        assert again.final_perplexity == table.final_perplexity
+        assert again.source_vocab == table.source_vocab
+        assert again.target_vocab == table.target_vocab
+        assert again.null_word == null_word
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("e\tf\tnan", "'nan' is not in [0, 1]"),
+        ("e\tf\t-0.5", "'-0.5' is not in [0, 1]"),
+        ("e\tf\t1.7", "'1.7' is not in [0, 1]"),
+        ("e\tf\tinf", "'inf' is not in [0, 1]"),
+        ("kadin\told woman\t0.5", "table word 'old woman' is empty or contains whitespace"),
+        ("kadin\t\t0.5", "table word '' is empty"),
+        ("ka din\twoman\t0.5", "table word 'ka din'"),
+        ("kadin\two\u2028man\t0.5", r"table word 'wo\u2028man'"),
+    ],
+)
+def test_translation_table_rejects_bad_rows_with_line_number(row, message):
+    with pytest.raises(TableParseError) as info:
+        load_translation_table(f"# iterations=1\ndas\tthe\t0.5\n{row}\n")
+    assert info.value.line == 3
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert message in str(info.value)
+
+
+def test_translation_table_accepts_the_closed_unit_interval():
+    table = load_translation_table("a\tx\t0.0\nb\tx\t1.0\nc\tx\t-0.0\nd\tx\t1\n")
+    assert sorted(table.probs.values()) == [0.0, 0.0, 1.0, 1.0]

@@ -1,7 +1,10 @@
 """Command-line interface: goldens, exit codes, idempotency, stream defaults."""
 
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +359,55 @@ def test_pivot_reports_multiword_dictionary_entry_with_its_line(tmp_path, capsys
     code = main(["pivot", "--analyzer-out", analyzer, "--dict", dict_file])
     assert code == 1
     assert "igt: TABLE_PARSE_ERROR: line 2:" in capsys.readouterr().err
+
+
+def test_dict_rejects_a_multiword_table_row_with_its_line(tmp_path, capsys):
+    ttable = write(tmp_path / "t.tsv", "# iterations=1\nkadin\twoman\t0.5\nkadin\told woman\t0.5\n")
+    assert main(["dict", "--ttable", ttable, "--out", str(tmp_path / "d.tsv")]) == 1
+    assert capsys.readouterr().err == (
+        "igt: TABLE_PARSE_ERROR: line 3: table word 'old woman' is empty or contains whitespace\n"
+    )
+
+
+def test_eval_reports_a_bad_annotation_row_with_code_and_line(tmp_path, capsys):
+    hyp = write(tmp_path / "h.txt", "a b\nc d\n")
+    ref = write(tmp_path / "r.txt", "a b\nc d\n")
+    ann = write(tmp_path / "a.tsv", "s1\tnouns=a\ns2\tmystery=1\n")
+    assert main(["eval", "--hyp", hyp, "--ref", ref, "--ann", ann]) == 1
+    assert capsys.readouterr().err == (
+        "igt: ANNOTATION_PARSE_ERROR: annotation line 2: unknown field 'mystery'\n"
+    )
+
+
+def test_eval_reports_a_bad_lexicon_row_with_code_and_line(tmp_path, capsys):
+    hyp = write(tmp_path / "h.txt", "a b\n")
+    ref = write(tmp_path / "r.txt", "a b\n")
+    lexicon = write(tmp_path / "lex.tsv", "# irregulars\nfrob\n")
+    assert main(["eval", "--hyp", hyp, "--ref", ref, "--lexicon", lexicon]) == 1
+    assert capsys.readouterr().err == (
+        "igt: LEXICON_PARSE_ERROR: lexicon line 2: expected lemma<TAB>past\n"
+    )
+
+
+# --- python -m ------------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["igtpivot", "igtpivot.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    result = run("dump-table")
+    assert result.returncode == 0
+    assert loads_table(result.stdout) == default_table()
+    result = run("normalize", "--in", str(tmp_path / "nope.txt"))
+    assert result.returncode == 1
+    assert result.stderr.startswith("igt: FILE_NOT_FOUND:")

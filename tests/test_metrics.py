@@ -22,6 +22,7 @@ from igtpivot import (
     translate,
     verb_match,
 )
+from igtpivot.errors import AnnotationParseError, IgtError, LexiconParseError
 from igtpivot.metrics import format_report, summary_line
 
 from golden_data import QUALITATIVE_GOLD, TURKISH_SEQUENCE
@@ -411,3 +412,30 @@ def test_custom_lexicon_merges_over_defaults():
     assert lexicon.irregular_past["see"] == "saw"
     assert "frobben" in lexicon.past_forms("frob")
     assert lexicon.third_sg("frob") == "frobs"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s1\tnouns=a\n\ns3\tsubj=none", "annotation line 3: bad subj 'none'"),
+        ("s1\ttense=PLUPERFECT", "annotation line 1: bad tense 'PLUPERFECT'"),
+        ("s1\tmystery=1", "annotation line 1: unknown field 'mystery'"),
+        ("# c\ns1\tnoequals", "annotation line 2: field without '=': 'noequals'"),
+    ],
+)
+def test_annotation_errors_carry_a_code_and_the_line(text, message):
+    with pytest.raises(AnnotationParseError) as info:
+        parse_annotations(text)
+    assert isinstance(info.value, IgtError) and isinstance(info.value, ValueError)
+    assert info.value.code == "ANNOTATION_PARSE_ERROR"
+    assert str(info.value) == message
+    assert info.value.line == int(message.split()[2].rstrip(":"))
+
+
+def test_lexicon_errors_carry_a_code_and_the_line():
+    with pytest.raises(LexiconParseError) as info:
+        load_lexicon("go\twent\nfrob\n")
+    assert isinstance(info.value, ValueError)
+    assert info.value.code == "LEXICON_PARSE_ERROR"
+    assert info.value.line == 2
+    assert str(info.value) == "lexicon line 2: expected lemma<TAB>past"

@@ -261,3 +261,37 @@ def test_corpus_round_trip_keeps_line_separator_in_a_field():
         target_text="one\u2028two\x85three",
     )
     assert load_corpus(dump_corpus([record, record])) == [record, record]
+
+
+# --- fast paths keep the checks -----------------------------------------------------
+
+_SPACES = "".join(chr(i) for i in range(0x110000) if chr(i).isspace())
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES)), min_size=1))
+def test_morph_rejects_text_iff_a_character_is_whitespace(text):
+    has_space = any(ch.isspace() for ch in text)
+    try:
+        GlossMorph(MorphKind.LEMMA, text, Joiner.WORD_INITIAL, opaque=True)
+    except ValueError as exc:
+        assert has_space and "whitespace" in str(exc)
+    else:
+        assert not has_space
+
+
+# lone surrogates cannot be written to a UTF-8 file
+_field_text = st.text(
+    st.one_of(st.characters(exclude_categories=["Cs"]), st.sampled_from("\\\t\nnt="))
+)
+
+
+@given(_field_text, _field_text, st.none() | _field_text, st.none() | _field_text)
+def test_record_round_trips_arbitrary_unicode_fields(record_id, provenance, source, target):
+    record = IgtRecord(
+        id=record_id,
+        lang=LanguageTag("tur"),
+        source_text=source,
+        target_text="" if source is None and target is None else target,
+        provenance=provenance,
+    )
+    assert parse_record(serialize_record(record)) == record

@@ -1,8 +1,11 @@
 """Gloss tokenizer, ODIN block parser, ToolBox parser, analyzer-line parser."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from igtpivot import (
     AnalyzerToken,
@@ -20,6 +23,8 @@ from igtpivot import (
     parse_toolbox,
     tokenize_gloss,
 )
+from igtpivot.model import Joiner, is_punct
+from igtpivot.parsing import _split_segments
 
 from gen_helpers import random_gloss_line
 from golden_data import IGT_EXAMPLES
@@ -103,6 +108,51 @@ def test_tokenizer_round_trip_random_lines():
         line = random_gloss_line(rng, LemmaSide.TARGET, rng.randint(1, 6))
         rendered = line.render()
         assert tokenize_gloss(rendered) == line
+
+
+_JOINERS = {"-": Joiner.HYPHEN, ".": Joiner.PERIOD, "=": Joiner.EQUALS}
+
+
+def _reference_split_segments(core):
+    """The per-character splitter the regular expression replaced."""
+    segments = []
+    joiner = Joiner.WORD_INITIAL
+    buf = []
+    for i, ch in enumerate(core):
+        if ch in "-.=":
+            nxt = core[i + 1] if i + 1 < len(core) else None
+            if buf and nxt is not None and nxt not in "-.=":
+                segments.append((joiner, "".join(buf)))
+                buf = []
+                joiner = _JOINERS[ch]
+            else:
+                buf.append(ch)
+        else:
+            buf.append(ch)
+    segments.append((joiner, "".join(buf)))
+    return segments
+
+
+def test_split_segments_equals_per_character_reference_exhaustively():
+    for length in range(1, 8):
+        for chars in itertools.product("a-.=", repeat=length):
+            core = "".join(chars)
+            assert _split_segments(core) == _reference_split_segments(core), core
+
+
+_gloss_word = st.text(st.sampled_from("aZ9\u00e9X-.=,"), min_size=1, max_size=8)
+
+
+@given(st.lists(_gloss_word, min_size=1, max_size=5))
+def test_tokenizer_render_is_identity_with_edge_and_doubled_delimiters(words):
+    # a punctuation-only word after the first renders attached to its neighbour
+    words = [w for i, w in enumerate(words) if i == 0 or not is_punct(w)]
+    line = " ".join(words)
+    assert tokenize_gloss(line).render() == line
+    for word in words:
+        if not is_punct(word):
+            core = word.rstrip(".,")
+            assert _split_segments(core) == _reference_split_segments(core)
 
 
 def test_tokenizer_keeps_unsplittable_delimiters_opaque():
