@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 from dataclasses import dataclass
 
 from .errors import EmptyCorpusError, TableParseError
@@ -214,9 +213,6 @@ def align_pair(
 # --- file formats -------------------------------------------------------------
 
 
-_two_words = re.compile(r"\S+\t\S+\t").match
-
-
 def _check_words(words: "list[str]", kind: str, lineno: int) -> None:
     """Reject an empty word or one containing whitespace: it cannot be a
     gloss morph."""
@@ -270,8 +266,7 @@ def load_translation_table(text: str) -> TranslationTable:
             raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
         if not 0.0 <= prob <= 1.0:  # also false for nan
             raise TableParseError(f"probability {fields[2]!r} is not in [0, 1]", line=lineno)
-        if not _two_words(line):  # the fast test; _check_words names the bad word
-            _check_words(fields[:2], "table", lineno)
+        _check_words(fields[:2], "table", lineno)
         probs[(fields[0], fields[1])] = prob
     if not probs:
         raise TableParseError("no probability rows found")

@@ -34,6 +34,7 @@ _find_space = re.compile(r"\s").search
 
 def has_delimiter(text: str) -> bool:
     """True when ``text`` contains a morph delimiter (``-``, ``.`` or ``=``)."""
+    # spelled out for speed; must list exactly the characters of DELIMITERS
     return "-" in text or "." in text or "=" in text
 
 

@@ -19,6 +19,7 @@ from .errors import (
     TokenCountMismatchError,
 )
 from .model import (
+    DELIMITERS,
     PUNCT_CHARS,
     GlossLine,
     GlossMorph,
@@ -34,7 +35,7 @@ from .model import (
     split_lines,
 )
 
-_JOINER_BY_CHAR = {"-": Joiner.HYPHEN, ".": Joiner.PERIOD, "=": Joiner.EQUALS}
+_JOINER_BY_CHAR = {ch: Joiner(ch) for ch in DELIMITERS}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ class RawIgtBlock:
 # --- gloss tokenizer ---------------------------------------------------------
 
 
-_SPLIT_RE = re.compile(r"(?!^)([-.=])(?=[^-.=])")
+_DELIM_CLASS = re.escape(DELIMITERS)
+_SPLIT_RE = re.compile(f"(?!^)([{_DELIM_CLASS}])(?=[^{_DELIM_CLASS}])")
 
 
 def _split_segments(core: str) -> list[tuple[Joiner, str]]:
@@ -89,8 +91,6 @@ def _split_segments(core: str) -> list[tuple[Joiner, str]]:
     the word, or immediately before another delimiter) is kept as literal
     text of the adjacent segment, so rendering reproduces the input exactly.
     """
-    if not has_delimiter(core):
-        return [(Joiner.WORD_INITIAL, core)]
     parts = _SPLIT_RE.split(core)  # text, delimiter, text, delimiter, ...
     segments = [(Joiner.WORD_INITIAL, parts[0])]
     for i in range(1, len(parts), 2):

@@ -25,7 +25,7 @@ from igtpivot import (
     split_corpus,
     tokenize_gloss,
 )
-from igtpivot.model import split_lines
+from igtpivot.model import DELIMITERS, has_delimiter, split_lines
 
 from gen_helpers import random_record
 from golden_data import IGT_EXAMPLES
@@ -295,3 +295,9 @@ def test_record_round_trips_arbitrary_unicode_fields(record_id, provenance, sour
         provenance=provenance,
     )
     assert parse_record(serialize_record(record)) == record
+
+
+def test_has_delimiter_matches_delimiters():
+    for code in range(0x3000):
+        ch = chr(code)
+        assert has_delimiter(f"a{ch}b") == (ch in DELIMITERS), repr(ch)
