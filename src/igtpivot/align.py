@@ -18,9 +18,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import EmptyCorpusError, TableParseError
-from .model import split_lines
+from .model import is_word, split_lines
 
 log = logging.getLogger(__name__)
 
@@ -213,14 +214,46 @@ def align_pair(
 # --- file formats -------------------------------------------------------------
 
 
-def _check_words(words: "list[str]", kind: str, lineno: int) -> None:
-    """Reject an empty word or one containing whitespace: it cannot be a
-    gloss morph."""
-    for word in words:
-        if word.split() != [word]:
-            raise TableParseError(
-                f"{kind} word {word!r} is empty or contains whitespace", line=lineno
-            )
+def _read_rows(
+    text: str, kind: str, usage: str, default_prob: "float | None" = None,
+    header: "list[tuple[str, str, int]] | None" = None,
+) -> "Iterator[tuple[str, str, float]]":
+    """``(source, target, probability)`` per row of a ttable or dictionary.
+
+    A line that starts with ``#`` and has no tab is a comment (a word has no
+    whitespace, so a row always has a tab); ``# key=value`` comments are
+    appended to ``header`` as ``(key, value, line)``.  Fields are split at
+    tabs and stripped, words must pass :func:`is_word`, a probability is a
+    number in [0, 1], and a two-field row takes ``default_prob`` unless it
+    is None.
+    """
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#" and "\t" not in line:
+            key, sep, value = line.lstrip("#").partition("=")
+            if sep and header is not None:
+                header.append((key.strip(), value.strip(), lineno))
+            continue
+        fields = [field.strip() for field in raw.rstrip().split("\t")]
+        if len(fields) == 2 and default_prob is not None:
+            prob = default_prob
+        elif len(fields) == 3:
+            try:
+                prob = float(fields[2])
+            except ValueError as exc:
+                raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
+            if not 0.0 <= prob <= 1.0:  # also false for nan
+                raise TableParseError(f"probability {fields[2]!r} is not in [0, 1]", line=lineno)
+        else:
+            raise TableParseError(usage, line=lineno)
+        for word in fields[:2]:
+            if not is_word(word):
+                raise TableParseError(
+                    f"{kind} word {word!r} is empty or contains whitespace", line=lineno
+                )
+        yield fields[0], fields[1], prob
 
 
 def dump_translation_table(table: TranslationTable) -> str:
@@ -235,48 +268,33 @@ def dump_translation_table(table: TranslationTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_PARSERS = {
+    "iterations": int,
+    "null_word": {"true": True, "false": False}.__getitem__,
+    "final_perplexity": float,
+}
+
+
 def load_translation_table(text: str) -> TranslationTable:
-    probs: dict[tuple[str, str], float] = {}
-    iterations = 0
-    null_word = False
-    perplexity = float("nan")
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            key, sep, value = body.partition("=")
-            if sep:
-                key = key.strip()
-                value = value.strip()
-                if key == "iterations":
-                    iterations = int(value)
-                elif key == "null_word":
-                    null_word = value == "true"
-                elif key == "final_perplexity":
-                    perplexity = float(value)
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise TableParseError("expected source<TAB>target<TAB>prob", line=lineno)
-        try:
-            prob = float(fields[2])
-        except ValueError as exc:
-            raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
-        if not 0.0 <= prob <= 1.0:  # also false for nan
-            raise TableParseError(f"probability {fields[2]!r} is not in [0, 1]", line=lineno)
-        _check_words(fields[:2], "table", lineno)
-        probs[(fields[0], fields[1])] = prob
+    header: list[tuple[str, str, int]] = []
+    usage = "expected source<TAB>target<TAB>prob"
+    probs = {(f, e): p for f, e, p in _read_rows(text, "table", usage, header=header)}
     if not probs:
         raise TableParseError("no probability rows found")
+    values = {"iterations": 0, "null_word": False, "final_perplexity": float("nan")}
+    for key, value, lineno in header:
+        if key in _HEADER_PARSERS:
+            try:
+                values[key] = _HEADER_PARSERS[key](value)
+            except (KeyError, ValueError) as exc:
+                raise TableParseError(f"bad {key} value {value!r}", line=lineno) from exc
     return TranslationTable(
         probs=probs,
         source_vocab=frozenset(f for f, _ in probs),
         target_vocab=frozenset(e for _, e in probs if e != NULL_TOKEN),
-        iterations_run=iterations,
-        final_perplexity=perplexity,
-        null_word=null_word,
+        iterations_run=values["iterations"],
+        final_perplexity=values["final_perplexity"],
+        null_word=values["null_word"],
     )
 
 
@@ -290,26 +308,9 @@ def dump_dictionary(dictionary: LemmaDictionary) -> str:
 def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
     """Read a dictionary TSV (``source<TAB>target[<TAB>probability]``); a
     missing probability column defaults to 1.0.  Keys are lowercased.  Entries
-    below ``threshold`` are dropped; an empty word or one containing
-    whitespace cannot be a gloss morph and is rejected with its line number."""
-    entries: dict[str, tuple[str, float]] = {}
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # strip the fields, not the line: a leading tab is an empty source
-        fields = [f.strip() for f in raw.rstrip().split("\t")]
-        if len(fields) not in (2, 3):
-            raise TableParseError(
-                "expected source<TAB>target[<TAB>probability]", line=lineno
-            )
-        prob = 1.0
-        if len(fields) == 3:
-            try:
-                prob = float(fields[2])
-            except ValueError as exc:
-                raise TableParseError(f"bad probability {fields[2]!r}", line=lineno) from exc
-        _check_words(fields[:2], "dictionary", lineno)
-        if prob >= threshold:
-            entries[fields[0].lower()] = (fields[1], prob)
+    below ``threshold`` are dropped; a row breaking the rules of
+    :func:`_read_rows` is rejected with its line number."""
+    usage = "expected source<TAB>target[<TAB>probability]"
+    rows = _read_rows(text, "dictionary", usage, default_prob=1.0)
+    entries = {f.lower(): (e, p) for f, e, p in rows if p >= threshold}
     return LemmaDictionary(entries=dict(sorted(entries.items())), threshold=threshold)

@@ -46,33 +46,30 @@ class MalformedTokenError(IgtError):
     code = "MALFORMED_TOKEN"
 
 
-class TableParseError(IgtError):
-    code = "TABLE_PARSE_ERROR"
+class _NumberedLineError(IgtError, ValueError):
+    """A malformed row of a line-oriented file, reported as ``<where> N:
+    message`` (just ``message`` for line 0, a fault of the whole file).  Also
+    a ``ValueError``, so callers catching that still work."""
+
+    where = "line"
 
     def __init__(self, message: str, *, line: int = 0):
-        super().__init__(f"line {line}: {message}" if line else message)
+        super().__init__(f"{self.where} {line}: {message}" if line else message)
         self.line = line
 
 
-class _NumberedLineError(IgtError, ValueError):
-    """A malformed row of a line-oriented file, reported as ``<kind> line N:
-    message``.  Also a ``ValueError``, so callers catching that still work."""
-
-    kind = ""
-
-    def __init__(self, message: str, *, line: int):
-        super().__init__(f"{self.kind} line {line}: {message}")
-        self.line = line
+class TableParseError(_NumberedLineError):
+    code = "TABLE_PARSE_ERROR"
 
 
 class AnnotationParseError(_NumberedLineError):
     code = "ANNOTATION_PARSE_ERROR"
-    kind = "annotation"
+    where = "annotation line"
 
 
 class LexiconParseError(_NumberedLineError):
     code = "LEXICON_PARSE_ERROR"
-    kind = "lexicon"
+    where = "lexicon line"
 
 
 class CycleDetectedError(IgtError):
@@ -135,6 +132,7 @@ class ParseWarning:
 
 BLOCK_SHAPE = "BLOCK_SHAPE"
 UNKNOWN_MARKER = "UNKNOWN_MARKER"
+ORPHAN_LINE = "ORPHAN_LINE"
 EMPTY_RECORD = "EMPTY_RECORD"
 SKIPPED_RECORD = "SKIPPED_RECORD"
 TOKEN_COUNT_MISMATCH = "TOKEN_COUNT_MISMATCH"

@@ -43,6 +43,12 @@ def is_punct(text: str) -> bool:
     return not text.strip(PUNCT_CHARS)
 
 
+def is_word(text: str) -> bool:
+    """True when ``text`` is non-empty and has no whitespace, as a morph's
+    text must be."""
+    return bool(text) and not _find_space(text)
+
+
 def split_lines(text: str) -> list[str]:
     r"""Lines of ``text`` split at ``\n`` only, each without one trailing
     ``\r``; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v`` and ``\f``

@@ -25,12 +25,15 @@ from .model import (
     LemmaSide,
     MorphKind,
     has_delimiter,
+    is_word,
     split_lines,
 )
 from .parsing import AnalyzerToken
 from .tables import DEFAULT_TABLE_TEXT
 
 _NUMBER_ALIASES = {"S": "SG", "SING": "SG", "SINGULAR": "SG", "P": "PL", "PLUR": "PL"}
+_PERSONS = frozenset({"1", "2", "3"})
+_NUMBERS = frozenset({"SG", "PL", "DU"})
 
 _SECTIONS = ("variants", "composites", "analyzer", "registry", "restore")
 
@@ -39,9 +42,10 @@ _SECTIONS = ("variants", "composites", "analyzer", "registry", "restore")
 class NormalizationTable:
     """Immutable normalization rules.
 
-    ``person_first`` controls the output order of person/number composite
-    expansion: ``3SG`` becomes ``3.SG`` when true (the default) and ``SG.3``
-    when false.  Both conventions occur in real gloss data.
+    ``person_first`` controls the output order of person/number labels
+    wherever one raw label or analyzer tag expands to several: ``3SG`` and
+    ``A3sg`` become ``3.SG`` when true (the default) and ``SG.3`` when false.
+    Both conventions occur in real gloss data.
     """
 
     variant_map: dict[str, tuple[str, ...]]
@@ -77,26 +81,38 @@ class NormalizationTable:
         if not raw:
             raise ValueError("label must be non-empty")
         image = self.variant_map.get(raw)
+        if image is None:
+            image = self._casefold_map.get(raw.casefold())
         if image is not None:
-            return image, True
-        image = self._casefold_map.get(raw.casefold())
-        if image is not None:
-            return image, True
+            return _order_person_number(image, self.person_first), True
         for rule in self.composite_rules:
             match = rule.fullmatch(raw)
             if match is None:
                 continue
-            person = match.group("person")
             number = match.group("number").upper()
-            number = _NUMBER_ALIASES.get(number, number)
-            pair = (person, number) if self.person_first else (number, person)
-            return pair, True
+            pair = (match.group("person"), _NUMBER_ALIASES.get(number, number))
+            return _order_person_number(pair, self.person_first), True
         if raw.upper() in self.registry:
             return (raw.upper(),), True
         return (raw,), False
 
     def with_person_first(self, person_first: bool) -> "NormalizationTable":
         return replace(self, person_first=person_first)
+
+
+def _order_person_number(labels: tuple[str, ...], person_first: bool) -> tuple[str, ...]:
+    """``labels`` with each number label (SG/PL/DU) moved before the person
+    label (1/2/3) right before it, unless ``person_first``."""
+    if person_first or len(labels) < 2:
+        return labels
+    ordered = list(labels)
+    i = 0
+    while i < len(ordered) - 1:
+        if ordered[i] in _PERSONS and ordered[i + 1] in _NUMBERS:
+            ordered[i], ordered[i + 1] = ordered[i + 1], ordered[i]
+            i += 1
+        i += 1
+    return tuple(ordered)
 
 
 def _check_cycles(variant_map: dict[str, tuple[str, ...]]) -> None:
@@ -195,7 +211,13 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
         elif section == "restore":
             if key in restore_map:
                 raise TableParseError(f"duplicate restore entry {key!r}", line=lineno)
-            restore_map[key] = fields[1].strip()
+            target = fields[1].strip()
+            for word in (key, target):
+                if not is_word(word):
+                    raise TableParseError(
+                        f"restore word {word!r} is empty or contains whitespace", line=lineno
+                    )
+            restore_map[key] = target
 
     _check_cycles(variant_map)
     return NormalizationTable(
@@ -271,6 +293,16 @@ def analyzer_to_gloss(
     marked verbal in the table (tense/aspect) attach their first label with
     a hyphen instead.  Unknown tags pass through as labels unchanged.
     """
+    return _analyzer_to_gloss(tokens, table)[0]
+
+
+def _analyzer_to_gloss(
+    tokens: "list[AnalyzerToken] | tuple[AnalyzerToken, ...]",
+    table: NormalizationTable,
+) -> tuple[GlossLine, list[str]]:
+    """:func:`analyzer_to_gloss` and the tags the table lacked, from one
+    lookup per tag."""
+    unknown: list[str] = []
     gloss_tokens = []
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
@@ -281,13 +313,15 @@ def analyzer_to_gloss(
         ]
         for tag in token.tags:
             image = table.analyzer_map.get(tag)
-            labels = (tag,) if image is None else image
-            if not labels:
+            if image is None:
+                unknown.append(tag)
+                image = (tag,)
+            if not image:
                 continue
             first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
-            morphs.extend(_label_morphs(labels, first))
+            morphs.extend(_label_morphs(_order_person_number(image, table.person_first), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE)
+    return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE), unknown
 
 
 def unknown_labels(line: GlossLine, table: NormalizationTable) -> list[str]:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .errors import (
     BLOCK_SHAPE,
     EMPTY_RECORD,
+    ORPHAN_LINE,
     TOKEN_COUNT_MISMATCH,
     UNKNOWN_MARKER,
     BlockShapeError,
@@ -274,7 +275,8 @@ def parse_toolbox(
 
     Records are delimited by the recurrence of the first marker seen in the
     file.  Continuation lines (no leading backslash) are folded into the
-    previous marker's content with a single space.  Markers missing from
+    previous marker's content with a single space; one before the first
+    marker yields an ``ORPHAN_LINE`` warning.  Markers missing from
     ``field_map`` yield ``UNKNOWN_MARKER`` warnings and are skipped; records
     whose mapped fields are all empty are skipped with ``EMPTY_RECORD``.
     """
@@ -294,6 +296,10 @@ def parse_toolbox(
             if current:
                 marker, content, start = current[-1]
                 current[-1] = (marker, f"{content} {raw.strip()}".strip(), start)
+            else:
+                warnings.append(
+                    ParseWarning(ORPHAN_LINE, "line before the first marker", line=lineno)
+                )
             continue
         marker, content = match.group(1), match.group(2).strip()
         if delimiter is None:

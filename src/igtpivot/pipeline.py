@@ -38,7 +38,7 @@ from .model import (
     is_punct,
     split_lines,
 )
-from .normalize import NormalizationTable, analyzer_to_gloss, unknown_analyzer_tags
+from .normalize import NormalizationTable, _analyzer_to_gloss
 from .parsing import parse_analyzer_line, tokenize_gloss
 
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
@@ -289,24 +289,21 @@ def run_pipeline(
     for line in split_lines(analyzer_text):
         if not line.strip():
             continue
+        stage = "parse-analyzer"
         try:
             tokens = parse_analyzer_line(line)
-        except IgtError as exc:
-            raise PipelineStageError("parse-analyzer", exc) from exc
-        try:
-            gloss_src = analyzer_to_gloss(tokens, table)
-        except IgtError as exc:
-            raise PipelineStageError("analyzer-to-gloss", exc) from exc
-        try:
+            stage = "analyzer-to-gloss"
+            gloss_src, unknown = _analyzer_to_gloss(tokens, table)
+            stage = "substitute"
             gloss_tgt, missing = _substitute(gloss_src, dictionary, oov_policy)
-        except IgtError as exc:
-            raise PipelineStageError("substitute", exc) from exc
+        except (IgtError, ValueError) as exc:
+            raise PipelineStageError(stage, exc) from exc
 
         report.n_sentences += 1
         report.analyzer_tokens += len(tokens)
         report.gloss_src_tokens += len(gloss_src.tokens)
         report.gloss_tgt_tokens += len(gloss_tgt.tokens)
-        report.unknown_labels += len(unknown_analyzer_tags(tokens, table))
+        report.unknown_labels += len(unknown)
         report.oov_lemmas += len(missing)
         rows.append((line, gloss_src.render(), gloss_tgt.render()))
         outputs.append(

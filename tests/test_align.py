@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igtpivot import (
     NULL_TOKEN,
@@ -386,3 +388,106 @@ def test_translation_table_rejects_bad_rows_with_line_number(row, message):
 def test_translation_table_accepts_the_closed_unit_interval():
     table = load_translation_table("a\tx\t0.0\nb\tx\t1.0\nc\tx\t-0.0\nd\tx\t1\n")
     assert sorted(table.probs.values()) == [0.0, 0.0, 1.0, 1.0]
+
+
+# --- one row reader: comments, fields, words, probabilities -------------------------------
+
+
+def _hash_tag_corpus():
+    return ParallelCorpus.from_texts("#tag a\nb c\n", "x y\nd e\n")
+
+
+def test_rows_whose_source_starts_with_hash_load_back():
+    table = train_model1(_hash_tag_corpus())
+    text = dump_translation_table(table)
+    assert sum(line.startswith("#tag\t") for line in text.split("\n")) == 2
+    again = load_translation_table(text)
+    assert len(table.probs) == len(again.probs) == 8
+    assert again.probs == table.probs
+    dictionary = extract_dictionary(table)
+    assert len(dictionary.entries) == 4
+    assert load_dictionary(dump_dictionary(dictionary)).entries == dictionary.entries
+    assert load_dictionary("#tag\tx\n").lookup("#TAG") == ("x", 1.0)
+
+
+def test_a_hash_line_without_a_tab_is_a_comment_in_both_formats():
+    text = "# iterations=2\n#free text\n  # indented\n#tag\tx\t0.5\n"
+    table = load_translation_table(text)
+    assert table.probs == {("#tag", "x"): 0.5}
+    assert table.iterations_run == 2
+    assert load_dictionary(text).entries == {"#tag": ("x", 0.5)}
+
+
+def test_translation_table_fields_are_stripped():
+    table = load_translation_table("das \t the\t0.5 \n")
+    assert table.probs == {("das", "the"): 0.5}
+
+
+@pytest.mark.parametrize("prob", ["nan", "-0.5", "inf", "7"])
+def test_dictionary_rejects_a_probability_outside_the_unit_interval(prob):
+    with pytest.raises(TableParseError) as info:
+        load_dictionary(f"dans\tdance\t0.5\nkadin\twoman\t{prob}\n")
+    assert info.value.line == 2
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert str(info.value) == f"line 2: probability {prob!r} is not in [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# iterations=five", "line 2: bad iterations value 'five'"),
+        ("# final_perplexity=low", "line 2: bad final_perplexity value 'low'"),
+        ("# null_word=True", "line 2: bad null_word value 'True'"),
+    ],
+)
+def test_translation_table_rejects_a_bad_header_value_with_line_number(header, message):
+    with pytest.raises(TableParseError) as info:
+        load_translation_table(f"# null_word=false\n{header}\ndas\tthe\t0.5\n")
+    assert info.value.line == 2
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert str(info.value) == message
+
+
+def test_a_bad_header_value_is_not_hidden_by_a_repeated_key():
+    with pytest.raises(TableParseError) as info:
+        load_translation_table("# iterations=x3\n# iterations=4\ndas\tthe\t0.5\n")
+    assert info.value.line == 1
+    table = load_translation_table("# iterations=3\n# iterations=4\ndas\tthe\t0.5\n")
+    assert table.iterations_run == 4
+
+
+def test_an_empty_table_is_rejected_without_a_line_number():
+    with pytest.raises(TableParseError) as info:
+        load_translation_table("# iterations=1\n")
+    assert info.value.line == 0
+    assert str(info.value) == "no probability rows found"
+
+
+# words without whitespace, non-ASCII included, some starting with '#'
+_word = st.builds(
+    str.__add__,
+    st.sampled_from(["", "#"]),
+    st.text(
+        st.characters(exclude_categories=["Cs"]).filter(lambda ch: not ch.isspace()),
+        min_size=1,
+        max_size=4,
+    ),
+)
+_sentence = st.lists(_word, min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_sentence, _sentence), min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_ttable_and_dictionary_dump_load_round_trip(pairs, iterations, null_word):
+    table = train_model1(ParallelCorpus(tuple(pairs)), iterations=iterations, null_word=null_word)
+    again = load_translation_table(dump_translation_table(table))
+    assert again.probs == table.probs
+    assert again.iterations_run == table.iterations_run
+    assert again.null_word == table.null_word
+    assert again.final_perplexity == table.final_perplexity
+    dictionary = extract_dictionary(table)
+    assert load_dictionary(dump_dictionary(dictionary)).entries == dictionary.entries

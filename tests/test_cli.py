@@ -10,6 +10,7 @@ import pytest
 
 from igtpivot import default_table, load_table, loads_table
 from igtpivot.cli import build_parser, main
+from igtpivot.tables import DEFAULT_TABLE_TEXT
 
 from golden_data import (
     ANALYZER_GOLD,
@@ -367,6 +368,51 @@ def test_dict_rejects_a_multiword_table_row_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "igt: TABLE_PARSE_ERROR: line 3: table word 'old woman' is empty or contains whitespace\n"
     )
+
+
+def test_parse_analyzer_and_pivot_honour_number_first(tmp_path):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past+A3sg.\n")
+    out = tmp_path / "out.txt"
+    assert main(["parse-analyzer", "--in", analyzer, "--out", str(out)]) == 0
+    assert read(out) == "gel-PST.3.SG.\n"
+    assert main(["parse-analyzer", "--number-first", "--in", analyzer, "--out", str(out)]) == 0
+    assert read(out) == "gel-PST.SG.3.\n"
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    report = tmp_path / "report.txt"
+    argv = ["pivot", "--number-first", "--analyzer-out", analyzer, "--dict", dict_file]
+    assert main([*argv, "--report", str(report), "--out", str(out)]) == 0
+    assert "gloss_tgt: come-PST.SG.3." in read(report)
+
+
+def test_restore_target_with_whitespace_fails_at_table_load(tmp_path, capsys):
+    table = write(tmp_path / "table.txt", DEFAULT_TABLE_TEXT.replace("Kadi\tKadin", "Kadi\tKa din"))
+    lineno = DEFAULT_TABLE_TEXT.split("\n").index("Kadi\tKadin") + 1
+    analyzer = write(tmp_path / "analyzer.txt", TURKISH_ANALYZER_FIXTURE)
+    dict_file = write(tmp_path / "dict.tsv", PIVOT_DICTIONARY_TSV)
+    assert main(["pivot", "--table", table, "--analyzer-out", analyzer, "--dict", dict_file]) == 1
+    assert capsys.readouterr().err == (
+        f"igt: TABLE_PARSE_ERROR: line {lineno}: "
+        "restore word 'Ka din' is empty or contains whitespace\n"
+    )
+
+
+def test_align_then_pivot_translates_a_word_starting_with_hash(tmp_path, capsys):
+    src = write(tmp_path / "src.txt", "#tag gel\ngel\n")
+    tgt = write(tmp_path / "tgt.txt", "hashtag come\ncome\n")
+    dict_file = tmp_path / "dict.tsv"
+    ttable = tmp_path / "ttable.tsv"
+    argv = ["align", "--src", src, "--tgt", tgt, "--out", str(dict_file)]
+    assert main([*argv, "--ttable-out", str(ttable)]) == 0
+    assert "#tag\thashtag\t" in read(dict_file)
+    strict = tmp_path / "strict.tsv"
+    assert main(["dict", "--ttable", str(ttable), "--out", str(strict)]) == 0
+    assert read(strict) == read(dict_file)
+    analyzer = write(tmp_path / "analyzer.txt", "#tag+Noun+A3sg gel+Past+A3sg.\n")
+    out = tmp_path / "out.txt"
+    argv = ["pivot", "--analyzer-out", analyzer, "--dict", str(dict_file)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert read(out) == "Hashtag come .\n"
+    assert "oov=0" in capsys.readouterr().err
 
 
 def test_eval_reports_a_bad_annotation_row_with_code_and_line(tmp_path, capsys):

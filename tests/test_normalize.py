@@ -240,3 +240,35 @@ def test_analyzer_token_count_is_preserved():
         tokens = parse_analyzer_line(before)
         gloss = analyzer_to_gloss(tokens, table)
         assert len(gloss.tokens) == len(tokens)
+
+
+# --- person/number order wherever one label or tag expands to several ---------------
+
+
+def test_number_first_orders_analyzer_tags_and_variants():
+    number_first = default_table(False)
+    tokens = parse_analyzer_line("gel+Past+A3sg kitap+A3pl+P1sg+Acc.")
+    gloss = analyzer_to_gloss(tokens, number_first).render()
+    assert gloss == "gel-PST.SG.3 kitap.SG.3.SG.1.POSS.ACC."
+    gloss = analyzer_to_gloss(tokens, default_table()).render()
+    assert gloss == "gel-PST.3.SG kitap.3.SG.1.SG.POSS.ACC."
+    table = loads_table("[registry]\n1 2 3 SG PL DU POSS\n[variants]\n3POSS\t3.DU.POSS\n")
+    assert normalize_label("3POSS", table) == ["3", "DU", "POSS"]
+    assert normalize_label("3POSS", table.with_person_first(False)) == ["DU", "3", "POSS"]
+
+
+def test_number_first_moves_each_number_once():
+    table = loads_table(
+        "[registry]\n1 2 3 SG PL\n[analyzer]\nX\t1.SG.PL\nY\tSG.3\nZ\t2.PL.3.SG\n",
+        person_first=False,
+    )
+    tokens = parse_analyzer_line("a+X b+Y c+Z")
+    assert analyzer_to_gloss(tokens, table).render() == "a.SG.1.PL b.SG.3 c.PL.2.SG.3"
+
+
+@pytest.mark.parametrize("row, word", [("Kadi\tKa din", "Ka din"), ("Ka di\tKadin", "Ka di")])
+def test_restore_word_with_whitespace_is_rejected_with_line_number(row, word):
+    with pytest.raises(TableParseError) as info:
+        loads_table(f"[registry]\nA\n[restore]\nok\tfine\n{row}\n")
+    assert info.value.line == 5
+    assert str(info.value) == f"line 5: restore word {word!r} is empty or contains whitespace"

@@ -342,6 +342,42 @@ def test_toolbox_custom_map_and_gloss_src():
     assert records[0].gloss_src.render() == "src.GLOSS ok"
 
 
+def test_toolbox_orphan_lines_warn_with_line_number():
+    text = "stray header\n\n  also stray\n\\t source\n\\f target\n"
+    records, warnings = parse_toolbox(text, lang="und")
+    assert len(records) == 1
+    assert [(w.code, w.line) for w in warnings] == [("ORPHAN_LINE", 1), ("ORPHAN_LINE", 3)]
+    assert str(warnings[0]) == "ORPHAN_LINE: line before the first marker (line 1)"
+
+
+def _is_marker_line(line):
+    return line.startswith("\\") and len(line) > 1 and not line[1].isspace()
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.text("ab \\", max_size=5),
+            st.sampled_from(["\\t x", "\\f y", "\\zz z", "\\t", "  \\f indented"]),
+        ),
+        max_size=12,
+    )
+)
+def test_toolbox_accounts_for_every_nonblank_line(lines):
+    _, warnings = parse_toolbox("".join(line + "\n" for line in lines), lang="und")
+    orphans = [w.line for w in warnings if w.code == "ORPHAN_LINE"]
+    markers = [n for n, line in enumerate(lines, start=1) if _is_marker_line(line)]
+    first_marker = markers[0] if markers else len(lines) + 1
+    for n, line in enumerate(lines, start=1):
+        if not line.strip():
+            assert n not in orphans
+        elif n < first_marker:
+            assert n in orphans  # before any marker: named by a warning
+        else:
+            assert n not in orphans  # a marker line or a folded continuation
+    assert len(orphans) == len(set(orphans))
+
+
 def test_toolbox_rejects_unknown_role():
     with pytest.raises(ValueError):
         parse_toolbox("\\t x\n", {"t": "sideways"}, lang="und")

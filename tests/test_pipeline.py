@@ -3,7 +3,7 @@
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
@@ -299,6 +299,46 @@ def test_pipeline_wraps_stage_errors_with_stage_name():
     handle = TranslatorHandle(TranslatorKind.IDENTITY)
     with pytest.raises(PipelineStageError, match="parse-analyzer"):
         run_pipeline("+Nom\n", default_table(), pivot_dictionary(), handle)
+
+
+DICTIONARY = pivot_dictionary()
+
+
+def _hand_built_table(**changes):
+    return replace(default_table(), **changes)
+
+
+@pytest.mark.parametrize(
+    "table, dictionary, stage",
+    [
+        # a root restored to a multi-word text
+        (_hand_built_table(restore_map={"Kadi": "Ka din"}), DICTIONARY, "analyzer-to-gloss"),
+        # a tag whose label contains a space
+        (_hand_built_table(analyzer_map={"Nom": ("NOM X",)}), DICTIONARY, "analyzer-to-gloss"),
+        # a dictionary target with a space
+        (default_table(), LemmaDictionary({"kadin": ("old woman", 1.0)}), "substitute"),
+    ],
+)
+def test_pipeline_wraps_value_errors_of_hand_built_inputs_with_stage_name(table, dictionary, stage):
+    handle = TranslatorHandle(TranslatorKind.IDENTITY)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(TURKISH_ANALYZER_FIXTURE, table, dictionary, handle)
+    assert info.value.stage == stage
+    assert isinstance(info.value.cause, ValueError)
+    assert str(info.value).startswith(f"stage {stage}: morph text contains whitespace")
+
+
+def test_pipeline_takes_unknown_tags_from_the_analyzer_to_gloss_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unknown_analyzer_tags called")
+
+    monkeypatch.setattr("igtpivot.normalize.unknown_analyzer_tags", refuse)
+    monkeypatch.setattr("igtpivot.pipeline.unknown_analyzer_tags", refuse, raising=False)
+    targets, report = run_pipeline(
+        "gör+Dim+Past+A3sg+Foo.\n", default_table(), pivot_dictionary(), BASELINE
+    )
+    assert targets == ["See ."]
+    assert report.unknown_labels == 2
 
 
 def test_pipeline_external_translator_stage_error():
