@@ -79,6 +79,13 @@ class LemmaDictionary:
     entries: dict[str, tuple[str, float]]
     threshold: float = 0.0
 
+    def __post_init__(self) -> None:
+        for key in self.entries:
+            if key != key.lower():
+                raise ValueError(
+                    f"dictionary key {key!r} is not lowercase; lookup lowercases the lemma"
+                )
+
     def lookup(self, lemma: str) -> "tuple[str, float] | None":
         return self.entries.get(lemma.lower())
 
@@ -164,11 +171,14 @@ def train_model1(
 def extract_dictionary(table: TranslationTable, threshold: float = 0.0) -> LemmaDictionary:
     """For each source word f, the target e maximizing t(f|e), kept when its
     probability reaches the threshold.  Ties break lexicographically on the
-    target word; the synthetic NULL token is never a dictionary entry."""
+    target word; the synthetic NULL token is never a dictionary entry.  Keys
+    are lowercased, as lookup lowercases the lemma, so the source words of a
+    hand-written table that differ only in case share one entry."""
     best: dict[str, tuple[str, float]] = {}
     for (f, e), p in table.probs.items():
         if e == NULL_TOKEN:
             continue
+        f = f.lower()
         current = best.get(f)
         if current is None or p > current[1] or (p == current[1] and e < current[0]):
             best[f] = (e, p)
@@ -217,8 +227,9 @@ def align_pair(
 def _read_rows(
     text: str, kind: str, usage: str, default_prob: "float | None" = None,
     header: "list[tuple[str, str, int]] | None" = None,
-) -> "Iterator[tuple[str, str, float]]":
-    """``(source, target, probability)`` per row of a ttable or dictionary.
+) -> "Iterator[tuple[int, str, str, float]]":
+    """``(line, source, target, probability)`` per row of a ttable or
+    dictionary.
 
     A line that starts with ``#`` and has no tab is a comment (a word has no
     whitespace, so a row always has a tab); ``# key=value`` comments are
@@ -253,7 +264,7 @@ def _read_rows(
                 raise TableParseError(
                     f"{kind} word {word!r} is empty or contains whitespace", line=lineno
                 )
-        yield fields[0], fields[1], prob
+        yield lineno, fields[0], fields[1], prob
 
 
 def dump_translation_table(table: TranslationTable) -> str:
@@ -278,7 +289,14 @@ _HEADER_PARSERS = {
 def load_translation_table(text: str) -> TranslationTable:
     header: list[tuple[str, str, int]] = []
     usage = "expected source<TAB>target<TAB>prob"
-    probs = {(f, e): p for f, e, p in _read_rows(text, "table", usage, header=header)}
+    probs: dict[tuple[str, str], float] = {}
+    for lineno, f, e, p in _read_rows(text, "table", usage, header=header):
+        if (f, e) in probs:
+            first = next(n for n, g, h, _ in _read_rows(text, "table", usage) if (g, h) == (f, e))
+            raise TableParseError(
+                f"pair ({f!r}, {e!r}) already given on line {first}", line=lineno
+            )
+        probs[f, e] = p
     if not probs:
         raise TableParseError("no probability rows found")
     values = {"iterations": 0, "null_word": False, "final_perplexity": float("nan")}
@@ -309,8 +327,18 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
     """Read a dictionary TSV (``source<TAB>target[<TAB>probability]``); a
     missing probability column defaults to 1.0.  Keys are lowercased.  Entries
     below ``threshold`` are dropped; a row breaking the rules of
-    :func:`_read_rows` is rejected with its line number."""
+    :func:`_read_rows`, or whose lowercased source an earlier row had, is
+    rejected with its line number."""
     usage = "expected source<TAB>target[<TAB>probability]"
-    rows = _read_rows(text, "dictionary", usage, default_prob=1.0)
-    entries = {f.lower(): (e, p) for f, e, p in rows if p >= threshold}
-    return LemmaDictionary(entries=dict(sorted(entries.items())), threshold=threshold)
+    entries: dict[str, tuple[str, float]] = {}
+    for lineno, f, e, p in _read_rows(text, "dictionary", usage, default_prob=1.0):
+        key = f.lower()
+        if key in entries:
+            rows = _read_rows(text, "dictionary", usage, default_prob=1.0)
+            first = next(n for n, g, _, _ in rows if g.lower() == key)
+            raise TableParseError(
+                f"source {f!r} (lowercased) already given on line {first}", line=lineno
+            )
+        entries[key] = (e, p)
+    kept = {f: hit for f, hit in sorted(entries.items()) if hit[1] >= threshold}
+    return LemmaDictionary(entries=kept, threshold=threshold)

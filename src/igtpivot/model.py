@@ -139,7 +139,8 @@ class GlossToken:
                 raise ValueError("only the first morph of a token may be word-initial")
 
     def render(self) -> str:
-        return "".join(m.joiner.value + m.text for m in self.morphs)
+        # ``_value_`` skips the slow ``Enum.value`` descriptor
+        return "".join(m.joiner._value_ + m.text for m in self.morphs)
 
     @property
     def is_punctuation(self) -> bool:
@@ -178,7 +179,7 @@ class GlossLine:
         words: list[str] = []
         for token in self.tokens:
             if split_morphs:
-                words.extend(m.joiner.value + m.text for m in token.morphs)
+                words.extend(m.joiner._value_ + m.text for m in token.morphs)
             else:
                 words.append(token.render())
         return " ".join(words)

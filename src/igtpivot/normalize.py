@@ -64,6 +64,20 @@ class NormalizationTable:
         return folded
 
     @cached_property
+    def _tag_morphs(self) -> dict[str, tuple[GlossMorph, ...]]:
+        """Each analyzer tag's label morphs, built and checked once and then
+        shared by every occurrence of the tag."""
+        return {
+            tag: tuple(
+                _label_morphs(
+                    _order_person_number(image, self.person_first),
+                    Joiner.HYPHEN if tag in self.verbal_tags else Joiner.PERIOD,
+                )
+            )
+            for tag, image in self.analyzer_map.items()
+        }
+
+    @cached_property
     def _label_registry(self) -> frozenset[str]:
         return self.registry | frozenset(self.variant_map)
 
@@ -304,6 +318,7 @@ def _analyzer_to_gloss(
     lookup per tag."""
     unknown: list[str] = []
     gloss_tokens = []
+    tag_morphs = table._tag_morphs
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
         morphs = [
@@ -312,14 +327,13 @@ def _analyzer_to_gloss(
             )
         ]
         for tag in token.tags:
-            image = table.analyzer_map.get(tag)
-            if image is None:
-                unknown.append(tag)
-                image = (tag,)
-            if not image:
+            shared = tag_morphs.get(tag)
+            if shared is not None:
+                morphs.extend(shared)
                 continue
+            unknown.append(tag)
             first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
-            morphs.extend(_label_morphs(_order_person_number(image, table.person_first), first))
+            morphs.extend(_label_morphs((tag,), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
     return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE), unknown
 

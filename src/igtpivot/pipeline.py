@@ -207,7 +207,7 @@ def _strip_labels(gloss: GlossLine) -> str:
             continue
         lemmas = [m for m in token.morphs if m.kind is MorphKind.LEMMA]
         if lemmas:
-            rendered = lemmas[0].text + "".join(m.joiner.value + m.text for m in lemmas[1:])
+            rendered = lemmas[0].text + "".join(m.joiner._value_ + m.text for m in lemmas[1:])
             words.append(rendered.replace("_", " "))
     sentence = " ".join(words)
     return sentence[:1].upper() + sentence[1:]

@@ -2,9 +2,16 @@
 ``GlossLine``: every target gloss is rendered to text and the baseline
 translator tokenizes it again, and OOV lemmas come from a second dictionary
 lookup.  Kept as the reference the one-pass pipeline is differential-tested
-against; it is built from the public stage functions only."""
+against; it is built from the public stage functions only.  Also keeps the
+analyzer→gloss pass as it was before each tag's label morphs were built once
+per table."""
 
 from igtpivot import (
+    GlossLine,
+    GlossMorph,
+    GlossToken,
+    Joiner,
+    LemmaSide,
     MorphKind,
     PipelineReport,
     SentenceTrace,
@@ -14,8 +21,34 @@ from igtpivot import (
     tokenize_gloss,
     unknown_analyzer_tags,
 )
+from igtpivot.model import has_delimiter
+from igtpivot.normalize import _label_morphs, _order_person_number
 
 PUNCT_CHARS = ".,!?;:"
+
+
+def reference_analyzer_to_gloss(tokens, table):
+    """``_analyzer_to_gloss`` building every tag occurrence's label morphs anew."""
+    unknown = []
+    gloss_tokens = []
+    for token in tokens:
+        lemma_text = table.restore_map.get(token.surface, token.surface)
+        morphs = [
+            GlossMorph(
+                MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL, opaque=has_delimiter(lemma_text)
+            )
+        ]
+        for tag in token.tags:
+            image = table.analyzer_map.get(tag)
+            if image is None:
+                unknown.append(tag)
+                image = (tag,)
+            if not image:
+                continue
+            first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
+            morphs.extend(_label_morphs(_order_person_number(image, table.person_first), first))
+        gloss_tokens.append(GlossToken(tuple(morphs)))
+    return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE), unknown
 
 
 def reference_oov_lemmas(gloss, dictionary):

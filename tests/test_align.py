@@ -287,6 +287,47 @@ def test_lemma_dictionary_type_invariants():
     assert all(p >= d.threshold for _, p in d.entries.values())
 
 
+@pytest.mark.parametrize("key", ["Kadin", "KADIN", "kadİn"])
+def test_lemma_dictionary_rejects_a_key_lookup_could_never_find(key):
+    with pytest.raises(ValueError, match=repr(key)):
+        LemmaDictionary(entries={"ev": ("house", 1.0), key: ("woman", 1.0)})
+
+
+def test_extract_dictionary_lowercases_the_sources_of_a_hand_written_table():
+    table = load_translation_table("Kadin\twoman\t0.6\nkadin\tlady\t0.9\nEv\thouse\t1.0\n")
+    dictionary = extract_dictionary(table)
+    assert dictionary.entries == {"ev": ("house", 1.0), "kadin": ("lady", 0.9)}
+    assert dictionary.lookup("Ev") == ("house", 1.0)
+    assert load_dictionary(dump_dictionary(dictionary)).entries == dictionary.entries
+
+
+@pytest.mark.parametrize(
+    "rows, threshold, message",
+    [
+        ("a\tb\t0.5\nA\tc\t0.6\n", 0.0, "line 2: source 'A' (lowercased) already given on line 1"),
+        ("# c\nx\ty\nkadin\twoman\nKadin\tlady\t0.2\n", 0.5,
+         "line 4: source 'Kadin' (lowercased) already given on line 3"),
+        ("ev\thouse\nev\thouse\n", 0.0, "line 2: source 'ev' (lowercased) already given on line 1"),
+    ],
+)
+def test_dictionary_rejects_a_repeated_source_before_the_threshold(rows, threshold, message):
+    with pytest.raises(TableParseError) as info:
+        load_dictionary(rows, threshold=threshold)
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert str(info.value) == message
+
+
+def test_translation_table_rejects_a_repeated_pair():
+    text = "# iterations=1\ndas\tthe\t0.5\ndas\ta\t0.5\nhaus\thouse\t1.0\ndas\tthe\t0.25\n"
+    with pytest.raises(TableParseError) as info:
+        load_translation_table(text)
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert info.value.line == 5
+    assert str(info.value) == "line 5: pair ('das', 'the') already given on line 2"
+    # the same words in another case are another pair
+    assert len(load_translation_table("das\tthe\t0.5\nDas\tthe\t0.5\n").probs) == 2
+
+
 @pytest.mark.parametrize(
     "row",
     ["kadin\told woman", "kadin\t\t0.5", "\twoman\t0.5", "ka din\twoman", "kadin\two\u2028man"],

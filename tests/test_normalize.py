@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igtpivot import (
     CycleDetectedError,
@@ -19,9 +21,13 @@ from igtpivot import (
     unknown_analyzer_tags,
     unknown_labels,
 )
+from igtpivot import normalize
+from igtpivot.normalize import _analyzer_to_gloss
+from igtpivot.parsing import AnalyzerToken
 from igtpivot.tables import DEFAULT_TABLE_TEXT
 
 from gen_helpers import random_gloss_line
+from pipeline_reference import reference_analyzer_to_gloss
 from golden_data import (
     ANALYZER_GOLD,
     NORMALIZATION_GOLD_NUMBER_FIRST,
@@ -272,3 +278,67 @@ def test_restore_word_with_whitespace_is_rejected_with_line_number(row, word):
         loads_table(f"[registry]\nA\n[restore]\nok\tfine\n{row}\n")
     assert info.value.line == 5
     assert str(info.value) == f"line 5: restore word {word!r} is empty or contains whitespace"
+
+
+# --- each tag's label morphs built once per table -----------------------------------
+
+# an empty image, a verbal tag, multi-label person/number images (one of them
+# verbal) and a label holding a hyphen, which must stay opaque
+_CUSTOM_TABLE_TEXT = (
+    "[registry]\n1 2 3 SG PL DU POSS PST NEG-Q\n"
+    "[analyzer]\nDrop\t-\nPast\tPST\tverbal\nA3sg\t3.SG\n"
+    "Multi\t1.SG.2.PL.POSS\nVMulti\t3.DU.PST\tverbal\nNq\tNEG-Q\n"
+    "[restore]\nKadi\tKadin\n"
+)
+_TABLES = {
+    "default, person first": default_table(True),
+    "default, number first": default_table(False),
+    "custom, person first": loads_table(_CUSTOM_TABLE_TEXT),
+    "custom, number first": loads_table(_CUSTOM_TABLE_TEXT, person_first=False),
+}
+_TAGS = sorted(
+    set(default_table().analyzer_map) | set(loads_table(_CUSTOM_TABLE_TEXT).analyzer_map)
+) + ["Zorp", "Dim", "past", "A3SG"]
+_analyzer_tokens = st.lists(
+    st.builds(
+        AnalyzerToken,
+        st.sampled_from(["Kadi", "kadi", "ev", "gel", "et", "ABD", "a-b"]),
+        st.lists(st.sampled_from(_TAGS), max_size=6).map(tuple),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_TABLES)), _analyzer_tokens)
+def test_analyzer_to_gloss_matches_the_per_occurrence_reference(name, tokens):
+    table = _TABLES[name]
+    assert _analyzer_to_gloss(tokens, table) == reference_analyzer_to_gloss(tokens, table)
+
+
+def test_number_first_table_made_after_the_person_first_one_has_its_own_morphs():
+    tokens = parse_analyzer_line("gel+Past+A3sg")
+    person_first = default_table()
+    assert analyzer_to_gloss(tokens, person_first).render() == "gel-PST.3.SG"
+    number_first = person_first.with_person_first(False)
+    assert analyzer_to_gloss(tokens, number_first).render() == "gel-PST.SG.3"
+    assert analyzer_to_gloss(tokens, person_first).render() == "gel-PST.3.SG"
+
+
+def test_known_tags_build_their_label_morphs_once_per_table(monkeypatch):
+    calls = []
+    build = normalize._label_morphs
+
+    def counting(labels, first_joiner):
+        calls.append(labels)
+        return build(labels, first_joiner)
+
+    monkeypatch.setattr(normalize, "_label_morphs", counting)
+    table = loads_table(DEFAULT_TABLE_TEXT)
+    tokens = parse_analyzer_line("gel+Past+A3sg kitap+A3pl+P1sg+Acc+Zorp ev+Loc.") * 50
+    gloss, unknown = _analyzer_to_gloss(tokens, table)
+    assert unknown == ["Zorp"] * 50
+    assert len(calls) == len(table.analyzer_map) + 50
+    calls.clear()
+    assert _analyzer_to_gloss(tokens, table) == (gloss, unknown)
+    assert calls == [("Zorp",)] * 50

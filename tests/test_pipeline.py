@@ -6,6 +6,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igtpivot import (
     IgtRecord,
@@ -465,6 +467,25 @@ def test_external_translator_dropped_line_is_not_hidden_by_line_separator():
     handle = TranslatorHandle(TranslatorKind.EXTERNAL, command=dropper, timeout=30)
     with pytest.raises(TranslatorCountMismatchError):
         translate(["a", "b"], handle)
+
+
+# any line the protocol can carry: no \n or \r, no surrogates, and plenty of
+# the separators str.splitlines would break at
+_protocol_line = st.text(
+    st.one_of(
+        st.sampled_from("\u2028\u2029\x85\v\f\x1c\x1d\x1e"),
+        st.characters(exclude_categories=["Cs"], exclude_characters="\n\r"),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_protocol_line, max_size=5))
+def test_external_echo_translator_returns_every_line_unchanged(lines):
+    # one process per example
+    handle = TranslatorHandle(TranslatorKind.EXTERNAL, command="cat", timeout=30)
+    assert translate(lines, handle) == lines
 
 
 def test_external_translator_timeout_kills_the_translators_children():
