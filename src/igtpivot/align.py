@@ -247,7 +247,13 @@ def _read_rows(
             if sep and header is not None:
                 header.append((key.strip(), value.strip(), lineno))
             continue
-        fields = [field.strip() for field in raw.rstrip().split("\t")]
+        row = raw.rstrip()
+        fields = line.split()
+        # a row that is its whitespace-split fields joined by single tabs has
+        # non-empty fields without whitespace, so its words need no check
+        checked = "\t".join(fields) == row
+        if not checked:
+            fields = [field.strip() for field in row.split("\t")]
         if len(fields) == 2 and default_prob is not None:
             prob = default_prob
         elif len(fields) == 3:
@@ -259,11 +265,12 @@ def _read_rows(
                 raise TableParseError(f"probability {fields[2]!r} is not in [0, 1]", line=lineno)
         else:
             raise TableParseError(usage, line=lineno)
-        for word in fields[:2]:
-            if not is_word(word):
-                raise TableParseError(
-                    f"{kind} word {word!r} is empty or contains whitespace", line=lineno
-                )
+        if not checked:
+            for word in fields[:2]:
+                if not is_word(word):
+                    raise TableParseError(
+                        f"{kind} word {word!r} is empty or contains whitespace", line=lineno
+                    )
         yield lineno, fields[0], fields[1], prob
 
 

@@ -79,7 +79,7 @@ class LemmaSide(Enum):
     TARGET = "target"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LanguageTag:
     """Three-letter lowercase language identifier, e.g. ``blu`` or ``tur``."""
 
@@ -97,7 +97,7 @@ def as_language_tag(value: "LanguageTag | str") -> LanguageTag:
     return value if isinstance(value, LanguageTag) else LanguageTag(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlossMorph:
     """One segment of a gloss token.
 
@@ -123,7 +123,7 @@ class GlossMorph:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlossToken:
     """A glossed word: an ordered, non-empty sequence of morphs."""
 
@@ -146,14 +146,8 @@ class GlossToken:
     def is_punctuation(self) -> bool:
         return len(self.morphs) == 1 and is_punct(self.morphs[0].text)
 
-    def lemma_texts(self) -> list[str]:
-        return [m.text for m in self.morphs if m.kind is MorphKind.LEMMA]
 
-    def label_texts(self) -> list[str]:
-        return [m.text for m in self.morphs if m.kind is MorphKind.LABEL]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlossLine:
     """An ordered sequence of gloss tokens, tagged with which language the
     lemmas belong to (source roots vs. target words)."""
@@ -185,7 +179,7 @@ class GlossLine:
         return " ".join(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IgtRecord:
     """One interlinear example.
 
@@ -225,7 +219,7 @@ class IgtRecord:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusSplit:
     """A disjoint train/validation/test partition of a record list."""
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BLOCK_SHAPE,
@@ -39,7 +40,7 @@ from .model import (
 _JOINER_BY_CHAR = {ch: Joiner(ch) for ch in DELIMITERS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyzerToken:
     """One token of morphological-analyzer output: a root plus raw tags
     (``Kadi+A3sg+Pnon+Nom`` has surface ``Kadi`` and three tags)."""
@@ -63,7 +64,7 @@ class AnalyzerToken:
         return "+".join((self.surface,) + self.tags)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawIgtBlock:
     """A run of 2-4 consecutive non-blank lines from an ODIN-style file."""
 
@@ -102,7 +103,7 @@ def _split_segments(core: str) -> list[tuple[Joiner, str]]:
 _EDGE_RE = re.compile(r"^[^0-9A-Za-z]+|[^0-9A-Za-z]+$")
 
 
-def _looks_like_label(text: str, registry: "frozenset[str] | set[str]") -> bool:
+def _looks_like_label(text: str, registry: frozenset[str]) -> bool:
     if text in registry or text.upper() in registry:
         return True
     core = _EDGE_RE.sub("", text)
@@ -113,22 +114,31 @@ def _looks_like_label(text: str, registry: "frozenset[str] | set[str]") -> bool:
     return all(ch.isdigit() or (ch.isalpha() and ch.isupper()) for ch in core)
 
 
-def _word_to_tokens(
-    word: str, registry: "frozenset[str] | set[str]"
-) -> list[GlossToken]:
+# Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``) and words
+# many times over, so the tokenizer builds and checks each distinct one once
+# per registry and shares the frozen value.  Both memos are bounded; past the
+# bound the least recently used entry is dropped and rebuilt when next seen.
+_SEGMENT_MEMO_SIZE = 1 << 14
+_WORD_MEMO_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+def _segment_morph(joiner: Joiner, text: str, registry: frozenset[str]) -> GlossMorph:
+    kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
+    return GlossMorph(kind, text, joiner, opaque=has_delimiter(text))
+
+
+@lru_cache(maxsize=_WORD_MEMO_SIZE)
+def _word_to_tokens(word: str, registry: frozenset[str]) -> tuple[GlossToken, ...]:
     if is_punct(word):
         morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL, opaque=has_delimiter(word))
-        return [GlossToken((morph,))]
+        return (GlossToken((morph,)),)
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
-    morphs = []
-    for joiner, text in _split_segments(core):
-        kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-        morphs.append(GlossMorph(kind, text, joiner, opaque=has_delimiter(text)))
-    tokens = [GlossToken(tuple(morphs))]
-    if trailing:
-        tokens.extend(_word_to_tokens(trailing, registry))
-    return tokens
+    token = GlossToken(
+        tuple(_segment_morph(joiner, text, registry) for joiner, text in _split_segments(core))
+    )
+    return (token, *_word_to_tokens(trailing, registry)) if trailing else (token,)
 
 
 def _tokenize_optional(
@@ -150,6 +160,12 @@ def tokenize_gloss(
     A segment is a label when it is entirely uppercase letters and digits or
     is a known label (canonical or variant); otherwise it is a lemma.
     Trailing sentence punctuation becomes its own token.
+
+    The tokens and morphs of the result may be objects shared with earlier
+    results: each distinct word and segment is built once per registry and
+    kept in a bounded LRU memo (65,536 words, 16,384 segments) keyed by the
+    registry's contents.  They are immutable values; compare them with
+    ``==``, not ``is``.
     """
     if not line.strip():
         raise EmptyLineError("cannot tokenize an empty gloss line")
@@ -157,9 +173,9 @@ def tokenize_gloss(
         from .normalize import default_label_registry  # lazy import, avoids cycle
 
         label_registry = default_label_registry()
-    tokens: list[GlossToken] = []
-    for word in line.split():
-        tokens.extend(_word_to_tokens(word, label_registry))
+    elif not isinstance(label_registry, frozenset):
+        label_registry = frozenset(label_registry)  # a memo key must be hashable
+    tokens = [token for word in line.split() for token in _word_to_tokens(word, label_registry)]
     return GlossLine(tokens=tuple(tokens), lemma_side=lemma_side)
 
 

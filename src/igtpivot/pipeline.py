@@ -99,9 +99,11 @@ def _substitute_token(
     token: GlossToken, dictionary: LemmaDictionary, policy: OovPolicy, missing: list[str]
 ) -> GlossToken:
     morphs: list[GlossMorph] = []
+    kept = 0  # morphs passed through as they are
     for morph in token.morphs:
         if morph.kind is not MorphKind.LEMMA or is_punct(morph.text):
             morphs.append(morph)
+            kept += 1
             continue
         hit = dictionary.lookup(morph.text)
         if hit is not None:
@@ -115,6 +117,7 @@ def _substitute_token(
         missing.append(morph.text)
         if policy is OovPolicy.KEEP:
             morphs.append(morph)
+            kept += 1
         elif policy is OovPolicy.KEEP_MARKED:
             marked = f"{OOV_OPEN}{morph.text}{OOV_CLOSE}"
             morphs.append(
@@ -122,6 +125,8 @@ def _substitute_token(
             )
         else:  # DROP: keep the labels; keep the lemma only if nothing would remain
             continue
+    if kept == len(token.morphs):
+        return token  # nothing replaced, marked or dropped: the token is its own image
     if not morphs:
         return token  # bare OOV lemma under DROP: dropping it would empty the token
     if morphs[0].joiner is not Joiner.WORD_INITIAL:

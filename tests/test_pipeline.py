@@ -498,3 +498,15 @@ def test_external_translator_timeout_kills_the_translators_children():
     with pytest.raises(TranslatorTimeoutError):
         translate(["a"], handle)
     assert time.monotonic() - start < 10
+
+
+def test_substitution_returns_a_token_it_does_not_change_as_it_is():
+    gloss = tokenize_gloss("3SG zork-PST ev-LOC .", lemma_side=LemmaSide.SOURCE)
+    dictionary = load_dictionary("ev\thouse\n")
+    kept = substitute_lemmas(gloss, dictionary, OovPolicy.KEEP)
+    assert [a is b for a, b in zip(kept.tokens, gloss.tokens)] == [True, True, False, True]
+    marked = substitute_lemmas(gloss, dictionary, OovPolicy.KEEP_MARKED)
+    assert [a is b for a, b in zip(marked.tokens, gloss.tokens)] == [True, False, False, True]
+    dropped = substitute_lemmas(gloss, dictionary, OovPolicy.DROP)
+    assert [a is b for a, b in zip(dropped.tokens, gloss.tokens)] == [True, False, False, True]
+    assert dropped.render() == "3SG PST house-LOC."
