@@ -63,6 +63,7 @@ from .model import (
     LemmaSide,
     MorphKind,
     dump_corpus,
+    iter_corpus,
     load_corpus,
     parse_record,
     serialize_record,
@@ -97,6 +98,7 @@ from .pipeline import (
     TranslatorHandle,
     TranslatorKind,
     baseline_detokenize,
+    iter_pipeline,
     oov_lemmas,
     prepare_multilingual,
     run_pipeline,

@@ -28,6 +28,12 @@ log = logging.getLogger(__name__)
 NULL_TOKEN = "<NULL>"
 
 
+def _lowered(source: str, target: str) -> tuple[str, str]:
+    """The key of a (source, target) pair in ``TranslationTable.probs``:
+    both words lowercased, the NULL token apart."""
+    return source.lower(), target if target == NULL_TOKEN else target.lower()
+
+
 @dataclass(frozen=True)
 class ParallelCorpus:
     """Aligned sentence pairs of whitespace tokens; no side may be empty."""
@@ -69,7 +75,7 @@ class TranslationTable:
     perplexity_history: tuple[float, ...] = ()
 
     def prob(self, source: str, target: str) -> float:
-        return self.probs.get((source.lower(), target if target == NULL_TOKEN else target.lower()), 0.0)
+        return self.probs.get(_lowered(source, target), 0.0)
 
 
 @dataclass(frozen=True)
@@ -294,16 +300,21 @@ _HEADER_PARSERS = {
 
 
 def load_translation_table(text: str) -> TranslationTable:
+    """Read a dumped ttable.  Words are lowercased as lookup lowercases them,
+    the NULL token apart; a pair that repeats an earlier row's lowercased
+    pair is rejected with both line numbers."""
     header: list[tuple[str, str, int]] = []
     usage = "expected source<TAB>target<TAB>prob"
     probs: dict[tuple[str, str], float] = {}
     for lineno, f, e, p in _read_rows(text, "table", usage, header=header):
-        if (f, e) in probs:
-            first = next(n for n, g, h, _ in _read_rows(text, "table", usage) if (g, h) == (f, e))
+        key = _lowered(f, e)
+        if key in probs:
+            rows = _read_rows(text, "table", usage)
+            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
             raise TableParseError(
-                f"pair ({f!r}, {e!r}) already given on line {first}", line=lineno
+                f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
             )
-        probs[f, e] = p
+        probs[key] = p
     if not probs:
         raise TableParseError("no probability rows found")
     values = {"iterations": 0, "null_word": False, "final_perplexity": float("nan")}

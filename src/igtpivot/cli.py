@@ -8,8 +8,13 @@ all diagnostics go to stderr.  Exit codes: 0 success, 1 operational error
 from __future__ import annotations
 
 import argparse
+import io
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager, nullcontext
+from typing import IO, Callable, Iterator
 
 from . import align as align_mod
 from . import metrics as metrics_mod
@@ -42,26 +47,72 @@ def _read(path: "str | None") -> str:
     return text
 
 
-def _write(path: "str | None", text: str) -> None:
+def _iter_lines(path: "str | None") -> Iterator[str]:
+    r"""The lines of ``split_lines(_read(path))``, read one at a time: a
+    file opened with ``newline="\n"`` splits at ``\n`` only, and the
+    ``utf-8-sig`` codec drops a leading BOM."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        source = nullcontext(sys.stdin)
+    elif not os.path.exists(path):
+        raise _FileNotFound(f"input file does not exist: {path}")
+    else:
+        source = open(path, encoding="utf-8-sig", newline="\n")
+    with source as handle:
+        for line in handle:
+            if line.endswith("\n"):
+                line = line[:-1]
+            yield line[:-1] if line.endswith("\r") else line
+
+
+@contextmanager
+def _destination(path: "str | None") -> Iterator[IO[str]]:
+    """stdout for ``None`` or ``-``, else ``path`` opened for writing, its
+    directory made first."""
+    if path is None or path == "-":
+        yield sys.stdout
         return
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        yield handle
+
+
+def _write(path: "str | None", text: str) -> None:
+    with _destination(path) as handle:
         handle.write(text)
+
+
+@contextmanager
+def _spooled(path: "str | None", head: "Callable[[], str] | None" = None) -> Iterator[IO[str]]:
+    """Collect output in an anonymous temporary file.  Only when the block
+    succeeds is ``path`` opened, by :func:`_destination` as for
+    :func:`_write`, and given ``head()`` and then the spool, copied in
+    chunks no larger than io's own buffers; on failure ``path`` is never
+    touched and nothing reaches stdout."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        yield spool
+        spool.seek(0)
+        with _destination(path) as handle:
+            if head is not None:
+                handle.write(head())
+            shutil.copyfileobj(spool, handle, io.DEFAULT_BUFFER_SIZE)
 
 
 def _map_lines(args: argparse.Namespace, convert) -> int:
     """Write ``convert`` of each non-blank input line; blank lines stay blank."""
-    lines = split_lines(_read(args.infile))
-    _write(args.outfile, "".join((convert(line) if line.strip() else "") + "\n" for line in lines))
+    with _spooled(args.outfile) as out:
+        for line in _iter_lines(args.infile):
+            out.write((convert(line) if line.strip() else "") + "\n")
     return 0
+
+
+def _warn(warning: ParseWarning) -> None:
+    print(f"igt: warning: {warning}", file=sys.stderr)
 
 
 def _emit_warnings(warnings: "list[ParseWarning]") -> None:
     for warning in warnings:
-        print(f"igt: warning: {warning}", file=sys.stderr)
+        _warn(warning)
 
 
 def _load_norm_table(spec: str, person_first: bool) -> normalize_mod.NormalizationTable:
@@ -195,11 +246,11 @@ def _cmd_subst(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepare_multi(args: argparse.Namespace) -> int:
-    records = model_mod.load_corpus(_read(args.infile))
-    pairs, warnings = pipeline_mod.prepare_multilingual(records, split_morphs=args.split_morphs)
-    _emit_warnings(warnings)
-    _write(args.src_out, "".join(src + "\n" for src, _ in pairs))
-    _write(args.tgt_out, "".join(tgt + "\n" for _, tgt in pairs))
+    records = model_mod.iter_corpus(_iter_lines(args.infile))
+    with _spooled(args.tgt_out) as tgt_out, _spooled(args.src_out) as src_out:
+        for src, tgt in pipeline_mod._training_pairs(records, args.split_morphs, _warn):
+            src_out.write(src + "\n")
+            tgt_out.write(tgt + "\n")
     return 0
 
 
@@ -207,17 +258,27 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
     table = _load_norm_table(args.table, not args.number_first)
     dictionary = align_mod.load_dictionary(_read(args.dict))
     translator = _translator_from_spec(args.translator, args.timeout)
-    targets, report = pipeline_mod.run_pipeline(
-        _read(args.analyzer_out),
+    report = pipeline_mod.PipelineReport()
+    traces = pipeline_mod.iter_pipeline(
+        _iter_lines(args.analyzer_out),
         table,
         dictionary,
         translator,
         oov_policy=_OOV_BY_NAME[args.oov],
         split_morphs=args.split_morphs,
+        report=report,
     )
-    _write(args.outfile, "".join(t + "\n" for t in targets))
-    if args.report:
-        _write(args.report, pipeline_mod.format_report(report))
+    # the report's counters head it but are known only once every sentence is in
+    spool_report = (
+        _spooled(args.report, head=lambda: pipeline_mod.format_report_header(report))
+        if args.report
+        else nullcontext()
+    )
+    with spool_report as report_out, _spooled(args.outfile) as out:
+        for index, trace in enumerate(traces, start=1):
+            out.write(trace.target + "\n")
+            if report_out is not None:
+                report_out.write(pipeline_mod.format_report_sentence(index, trace))
     print(
         f"igt: pivoted {report.n_sentences} sentence(s), "
         f"oov={report.oov_lemmas} unknown_labels={report.unknown_labels}",

@@ -17,6 +17,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .errors import (
     BadRatiosError,
@@ -344,19 +345,24 @@ def parse_record(line: str) -> IgtRecord:
         raise MalformedRecordError(str(exc), field="gloss_tgt") from exc
 
 
-def load_corpus(text: str) -> list[IgtRecord]:
-    """Parse a corpus file body; blank lines are ignored."""
-    records = []
-    for lineno, line in enumerate(split_lines(text), start=1):
+def iter_corpus(lines: Iterable[str]) -> Iterator[IgtRecord]:
+    """Parse corpus lines one at a time; blank lines are ignored, and a
+    malformed record's error names its line."""
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            records.append(parse_record(line))
+            record = parse_record(line)
         except MalformedRecordError as exc:
             raise MalformedRecordError(
                 f"line {lineno}: {exc}", offset=exc.offset, field=exc.field
             ) from exc
-    return records
+        yield record
+
+
+def load_corpus(text: str) -> list[IgtRecord]:
+    """Parse a corpus file body; blank lines are ignored."""
+    return list(iter_corpus(split_lines(text)))
 
 
 def dump_corpus(records: "list[IgtRecord] | tuple[IgtRecord, ...]") -> str:

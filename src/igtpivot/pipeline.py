@@ -9,12 +9,15 @@ an identity echo for plumbing tests.
 
 from __future__ import annotations
 
+import marshal
 import os
 import shlex
 import signal
 import subprocess
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import IO, Callable, Iterable, Iterator
 
 from .align import LemmaDictionary
 from .errors import (
@@ -141,10 +144,10 @@ def _substitute(
     """The target-lemma gloss and the lemmas the dictionary lacked, from one
     lookup per non-punctuation lemma."""
     missing: list[str] = []
-    tokens = tuple(
-        _substitute_token(token, dictionary, oov_policy, missing) for token in gloss.tokens
-    )
-    return GlossLine(tokens=tokens, lemma_side=LemmaSide.TARGET), missing
+    # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
+    # which fills CPython's free lists of the other tuple sizes over a long run
+    tokens = [_substitute_token(token, dictionary, oov_policy, missing) for token in gloss.tokens]
+    return GlossLine(tokens=tuple(tokens), lemma_side=LemmaSide.TARGET), missing
 
 
 def substitute_lemmas(
@@ -168,7 +171,7 @@ def oov_lemmas(gloss: GlossLine, dictionary: LemmaDictionary) -> list[str]:
 
 
 def prepare_multilingual(
-    records: "list[IgtRecord] | tuple[IgtRecord, ...]",
+    records: "Iterable[IgtRecord]",
     split_morphs: bool = False,
 ) -> tuple[list[tuple[str, str]], list[ParseWarning]]:
     """Build language-tagged training pairs for gloss-to-target translation.
@@ -178,20 +181,25 @@ def prepare_multilingual(
     the target line is the free translation.  Records missing either field
     are skipped with a warning; input order is preserved.
     """
-    pairs: list[tuple[str, str]] = []
     warnings: list[ParseWarning] = []
+    return list(_training_pairs(records, split_morphs, warnings.append)), warnings
+
+
+def _training_pairs(
+    records: "Iterable[IgtRecord]", split_morphs: bool, warn: Callable[[ParseWarning], None]
+) -> Iterator[tuple[str, str]]:
+    """:func:`prepare_multilingual`'s pairs one record at a time, each
+    skipped record's warning passed to ``warn`` as it is met."""
     for record in records:
         if record.gloss_tgt is None or record.target_text is None:
-            warnings.append(
+            warn(
                 ParseWarning(
                     SKIPPED_RECORD,
                     f"record {record.id or '<unnamed>'} lacks gloss_tgt or target_text",
                 )
             )
             continue
-        source = f"{record.lang.code} {record.gloss_tgt.render_spaced(split_morphs)}"
-        pairs.append((source, record.target_text))
-    return pairs, warnings
+        yield f"{record.lang.code} {record.gloss_tgt.render_spaced(split_morphs)}", record.target_text
 
 
 def baseline_detokenize(
@@ -218,44 +226,68 @@ def _strip_labels(gloss: GlossLine) -> str:
     return sentence[:1].upper() + sentence[1:]
 
 
-def _run_external(lines: list[str], translator: TranslatorHandle) -> list[str]:
+def _spool() -> IO[str]:
+    r"""An anonymous temporary file of UTF-8 text that keeps ``\r`` as it is
+    and splits lines at ``\n`` only."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) -> IO[str]:
+    r"""Run the translator once with ``payload``, a spool of ``n_lines``
+    ``\n``-ended lines, as its stdin.  Return its stdout, checked to hold as
+    many lines, as a text file at offset 0 for the caller to close.
+
+    stdin, stdout and stderr are anonymous temporary files, so the data never
+    sits in memory.  The output is read as a text-mode pipe would be: ``\r``
+    and ``\r\n`` end a line too.
+    """
+    payload.seek(0)
+    stdout = tempfile.TemporaryFile("w+", encoding="utf-8")
     try:
-        argv = shlex.split(translator.command or "")
-        proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            start_new_session=True,  # own process group, killed as one on timeout
-        )
-    except (OSError, ValueError) as exc:
-        raise TranslatorSpawnFailureError(
-            f"could not spawn translator {translator.command!r}: {exc}"
-        ) from exc
-    payload = "".join(line + "\n" for line in lines)
-    try:
-        stdout, stderr = proc.communicate(payload, timeout=translator.timeout)
-    except subprocess.TimeoutExpired as exc:
-        # the whole group: a child of the translator may hold its pipes open
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
-            pipe.close()
-        raise TranslatorTimeoutError(
-            f"translator exceeded {translator.timeout} s"
-        ) from exc
-    if proc.returncode != 0:
-        raise TranslatorSpawnFailureError(
-            f"translator exited with status {proc.returncode}: {stderr.strip()[:200]}"
-        )
-    outputs = split_lines(stdout)
-    if len(outputs) != len(lines):
-        raise TranslatorCountMismatchError(
-            f"translator returned {len(outputs)} line(s) for {len(lines)} input(s)"
-        )
-    return outputs
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as stderr:
+            try:
+                argv = shlex.split(translator.command or "")
+                proc = subprocess.Popen(
+                    argv,
+                    stdin=payload,
+                    stdout=stdout,
+                    stderr=stderr,
+                    start_new_session=True,  # own process group, killed as one on timeout
+                )
+            except (OSError, ValueError) as exc:
+                raise TranslatorSpawnFailureError(
+                    f"could not spawn translator {translator.command!r}: {exc}"
+                ) from exc
+            try:
+                proc.wait(timeout=translator.timeout)
+            except subprocess.TimeoutExpired as exc:
+                # the whole group: a child of the translator may still be running
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise TranslatorTimeoutError(
+                    f"translator exceeded {translator.timeout} s"
+                ) from exc
+            if proc.returncode != 0:
+                stderr.seek(0)
+                raise TranslatorSpawnFailureError(
+                    f"translator exited with status {proc.returncode}: "
+                    f"{stderr.read().strip()[:200]}"
+                )
+        stdout.seek(0)
+        n_outputs = sum(1 for _ in stdout)
+        if n_outputs != n_lines:
+            raise TranslatorCountMismatchError(
+                f"translator returned {n_outputs} line(s) for {n_lines} input(s)"
+            )
+        stdout.seek(0)
+        return stdout
+    except BaseException:
+        stdout.close()
+        raise
+
+
+def _chomp(line: str) -> str:
+    return line[:-1] if line.endswith("\n") else line
 
 
 def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle) -> list[str]:
@@ -268,30 +300,23 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
         return lines
     if translator.kind is TranslatorKind.BASELINE_DETOKENIZE:
         return [baseline_detokenize(line) for line in lines]
-    return _run_external(lines, translator)
+    with _spool() as payload:
+        for line in lines:
+            payload.write(line + "\n")
+        with _run_external(payload, len(lines), translator) as outputs:
+            return [_chomp(line) for line in outputs]
 
 
-def run_pipeline(
-    analyzer_text: str,
+def _stages(
+    lines: Iterable[str],
     table: NormalizationTable,
     dictionary: LemmaDictionary,
-    translator: TranslatorHandle,
-    oov_policy: OovPolicy = OovPolicy.KEEP,
-    split_morphs: bool = False,
-) -> tuple[list[str], PipelineReport]:
-    """Run the full sequence over analyzer output (one sentence per line).
-
-    Blank lines are skipped.  Stage errors propagate wrapped with the stage
-    name.  The report retains every intermediate line, so the per-stage
-    progression of each sentence can be audited or printed.
-    """
-    report = PipelineReport()
-    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
-    rows: list[tuple[str, str, str]] = []
-    # baseline translations, or the lines the translator will be given
-    outputs: list[str] = []
-
-    for line in split_lines(analyzer_text):
+    oov_policy: OovPolicy,
+    report: PipelineReport,
+) -> Iterator[tuple[str, GlossLine, GlossLine]]:
+    """``(analyzer line, source gloss, target gloss)`` per non-blank line,
+    whose counts are added to ``report`` before it is yielded."""
+    for line in lines:
         if not line.strip():
             continue
         stage = "parse-analyzer"
@@ -310,36 +335,111 @@ def run_pipeline(
         report.gloss_tgt_tokens += len(gloss_tgt.tokens)
         report.unknown_labels += len(unknown)
         report.oov_lemmas += len(missing)
-        rows.append((line, gloss_src.render(), gloss_tgt.render()))
-        outputs.append(
-            _strip_labels(gloss_tgt) if baseline else gloss_tgt.render_spaced(split_morphs)
-        )
+        yield line, gloss_src, gloss_tgt
 
-    targets = outputs
-    if not baseline:
+
+def _translate_externally(
+    stages: Iterator[tuple[str, GlossLine, GlossLine]],
+    translator: TranslatorHandle,
+    split_morphs: bool,
+) -> Iterator[SentenceTrace]:
+    """One translator process for every sentence.  The rendered stages wait
+    in a spool (marshalled, since a library caller's line may hold any
+    character) until the translator has succeeded."""
+    with tempfile.TemporaryFile() as rows, _spool() as payload:
+        n_lines = 0
+        for line, gloss_src, gloss_tgt in stages:
+            marshal.dump((line, gloss_src.render(), gloss_tgt.render()), rows)
+            payload.write(gloss_tgt.render_spaced(split_morphs) + "\n")
+            n_lines += 1
         try:
-            targets = translate(outputs, translator)
+            outputs = _run_external(payload, n_lines, translator)
         except IgtError as exc:
             raise PipelineStageError("translate", exc) from exc
-    report.sentences = [SentenceTrace(*row, target) for row, target in zip(rows, targets)]
-    return targets, report
+        rows.seek(0)
+        with outputs:
+            for target in outputs:
+                yield SentenceTrace(*marshal.load(rows), _chomp(target))
+
+
+def iter_pipeline(
+    lines: Iterable[str],
+    table: NormalizationTable,
+    dictionary: LemmaDictionary,
+    translator: TranslatorHandle,
+    oov_policy: OovPolicy = OovPolicy.KEEP,
+    split_morphs: bool = False,
+    report: "PipelineReport | None" = None,
+) -> Iterator[SentenceTrace]:
+    """Run the full sequence over analyzer lines (one sentence per line),
+    yielding each sentence's :class:`SentenceTrace`, target included, and
+    adding its counts to ``report``.
+
+    Blank lines are skipped.  Stage errors propagate wrapped with the stage
+    name.  The baseline and identity translators hold nothing past the
+    current sentence.  An external translator runs once for all sentences,
+    fed through anonymous temporary files, so nothing is yielded until it
+    has succeeded.  ``report.sentences`` is left as it is.
+    """
+    if report is None:
+        report = PipelineReport()
+    stages = _stages(lines, table, dictionary, oov_policy, report)
+    if translator.kind is TranslatorKind.EXTERNAL:
+        yield from _translate_externally(stages, translator, split_morphs)
+        return
+    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
+    for line, gloss_src, gloss_tgt in stages:
+        target = _strip_labels(gloss_tgt) if baseline else gloss_tgt.render_spaced(split_morphs)
+        yield SentenceTrace(line, gloss_src.render(), gloss_tgt.render(), target)
+
+
+def run_pipeline(
+    analyzer_text: str,
+    table: NormalizationTable,
+    dictionary: LemmaDictionary,
+    translator: TranslatorHandle,
+    oov_policy: OovPolicy = OovPolicy.KEEP,
+    split_morphs: bool = False,
+) -> tuple[list[str], PipelineReport]:
+    """:func:`iter_pipeline` over analyzer output (one sentence per line),
+    with every intermediate line retained in the report, so the per-stage
+    progression of each sentence can be audited or printed."""
+    report = PipelineReport()
+    report.sentences = list(
+        iter_pipeline(
+            split_lines(analyzer_text), table, dictionary, translator,
+            oov_policy, split_morphs, report,
+        )
+    )
+    return [trace.target for trace in report.sentences], report
+
+
+def format_report_header(report: PipelineReport) -> str:
+    """The report's key-value summary, one counter per line."""
+    return (
+        f"n_sentences={report.n_sentences}\n"
+        f"analyzer_tokens={report.analyzer_tokens}\n"
+        f"gloss_src_tokens={report.gloss_src_tokens}\n"
+        f"gloss_tgt_tokens={report.gloss_tgt_tokens}\n"
+        f"oov_lemmas={report.oov_lemmas}\n"
+        f"unknown_labels={report.unknown_labels}\n"
+    )
+
+
+def format_report_sentence(index: int, trace: SentenceTrace) -> str:
+    """The four-line block (three without a target) of sentence ``index``."""
+    target = "" if trace.target is None else f"target:    {trace.target}\n"
+    return (
+        f"--- sentence {index}\n"
+        f"analyzer:  {trace.analyzer}\n"
+        f"gloss_src: {trace.gloss_src}\n"
+        f"gloss_tgt: {trace.gloss_tgt}\n"
+        f"{target}"
+    )
 
 
 def format_report(report: PipelineReport) -> str:
     """Key-value summary plus one four-line block per sentence."""
-    lines = [
-        f"n_sentences={report.n_sentences}",
-        f"analyzer_tokens={report.analyzer_tokens}",
-        f"gloss_src_tokens={report.gloss_src_tokens}",
-        f"gloss_tgt_tokens={report.gloss_tgt_tokens}",
-        f"oov_lemmas={report.oov_lemmas}",
-        f"unknown_labels={report.unknown_labels}",
-    ]
-    for i, trace in enumerate(report.sentences, start=1):
-        lines.append(f"--- sentence {i}")
-        lines.append(f"analyzer:  {trace.analyzer}")
-        lines.append(f"gloss_src: {trace.gloss_src}")
-        lines.append(f"gloss_tgt: {trace.gloss_tgt}")
-        if trace.target is not None:
-            lines.append(f"target:    {trace.target}")
-    return "\n".join(lines) + "\n"
+    return format_report_header(report) + "".join(
+        format_report_sentence(i, trace) for i, trace in enumerate(report.sentences, start=1)
+    )

@@ -324,8 +324,9 @@ def test_translation_table_rejects_a_repeated_pair():
     assert info.value.code == "TABLE_PARSE_ERROR"
     assert info.value.line == 5
     assert str(info.value) == "line 5: pair ('das', 'the') already given on line 2"
-    # the same words in another case are another pair
-    assert len(load_translation_table("das\tthe\t0.5\nDas\tthe\t0.5\n").probs) == 2
+    # words are lowercased on load, so the same words in another case repeat the pair
+    with pytest.raises(TableParseError, match="line 2: pair .'das', 'the'. already given on line 1"):
+        load_translation_table("das\tthe\t0.5\nDas\tthe\t0.5\n")
 
 
 @pytest.mark.parametrize(
@@ -532,3 +533,39 @@ def test_ttable_and_dictionary_dump_load_round_trip(pairs, iterations, null_word
     assert again.final_perplexity == table.final_perplexity
     dictionary = extract_dictionary(table)
     assert load_dictionary(dump_dictionary(dictionary)).entries == dictionary.entries
+
+
+# --- ttable case: words are lowercased on load, as lookup lowercases them -------------
+
+
+def test_loaded_table_answers_lookups_in_any_case():
+    table = load_translation_table("Kadin\tWoman\t0.9\nkadin\tthe\t0.1\n")
+    assert table.probs == {("kadin", "woman"): 0.9, ("kadin", "the"): 0.1}
+    for source, target in [("Kadin", "woman"), ("kadin", "woman"), ("KADIN", "Woman")]:
+        assert table.prob(source, target) == 0.9
+    # the best link, not the index-0 fallback of an unseen word
+    assert align_pair(["Kadin"], ["the", "Woman"], table) == [(0, 1)]
+    assert table.source_vocab == frozenset({"kadin"})
+    assert table.target_vocab == frozenset({"woman", "the"})
+
+
+def test_loaded_table_keeps_the_null_token_as_it_is():
+    table = load_translation_table("# null_word=true\nEv\t<NULL>\t0.7\nev\tHouse\t0.3\n")
+    assert table.probs == {("ev", NULL_TOKEN): 0.7, ("ev", "house"): 0.3}
+    assert table.prob("Ev", NULL_TOKEN) == 0.7
+    assert align_pair(["EV"], ["house"], table) == [(0, -1)]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("Kadin\twoman\t0.9\nkadin\tWoman\t0.1\n", "line 2: pair ('kadin', 'woman') already given on line 1"),
+        ("# c\nx\ty\t1.0\nEV\tHOUSE\t0.5\nev\thouse\t0.5\n",
+         "line 4: pair ('ev', 'house') already given on line 3"),
+    ],
+)
+def test_translation_table_rejects_a_pair_repeated_in_another_case(rows, message):
+    with pytest.raises(TableParseError) as info:
+        load_translation_table(rows)
+    assert info.value.code == "TABLE_PARSE_ERROR"
+    assert str(info.value) == message

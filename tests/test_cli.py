@@ -457,3 +457,10 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     result = run("normalize", "--in", str(tmp_path / "nope.txt"))
     assert result.returncode == 1
     assert result.stderr.startswith("igt: FILE_NOT_FOUND:")
+
+
+def test_dict_writes_a_hand_written_tables_targets_in_lowercase(tmp_path):
+    ttable = write(tmp_path / "t.tsv", "Kadin\tWoman\t0.9\nkadin\tthe\t0.1\nEv\tHouse\t1.0\n")
+    out = tmp_path / "d.tsv"
+    assert main(["dict", "--ttable", ttable, "--out", str(out)]) == 0
+    assert read(out) == "ev\thouse\t1.0\nkadin\twoman\t0.9\n"
