@@ -18,9 +18,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
-from .errors import EmptyCorpusError, TableParseError
+from .errors import EmptyCorpusError, LengthMismatchError, TableParseError
 from .model import is_word, split_lines
 
 log = logging.getLogger(__name__)
@@ -52,7 +53,7 @@ class ParallelCorpus:
         src_lines = split_lines(source_text)
         tgt_lines = split_lines(target_text)
         if len(src_lines) != len(tgt_lines):
-            raise ValueError(
+            raise LengthMismatchError(
                 f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
             )
         pairs = []
@@ -67,12 +68,20 @@ class TranslationTable:
     """Trained lexical translation probabilities (lowercased tokens)."""
 
     probs: dict[tuple[str, str], float]
-    source_vocab: frozenset[str]
-    target_vocab: frozenset[str]
     iterations_run: int
     final_perplexity: float
     null_word: bool = False
     perplexity_history: tuple[float, ...] = ()
+
+    @cached_property
+    def source_vocab(self) -> frozenset[str]:
+        """The source words of ``probs``."""
+        return frozenset(f for f, _ in self.probs)
+
+    @cached_property
+    def target_vocab(self) -> frozenset[str]:
+        """The target words of ``probs``, the NULL token apart."""
+        return frozenset(e for _, e in self.probs if e != NULL_TOKEN)
 
     def prob(self, source: str, target: str) -> float:
         return self.probs.get(_lowered(source, target), 0.0)
@@ -83,7 +92,6 @@ class LemmaDictionary:
     """Best-translation dictionary: source lemma to (target lemma, prob)."""
 
     entries: dict[str, tuple[str, float]]
-    threshold: float = 0.0
 
     def __post_init__(self) -> None:
         for key in self.entries:
@@ -165,8 +173,6 @@ def train_model1(
         probs={
             (source_words[f], target_words[e]): p for f, row in enumerate(rows) for e, p in row.items()
         },
-        source_vocab=frozenset(source_words),
-        target_vocab=frozenset(target_words[len(null):]),
         iterations_run=iterations,
         final_perplexity=history[-1],
         null_word=null_word,
@@ -191,7 +197,7 @@ def extract_dictionary(table: TranslationTable, threshold: float = 0.0) -> Lemma
     entries = {
         f: (e, p) for f, (e, p) in sorted(best.items()) if p >= threshold
     }
-    return LemmaDictionary(entries=entries, threshold=threshold)
+    return LemmaDictionary(entries=entries)
 
 
 def align_pair(
@@ -326,8 +332,6 @@ def load_translation_table(text: str) -> TranslationTable:
                 raise TableParseError(f"bad {key} value {value!r}", line=lineno) from exc
     return TranslationTable(
         probs=probs,
-        source_vocab=frozenset(f for f, _ in probs),
-        target_vocab=frozenset(e for _, e in probs if e != NULL_TOKEN),
         iterations_run=values["iterations"],
         final_perplexity=values["final_perplexity"],
         null_word=values["null_word"],
@@ -359,4 +363,4 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
             )
         entries[key] = (e, p)
     kept = {f: hit for f, hit in sorted(entries.items()) if hit[1] >= threshold}
-    return LemmaDictionary(entries=kept, threshold=threshold)
+    return LemmaDictionary(entries=kept)

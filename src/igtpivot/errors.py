@@ -84,7 +84,10 @@ class EmptyCorpusError(IgtError):
     code = "EMPTY_CORPUS"
 
 
-class LengthMismatchError(IgtError):
+class LengthMismatchError(IgtError, ValueError):
+    """Two sequences that must pair up differ in length.  Also a
+    ``ValueError``, so callers catching that still work."""
+
     code = "LENGTH_MISMATCH"
 
 
@@ -107,14 +110,19 @@ class TranslatorSpawnFailureError(TranslatorError):
 
 
 class PipelineStageError(IgtError):
-    """Wraps an error raised inside ``run_pipeline`` with the stage name."""
+    """Wraps an error raised inside ``run_pipeline`` with the stage name and,
+    as ``line``, the number of the input line it met (0 for a fault of the
+    whole run).  The message ends ``(line N)``, as a :class:`ParseWarning`'s
+    does."""
 
     code = "PIPELINE_STAGE_ERROR"
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage}: {cause}")
+    def __init__(self, stage: str, cause: Exception, *, line: int = 0):
+        where = f" (line {line})" if line else ""
+        super().__init__(f"stage {stage}: {cause}{where}")
         self.stage = stage
         self.cause = cause
+        self.line = line
 
 
 @dataclass(frozen=True)

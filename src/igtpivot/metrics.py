@@ -315,17 +315,8 @@ def format_report(report: EvalReport) -> str:
 
 def summary_line(report: EvalReport) -> str:
     """Single machine-readable line with all seven numbers."""
-    parts = [
-        f"noun_match={_fmt(report.noun_match)}",
-        f"verb_match={_fmt(report.verb_match)}",
-        f"subj_verb_agreement={_fmt(report.subj_verb_agreement)}",
-        f"tense_match={_fmt(report.tense_match)}",
-        f"non_repetition={_fmt(report.non_repetition)}",
-        f"bleu4={_fmt(report.bleu4)}",
-        f"bleu1={_fmt(report.bleu1)}",
-        f"n_sentences={report.n_sentences}",
-    ]
-    return " ".join(parts)
+    parts = [f"{attr}={_fmt(getattr(report, attr))}" for _, attr, _ in _ROWS]
+    return " ".join(parts) + f" n_sentences={report.n_sentences}"
 
 
 def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:

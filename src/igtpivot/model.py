@@ -100,28 +100,24 @@ def as_language_tag(value: "LanguageTag | str") -> LanguageTag:
 
 @dataclass(frozen=True, slots=True)
 class GlossMorph:
-    """One segment of a gloss token.
-
-    ``opaque`` marks text the tokenizer could not split cleanly (it contains
-    delimiter characters literally, e.g. the trailing period of ``Progr.`` or
-    a punctuation-only token); such text renders verbatim so round-trips stay
-    exact.
-    """
+    """One segment of a gloss token."""
 
     kind: MorphKind
     text: str
     joiner: Joiner
-    opaque: bool = False
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("morph text must be non-empty")
         if _find_space(self.text):
             raise ValueError(f"morph text contains whitespace: {self.text!r}")
-        if not self.opaque and has_delimiter(self.text):
-            raise ValueError(
-                f"morph text contains a delimiter and is not flagged opaque: {self.text!r}"
-            )
+
+    @property
+    def opaque(self) -> bool:
+        """True when the text holds a delimiter literally (the trailing
+        period of ``Progr.``, a punctuation-only token), text the tokenizer
+        could not split cleanly; it renders verbatim."""
+        return has_delimiter(self.text)
 
 
 @dataclass(frozen=True, slots=True)

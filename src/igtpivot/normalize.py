@@ -24,7 +24,6 @@ from .model import (
     Joiner,
     LemmaSide,
     MorphKind,
-    has_delimiter,
     is_word,
     split_lines,
 )
@@ -246,7 +245,9 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
 
 
 def load_table(path: str, *, person_first: bool = True) -> NormalizationTable:
-    with open(path, encoding="utf-8") as handle:
+    r""":func:`loads_table` of a file, read as every other reader reads one: a
+    leading BOM is dropped and lines split at ``\n`` only."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         return loads_table(handle.read(), person_first=person_first)
 
 
@@ -272,7 +273,7 @@ def _label_morphs(
     morphs = []
     for i, label in enumerate(labels):
         joiner = first_joiner if i == 0 else Joiner.PERIOD
-        morphs.append(GlossMorph(MorphKind.LABEL, label, joiner, opaque=has_delimiter(label)))
+        morphs.append(GlossMorph(MorphKind.LABEL, label, joiner))
     return morphs
 
 
@@ -321,11 +322,7 @@ def _analyzer_to_gloss(
     tag_morphs = table._tag_morphs
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
-        morphs = [
-            GlossMorph(
-                MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL, opaque=has_delimiter(lemma_text)
-            )
-        ]
+        morphs = [GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)]
         for tag in token.tags:
             shared = tag_morphs.get(tag)
             if shared is not None:

@@ -32,7 +32,6 @@ from .model import (
     LemmaSide,
     MorphKind,
     as_language_tag,
-    has_delimiter,
     is_punct,
     split_lines,
 )
@@ -125,13 +124,13 @@ _WORD_MEMO_SIZE = 1 << 16
 @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
 def _segment_morph(joiner: Joiner, text: str, registry: frozenset[str]) -> GlossMorph:
     kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-    return GlossMorph(kind, text, joiner, opaque=has_delimiter(text))
+    return GlossMorph(kind, text, joiner)
 
 
 @lru_cache(maxsize=_WORD_MEMO_SIZE)
 def _word_to_tokens(word: str, registry: frozenset[str]) -> tuple[GlossToken, ...]:
     if is_punct(word):
-        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL, opaque=has_delimiter(word))
+        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL)
         return (GlossToken((morph,)),)
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
@@ -233,9 +232,11 @@ def block_to_record(
     (source, gloss_src, gloss_tgt, target).
 
     Token counts are enforced between the two gloss lines only; the source
-    line may tokenize differently (clitics, merged words).
+    line may tokenize differently (clitics, merged words).  A block's error
+    names its ``start_line`` when that is set.
     """
     tag = as_language_tag(lang)
+    where = f"line {block.start_line}: " if block.start_line else ""
     if len(block.lines) == 3:
         source, gloss_tgt_text, target = block.lines
         gloss_src_text = None
@@ -243,17 +244,20 @@ def block_to_record(
         source, gloss_src_text, gloss_tgt_text, target = block.lines
     else:
         raise BlockShapeError(
-            f"cannot map a {len(block.lines)}-line block to an IGT record"
+            f"{where}cannot map a {len(block.lines)}-line block to an IGT record"
         )
-    return IgtRecord(
-        id=record_id,
-        lang=tag,
-        source_text=source,
-        gloss_src=_tokenize_optional(gloss_src_text, LemmaSide.SOURCE, label_registry),
-        gloss_tgt=_tokenize_optional(gloss_tgt_text, LemmaSide.TARGET, label_registry),
-        target_text=target,
-        provenance=block.source_language_hint or "",
-    )
+    try:
+        return IgtRecord(
+            id=record_id,
+            lang=tag,
+            source_text=source,
+            gloss_src=_tokenize_optional(gloss_src_text, LemmaSide.SOURCE, label_registry),
+            gloss_tgt=_tokenize_optional(gloss_tgt_text, LemmaSide.TARGET, label_registry),
+            target_text=target,
+            provenance=block.source_language_hint or "",
+        )
+    except TokenCountMismatchError as exc:
+        raise TokenCountMismatchError(f"{where}{exc}") from exc
 
 
 # --- ToolBox backslash-coded files -------------------------------------------

@@ -37,7 +37,6 @@ from .model import (
     Joiner,
     LemmaSide,
     MorphKind,
-    has_delimiter,
     is_punct,
     split_lines,
 )
@@ -113,9 +112,7 @@ def _substitute_token(
             target = hit[0]
             if morph.text[:1].isupper():
                 target = target[:1].upper() + target[1:]
-            morphs.append(
-                GlossMorph(MorphKind.LEMMA, target, morph.joiner, opaque=has_delimiter(target))
-            )
+            morphs.append(GlossMorph(MorphKind.LEMMA, target, morph.joiner))
             continue
         missing.append(morph.text)
         if policy is OovPolicy.KEEP:
@@ -123,9 +120,7 @@ def _substitute_token(
             kept += 1
         elif policy is OovPolicy.KEEP_MARKED:
             marked = f"{OOV_OPEN}{morph.text}{OOV_CLOSE}"
-            morphs.append(
-                GlossMorph(MorphKind.LEMMA, marked, morph.joiner, opaque=morph.opaque)
-            )
+            morphs.append(GlossMorph(MorphKind.LEMMA, marked, morph.joiner))
         else:  # DROP: keep the labels; keep the lemma only if nothing would remain
             continue
     if kept == len(token.morphs):
@@ -134,7 +129,7 @@ def _substitute_token(
         return token  # bare OOV lemma under DROP: dropping it would empty the token
     if morphs[0].joiner is not Joiner.WORD_INITIAL:
         first = morphs[0]
-        morphs[0] = GlossMorph(first.kind, first.text, Joiner.WORD_INITIAL, first.opaque)
+        morphs[0] = GlossMorph(first.kind, first.text, Joiner.WORD_INITIAL)
     return GlossToken(tuple(morphs))
 
 
@@ -316,7 +311,7 @@ def _stages(
 ) -> Iterator[tuple[str, GlossLine, GlossLine]]:
     """``(analyzer line, source gloss, target gloss)`` per non-blank line,
     whose counts are added to ``report`` before it is yielded."""
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         stage = "parse-analyzer"
@@ -327,7 +322,7 @@ def _stages(
             stage = "substitute"
             gloss_tgt, missing = _substitute(gloss_src, dictionary, oov_policy)
         except (IgtError, ValueError) as exc:
-            raise PipelineStageError(stage, exc) from exc
+            raise PipelineStageError(stage, exc, line=lineno) from exc
 
         report.n_sentences += 1
         report.analyzer_tokens += len(tokens)
@@ -376,7 +371,8 @@ def iter_pipeline(
     adding its counts to ``report``.
 
     Blank lines are skipped.  Stage errors propagate wrapped with the stage
-    name.  The baseline and identity translators hold nothing past the
+    name and the 1-based position of the line in ``lines``, blank lines
+    counted.  The baseline and identity translators hold nothing past the
     current sentence.  An external translator runs once for all sentences,
     fed through anonymous temporary files, so nothing is yielded until it
     has succeeded.  ``report.sentences`` is left as it is.

@@ -71,14 +71,7 @@ def random_gloss_line(rng: random.Random, side: LemmaSide, n_tokens: int) -> Glo
             punct = rng.choice(PUNCT_POOL)
             tokens.append(
                 GlossToken(
-                    (
-                        GlossMorph(
-                            MorphKind.LEMMA,
-                            punct,
-                            Joiner.WORD_INITIAL,
-                            opaque=any(ch in "-.=" for ch in punct),
-                        ),
-                    )
+                    (GlossMorph(MorphKind.LEMMA, punct, Joiner.WORD_INITIAL),)
                 )
             )
     return GlossLine(tokens=tuple(tokens), lemma_side=side)

@@ -66,8 +66,6 @@ def train_model1(corpus, iterations=5, null_word=False):
 
     return TranslationTable(
         probs=probs,
-        source_vocab=frozenset(f for src, _ in pairs for f in src),
-        target_vocab=frozenset(e for e in cooc if e != NULL_TOKEN),
         iterations_run=iterations,
         final_perplexity=history[-1],
         null_word=null_word,

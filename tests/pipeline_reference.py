@@ -21,7 +21,6 @@ from igtpivot import (
     tokenize_gloss,
     unknown_analyzer_tags,
 )
-from igtpivot.model import has_delimiter
 from igtpivot.normalize import _label_morphs, _order_person_number
 
 PUNCT_CHARS = ".,!?;:"
@@ -33,11 +32,7 @@ def reference_analyzer_to_gloss(tokens, table):
     gloss_tokens = []
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
-        morphs = [
-            GlossMorph(
-                MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL, opaque=has_delimiter(lemma_text)
-            )
-        ]
+        morphs = [GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)]
         for tag in token.tags:
             image = table.analyzer_map.get(tag)
             if image is None:

@@ -282,11 +282,6 @@ def test_dictionary_two_column_defaults_probability():
     assert dictionary.lookup("absent") is None
 
 
-def test_lemma_dictionary_type_invariants():
-    d = LemmaDictionary(entries={"a": ("b", 0.7)}, threshold=0.5)
-    assert all(p >= d.threshold for _, p in d.entries.values())
-
-
 @pytest.mark.parametrize("key", ["Kadin", "KADIN", "kadİn"])
 def test_lemma_dictionary_rejects_a_key_lookup_could_never_find(key):
     with pytest.raises(ValueError, match=repr(key)):
@@ -344,7 +339,6 @@ def test_dictionary_load_applies_threshold():
     text = "low\tx\t0.1\nedge\ty\t0.5\nhigh\tz\t0.9\nbare\tw\n"
     dictionary = load_dictionary(text, threshold=0.5)
     assert dictionary.entries == {"bare": ("w", 1.0), "edge": ("y", 0.5), "high": ("z", 0.9)}
-    assert dictionary.threshold == 0.5
     assert load_dictionary(text).entries["low"] == ("x", 0.1)
 
 
@@ -366,6 +360,8 @@ def assert_same_training(corpus, iterations, null_word):
     assert table.final_perplexity == expected.final_perplexity
     assert table.source_vocab == expected.source_vocab
     assert table.target_vocab == expected.target_vocab
+    assert table.source_vocab == {f.lower() for src, _ in corpus.pairs for f in src}
+    assert table.target_vocab == {e.lower() for _, tgt in corpus.pairs for e in tgt}
     assert dump_translation_table(table) == dump_translation_table(expected)
 
 

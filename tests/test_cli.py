@@ -464,3 +464,49 @@ def test_dict_writes_a_hand_written_tables_targets_in_lowercase(tmp_path):
     out = tmp_path / "d.tsv"
     assert main(["dict", "--ttable", ttable, "--out", str(out)]) == 0
     assert read(out) == "ev\thouse\t1.0\nkadin\twoman\t0.9\n"
+
+
+# --- errors name their code and line ---------------------------------------------------
+
+
+def test_normalize_and_pivot_read_a_bom_prefixed_table(tmp_path, capsys):
+    dumped = tmp_path / "dumped.txt"
+    assert main(["dump-table", "--out", str(dumped)]) == 0
+    table = write(tmp_path / "table.txt", "\ufeff" + read(dumped))
+    gloss = write(tmp_path / "gloss.txt", "woman-Past.3SG\n")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--table", table, "--in", gloss, "--out", str(out)]) == 0
+    assert read(out) == "woman-PST.3.SG\n"
+    analyzer = write(tmp_path / "analyzer.txt", TURKISH_ANALYZER_FIXTURE)
+    dict_file = write(tmp_path / "dict.tsv", PIVOT_DICTIONARY_TSV)
+    assert main(["pivot", "--table", table, "--analyzer-out", analyzer, "--dict", dict_file,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("igt: pivoted ")
+
+
+def test_align_reports_parallel_files_of_different_length(tmp_path, capsys):
+    src = write(tmp_path / "src.txt", "a b\nc\n")
+    tgt = write(tmp_path / "tgt.txt", "x y\n")
+    assert main(["align", "--src", src, "--tgt", tgt]) == 1
+    assert capsys.readouterr().err == (
+        "igt: LENGTH_MISMATCH: parallel files differ in length: 2 vs 1\n"
+    )
+
+
+def test_parse_odin_names_the_line_of_a_bad_block(tmp_path, capsys):
+    blocks = write(tmp_path / "blocks.txt", "s\ng\nt\n\nsrc\nkadin-NOM gel\nwoman come now\nthe end\n")
+    assert main(["parse-odin", "--in", blocks, "--lang", "tur"]) == 1
+    assert capsys.readouterr().err == (
+        "igt: TOKEN_COUNT_MISMATCH: line 5: "
+        "gloss token counts differ: 2 source-lemma vs 3 target-lemma\n"
+    )
+
+
+def test_pivot_names_the_line_of_a_bad_analyzer_line(tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n\na++B\n")
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    assert main(["pivot", "--analyzer-out", analyzer, "--dict", dict_file]) == 1
+    assert capsys.readouterr().err == (
+        "igt: PIPELINE_STAGE_ERROR: stage parse-analyzer: "
+        "analyzer token has an empty tag: 'a++B' (line 3)\n"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from igtpivot import (
     EvalAnnotation,
+    EvalReport,
     LengthMismatchError,
     TranslatorHandle,
     TranslatorKind,
@@ -439,3 +440,15 @@ def test_lexicon_errors_carry_a_code_and_the_line():
     assert info.value.code == "LEXICON_PARSE_ERROR"
     assert info.value.line == 2
     assert str(info.value) == "lexicon line 2: expected lemma<TAB>past"
+
+
+def test_summary_line_lists_the_report_rows_in_order():
+    report = EvalReport(
+        noun_match=50.0, verb_match=None, subj_verb_agreement=100.0, tense_match=None,
+        non_repetition=97.125, bleu4=12.3456, bleu1=0.0, n_sentences=3,
+        noun_eligible=2, verb_eligible=0, agreement_eligible=1, tense_eligible=0,
+    )
+    assert summary_line(report) == (
+        "noun_match=50.00 verb_match=n/a subj_verb_agreement=100.00 tense_match=n/a "
+        "non_repetition=97.12 bleu4=12.35 bleu1=0.00 n_sentences=3"
+    )

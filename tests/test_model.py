@@ -45,15 +45,13 @@ def test_language_tag_rejects_bad_codes(code):
         LanguageTag(code)
 
 
-def test_morph_rejects_empty_whitespace_and_unflagged_delimiters():
+def test_morph_rejects_empty_whitespace_and_derives_opaque():
     with pytest.raises(ValueError):
         GlossMorph(MorphKind.LEMMA, "", Joiner.WORD_INITIAL)
     with pytest.raises(ValueError):
         GlossMorph(MorphKind.LEMMA, "a b", Joiner.WORD_INITIAL)
-    with pytest.raises(ValueError):
-        GlossMorph(MorphKind.LEMMA, "a.b", Joiner.WORD_INITIAL)
-    # flagged opaque, the same text is fine
-    GlossMorph(MorphKind.LEMMA, "a.b", Joiner.WORD_INITIAL, opaque=True)
+    # text holding a delimiter is accepted and opaque
+    assert GlossMorph(MorphKind.LEMMA, "a.b", Joiner.WORD_INITIAL).opaque is True
 
 
 def test_token_joiner_invariants():
@@ -272,7 +270,7 @@ _SPACES = "".join(chr(i) for i in range(0x110000) if chr(i).isspace())
 def test_morph_rejects_text_iff_a_character_is_whitespace(text):
     has_space = any(ch.isspace() for ch in text)
     try:
-        GlossMorph(MorphKind.LEMMA, text, Joiner.WORD_INITIAL, opaque=True)
+        GlossMorph(MorphKind.LEMMA, text, Joiner.WORD_INITIAL)
     except ValueError as exc:
         assert has_space and "whitespace" in str(exc)
     else:

@@ -113,6 +113,17 @@ def test_load_table_from_file(tmp_path):
     assert table == default_table()
 
 
+def test_load_table_reads_a_file_as_loads_table_reads_its_text(tmp_path):
+    # a lone \r stays inside its line, so the [variants] header after it is
+    # part of a comment and ``B<TAB>A`` is read as two registry labels
+    text = "[registry]\nA\n# note\r[variants]\nB\tA\n"
+    path = tmp_path / "table.txt"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    table = load_table(str(path))
+    assert table == loads_table(text)
+    assert table.variant_map == {} and table.registry == {"A", "B"}
+
+
 # --- label normalization -----------------------------------------------------------
 
 

@@ -269,6 +269,20 @@ def test_block_to_record_rejects_two_line_block():
         block_to_record(RawIgtBlock(lines=("a", "b")), "und")
 
 
+def test_block_errors_name_the_blocks_start_line():
+    text = "one\ntwo\nthree\n\nsrc\na b\na b c\nthe target\n\nx\ny\n"
+    blocks, _ = parse_odin_blocks(text)
+    assert [block.start_line for block in blocks] == [1, 5, 10]
+    assert block_to_record(blocks[0], "und").gloss_tgt.render() == "two"
+    with pytest.raises(TokenCountMismatchError, match=r"^line 5: gloss token counts differ"):
+        block_to_record(blocks[1], "und")
+    with pytest.raises(BlockShapeError, match=r"^line 10: cannot map a 2-line block"):
+        block_to_record(blocks[2], "und")
+    # a hand-built block has no start line, and its error names none
+    with pytest.raises(BlockShapeError, match=r"^cannot map"):
+        block_to_record(RawIgtBlock(lines=("x", "y")), "und")
+
+
 # --- ToolBox ---------------------------------------------------------------------
 
 

@@ -303,6 +303,16 @@ def test_pipeline_wraps_stage_errors_with_stage_name():
         run_pipeline("+Nom\n", default_table(), pivot_dictionary(), handle)
 
 
+def test_pipeline_stage_errors_name_their_line():
+    handle = TranslatorHandle(TranslatorKind.IDENTITY)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline("gel+Past\n\n \na++B\n", default_table(), pivot_dictionary(), handle)
+    assert info.value.line == 4
+    assert str(info.value) == (
+        "stage parse-analyzer: analyzer token has an empty tag: 'a++B' (line 4)"
+    )
+
+
 DICTIONARY = pivot_dictionary()
 
 

@@ -2,21 +2,21 @@
 every line is split, classified and built anew."""
 
 from igtpivot import GlossLine, GlossMorph, GlossToken, Joiner, LemmaSide, MorphKind
-from igtpivot.model import PUNCT_CHARS, has_delimiter, is_punct
+from igtpivot.model import PUNCT_CHARS, is_punct
 from igtpivot.normalize import default_label_registry
 from igtpivot.parsing import _looks_like_label, _split_segments
 
 
 def reference_word_to_tokens(word, registry):
     if is_punct(word):
-        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL, opaque=has_delimiter(word))
+        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL)
         return [GlossToken((morph,))]
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
     morphs = []
     for joiner, text in _split_segments(core):
         kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-        morphs.append(GlossMorph(kind, text, joiner, opaque=has_delimiter(text)))
+        morphs.append(GlossMorph(kind, text, joiner))
     tokens = [GlossToken(tuple(morphs))]
     if trailing:
         tokens.extend(reference_word_to_tokens(trailing, registry))
