@@ -60,7 +60,6 @@ from .model import (
     IgtRecord,
     Joiner,
     LanguageTag,
-    LemmaSide,
     MorphKind,
     dump_corpus,
     iter_corpus,

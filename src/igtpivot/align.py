@@ -10,7 +10,11 @@ maximizing t(f|e) among its co-occurring targets.
 The E-step distributes each source token's unit of mass over its sentence's
 target tokens in proportion to the current probabilities; the M-step
 renormalizes the accumulated counts per target word.  Sentence pairs are
-processed in a fixed order, so training is bit-reproducible.
+processed in a fixed order, so training is bit-reproducible under one
+CPython version.  Across versions it need not be: since 3.12, ``sum()`` of
+floats uses compensated summation, and the E-step denominator is
+``sum(masses)``, so a table trained under 3.11 and one trained under 3.12
+or later can differ in the last digits of their probabilities.
 """
 
 from __future__ import annotations

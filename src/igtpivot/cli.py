@@ -23,7 +23,7 @@ from . import normalize as normalize_mod
 from . import parsing as parsing_mod
 from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .model import LemmaSide, split_lines
+from .model import split_lines
 from .tables import DEFAULT_TABLE_TEXT
 
 
@@ -98,11 +98,29 @@ def _spooled(path: "str | None", head: "Callable[[], str] | None" = None) -> Ite
             shutil.copyfileobj(spool, handle, io.DEFAULT_BUFFER_SIZE)
 
 
+class _LineError(IgtError):
+    """A converter's error on one input line, reported as ``line N:
+    message`` under the cause's code (``VALUE_ERROR`` for a plain
+    ``ValueError``, as :func:`main` reports one)."""
+
+    def __init__(self, cause: Exception, line: int):
+        super().__init__(f"line {line}: {cause}")
+        self.code = getattr(cause, "code", "VALUE_ERROR")
+        self.line = line
+
+
 def _map_lines(args: argparse.Namespace, convert) -> int:
-    """Write ``convert`` of each non-blank input line; blank lines stay blank."""
+    """Write ``convert`` of each non-blank input line; blank lines stay blank
+    and are counted in the line number a converter's error is given."""
     with _spooled(args.outfile) as out:
-        for line in _iter_lines(args.infile):
-            out.write((convert(line) if line.strip() else "") + "\n")
+        for lineno, line in enumerate(_iter_lines(args.infile), start=1):
+            text = ""
+            if line.strip():
+                try:
+                    text = convert(line)
+                except (IgtError, ValueError) as exc:
+                    raise _LineError(exc, lineno) from exc
+            out.write(text + "\n")
     return 0
 
 
@@ -239,7 +257,7 @@ def _cmd_subst(args: argparse.Namespace) -> int:
     policy = _OOV_BY_NAME[args.oov]
 
     def convert(line: str) -> str:
-        gloss = parsing_mod.tokenize_gloss(line, lemma_side=LemmaSide.SOURCE)
+        gloss = parsing_mod.tokenize_gloss(line)
         return pipeline_mod.substitute_lemmas(gloss, dictionary, policy).render()
 
     return _map_lines(args, convert)

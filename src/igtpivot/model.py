@@ -75,11 +75,6 @@ class MorphKind(Enum):
     LABEL = "label"
 
 
-class LemmaSide(Enum):
-    SOURCE = "source"
-    TARGET = "target"
-
-
 @dataclass(frozen=True, slots=True)
 class LanguageTag:
     """Three-letter lowercase language identifier, e.g. ``blu`` or ``tur``."""
@@ -146,22 +141,26 @@ class GlossToken:
 
 @dataclass(frozen=True, slots=True)
 class GlossLine:
-    """An ordered sequence of gloss tokens, tagged with which language the
-    lemmas belong to (source roots vs. target words)."""
+    """An ordered sequence of gloss tokens.  Whether its lemmas are source
+    roots or target words is told by the record field that holds it."""
 
     tokens: tuple[GlossToken, ...]
-    lemma_side: LemmaSide
 
     def render(self) -> str:
-        """Human-faithful rendering: punctuation tokens attach to the
-        preceding word without a space (``do-AOR.3.SG.``)."""
+        """Human-faithful rendering: a punctuation token attaches to the
+        preceding word without a space (``do-AOR.3.SG.``), but not to a
+        preceding punctuation token, so ``x !? .`` renders as ``x!? .``
+        and tokenizes back to three tokens."""
         parts: list[str] = []
+        after_word = False
         for token in self.tokens:
             text = token.render()
-            if token.is_punctuation and parts:
+            punct = token.is_punctuation
+            if punct and after_word:
                 parts[-1] += text
             else:
                 parts.append(text)
+            after_word = not punct
         return " ".join(parts)
 
     def render_spaced(self, split_morphs: bool = False) -> str:
@@ -203,10 +202,6 @@ class IgtRecord:
             raise MalformedRecordError(
                 "record has none of the four content lines", field="record"
             )
-        if self.gloss_src is not None and self.gloss_src.lemma_side is not LemmaSide.SOURCE:
-            raise ValueError("gloss_src must have lemma_side=SOURCE")
-        if self.gloss_tgt is not None and self.gloss_tgt.lemma_side is not LemmaSide.TARGET:
-            raise ValueError("gloss_tgt must have lemma_side=TARGET")
         if self.gloss_src is not None and self.gloss_tgt is not None:
             n_src = len(self.gloss_src.tokens)
             n_tgt = len(self.gloss_tgt.tokens)
@@ -317,11 +312,11 @@ def parse_record(line: str) -> IgtRecord:
     except ValueError as exc:
         raise MalformedRecordError(str(exc), field="lang") from exc
 
-    def _gloss(key: str, side: LemmaSide) -> GlossLine | None:
+    def _gloss(key: str) -> GlossLine | None:
         if key not in values:
             return None
         try:
-            return tokenize_gloss(values[key], lemma_side=side)
+            return tokenize_gloss(values[key])
         except Exception as exc:  # noqa: BLE001 - surface as record error
             raise MalformedRecordError(
                 f"bad gloss in field {key!r}: {exc}", field=key
@@ -332,8 +327,8 @@ def parse_record(line: str) -> IgtRecord:
             id=values["id"],
             lang=lang,
             source_text=values.get("src"),
-            gloss_src=_gloss("gloss_src", LemmaSide.SOURCE),
-            gloss_tgt=_gloss("gloss_tgt", LemmaSide.TARGET),
+            gloss_src=_gloss("gloss_src"),
+            gloss_tgt=_gloss("gloss_tgt"),
             target_text=values.get("tgt"),
             provenance=values.get("prov", ""),
         )

@@ -22,7 +22,6 @@ from .model import (
     GlossMorph,
     GlossToken,
     Joiner,
-    LemmaSide,
     MorphKind,
     is_word,
     split_lines,
@@ -294,7 +293,7 @@ def normalize_gloss_line(line: GlossLine, table: NormalizationTable) -> GlossLin
             else:
                 morphs.append(morph)
         new_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(new_tokens), lemma_side=line.lemma_side)
+    return GlossLine(tokens=tuple(new_tokens))
 
 
 def analyzer_to_gloss(
@@ -332,7 +331,7 @@ def _analyzer_to_gloss(
             first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
             morphs.extend(_label_morphs((tag,), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE), unknown
+    return GlossLine(tokens=tuple(gloss_tokens)), unknown
 
 
 def unknown_labels(line: GlossLine, table: NormalizationTable) -> list[str]:

@@ -29,7 +29,6 @@ from .model import (
     IgtRecord,
     Joiner,
     LanguageTag,
-    LemmaSide,
     MorphKind,
     as_language_tag,
     is_punct,
@@ -65,15 +64,15 @@ class AnalyzerToken:
 
 @dataclass(frozen=True, slots=True)
 class RawIgtBlock:
-    """A run of 2-4 consecutive non-blank lines from an ODIN-style file."""
+    """A run of 3 or 4 consecutive non-blank lines from an ODIN-style file."""
 
     lines: tuple[str, ...]
     source_language_hint: str | None = None
     start_line: int = 0
 
     def __post_init__(self) -> None:
-        if not 2 <= len(self.lines) <= 4:
-            raise BlockShapeError(f"block must have 2-4 lines, got {len(self.lines)}")
+        if not 3 <= len(self.lines) <= 4:
+            raise BlockShapeError(f"block must have 3-4 lines, got {len(self.lines)}")
         if any(not line.strip() for line in self.lines):
             raise BlockShapeError("block lines must be non-empty after trimming")
 
@@ -141,15 +140,14 @@ def _word_to_tokens(word: str, registry: frozenset[str]) -> tuple[GlossToken, ..
 
 
 def _tokenize_optional(
-    text: "str | None", side: LemmaSide, registry: "frozenset[str] | set[str] | None"
+    text: "str | None", registry: "frozenset[str] | set[str] | None"
 ) -> "GlossLine | None":
-    return None if text is None else tokenize_gloss(text, lemma_side=side, label_registry=registry)
+    return None if text is None else tokenize_gloss(text, label_registry=registry)
 
 
 def tokenize_gloss(
     line: str,
     *,
-    lemma_side: LemmaSide = LemmaSide.TARGET,
     label_registry: "frozenset[str] | set[str] | None" = None,
 ) -> GlossLine:
     """Tokenize one gloss line.
@@ -175,7 +173,7 @@ def tokenize_gloss(
     elif not isinstance(label_registry, frozenset):
         label_registry = frozenset(label_registry)  # a memo key must be hashable
     tokens = [token for word in line.split() for token in _word_to_tokens(word, label_registry)]
-    return GlossLine(tokens=tuple(tokens), lemma_side=lemma_side)
+    return GlossLine(tokens=tuple(tokens))
 
 
 # --- ODIN-style block files --------------------------------------------------
@@ -184,7 +182,7 @@ def tokenize_gloss(
 def parse_odin_blocks(text: str) -> tuple[list[RawIgtBlock], list[ParseWarning]]:
     """Split a file into maximal runs of non-blank lines.
 
-    Runs of 2-4 lines become blocks; 1-line and 5+-line runs are reported as
+    Runs of 3-4 lines become blocks; 1-, 2- and 5+-line runs are reported as
     ``BLOCK_SHAPE`` warnings, so every non-blank input line is accounted for
     by exactly one block or one warning.
     """
@@ -196,14 +194,14 @@ def parse_odin_blocks(text: str) -> tuple[list[RawIgtBlock], list[ParseWarning]]
     def flush() -> None:
         if not run:
             return
-        if 2 <= len(run) <= 4:
+        if 3 <= len(run) <= 4:
             blocks.append(RawIgtBlock(lines=tuple(run), start_line=run_start))
         else:
             warnings.append(
                 ParseWarning(
                     BLOCK_SHAPE,
                     f"run of {len(run)} line(s) starting at line {run_start} "
-                    "is not a 2-4 line IGT block",
+                    "is not a 3-4 line IGT block",
                     line=run_start,
                 )
             )
@@ -240,19 +238,15 @@ def block_to_record(
     if len(block.lines) == 3:
         source, gloss_tgt_text, target = block.lines
         gloss_src_text = None
-    elif len(block.lines) == 4:
-        source, gloss_src_text, gloss_tgt_text, target = block.lines
     else:
-        raise BlockShapeError(
-            f"{where}cannot map a {len(block.lines)}-line block to an IGT record"
-        )
+        source, gloss_src_text, gloss_tgt_text, target = block.lines
     try:
         return IgtRecord(
             id=record_id,
             lang=tag,
             source_text=source,
-            gloss_src=_tokenize_optional(gloss_src_text, LemmaSide.SOURCE, label_registry),
-            gloss_tgt=_tokenize_optional(gloss_tgt_text, LemmaSide.TARGET, label_registry),
+            gloss_src=_tokenize_optional(gloss_src_text, label_registry),
+            gloss_tgt=_tokenize_optional(gloss_tgt_text, label_registry),
             target_text=target,
             provenance=block.source_language_hint or "",
         )
@@ -355,12 +349,8 @@ def parse_toolbox(
                     id=f"{id_prefix}-{index + 1:04d}",
                     lang=tag,
                     source_text=fields.get("source"),
-                    gloss_src=_tokenize_optional(
-                        fields.get("gloss_src"), LemmaSide.SOURCE, label_registry
-                    ),
-                    gloss_tgt=_tokenize_optional(
-                        fields.get("gloss_tgt"), LemmaSide.TARGET, label_registry
-                    ),
+                    gloss_src=_tokenize_optional(fields.get("gloss_src"), label_registry),
+                    gloss_tgt=_tokenize_optional(fields.get("gloss_tgt"), label_registry),
                     target_text=fields.get("target"),
                 )
             )

@@ -35,7 +35,6 @@ from .model import (
     GlossToken,
     IgtRecord,
     Joiner,
-    LemmaSide,
     MorphKind,
     is_punct,
     split_lines,
@@ -142,7 +141,7 @@ def _substitute(
     # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
     # which fills CPython's free lists of the other tuple sizes over a long run
     tokens = [_substitute_token(token, dictionary, oov_policy, missing) for token in gloss.tokens]
-    return GlossLine(tokens=tuple(tokens), lemma_side=LemmaSide.TARGET), missing
+    return GlossLine(tokens=tuple(tokens)), missing
 
 
 def substitute_lemmas(

@@ -15,7 +15,6 @@ from igtpivot import (
     IgtRecord,
     Joiner,
     LanguageTag,
-    LemmaSide,
     MorphKind,
     default_table,
 )
@@ -63,18 +62,18 @@ def random_token(rng: random.Random) -> GlossToken:
     return GlossToken(tuple(morphs))
 
 
-def random_gloss_line(rng: random.Random, side: LemmaSide, n_tokens: int) -> GlossLine:
+def random_gloss_line(rng: random.Random, n_tokens: int) -> GlossLine:
     tokens = []
     for _ in range(n_tokens):
         tokens.append(random_token(rng))
-        if rng.random() < 0.15:
+        while rng.random() < 0.15:
             punct = rng.choice(PUNCT_POOL)
             tokens.append(
                 GlossToken(
                     (GlossMorph(MorphKind.LEMMA, punct, Joiner.WORD_INITIAL),)
                 )
             )
-    return GlossLine(tokens=tuple(tokens), lemma_side=side)
+    return GlossLine(tokens=tuple(tokens))
 
 
 def random_record(rng: random.Random, index: int) -> IgtRecord:
@@ -85,13 +84,13 @@ def random_record(rng: random.Random, index: int) -> IgtRecord:
     if not (has_src or has_gsrc or has_gtgt or has_tgt):
         has_tgt = True
     n_tokens = rng.randint(1, 6)
-    gloss_src = random_gloss_line(rng, LemmaSide.SOURCE, n_tokens) if has_gsrc else None
+    gloss_src = random_gloss_line(rng, n_tokens) if has_gsrc else None
     if has_gtgt:
         if gloss_src is not None:
             # both sides present: token counts must match
-            gloss_tgt = GlossLine(tokens=gloss_src.tokens, lemma_side=LemmaSide.TARGET)
+            gloss_tgt = GlossLine(tokens=gloss_src.tokens)
         else:
-            gloss_tgt = random_gloss_line(rng, LemmaSide.TARGET, n_tokens)
+            gloss_tgt = random_gloss_line(rng, n_tokens)
     else:
         gloss_tgt = None
     return IgtRecord(

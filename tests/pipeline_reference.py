@@ -11,7 +11,6 @@ from igtpivot import (
     GlossMorph,
     GlossToken,
     Joiner,
-    LemmaSide,
     MorphKind,
     PipelineReport,
     SentenceTrace,
@@ -43,7 +42,7 @@ def reference_analyzer_to_gloss(tokens, table):
             first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
             morphs.extend(_label_morphs(_order_person_number(image, table.person_first), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(gloss_tokens), lemma_side=LemmaSide.SOURCE), unknown
+    return GlossLine(tokens=tuple(gloss_tokens)), unknown
 
 
 def reference_oov_lemmas(gloss, dictionary):

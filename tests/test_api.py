@@ -27,7 +27,6 @@ EXPORTS = [
     "Joiner",
     "LanguageTag",
     "LemmaDictionary",
-    "LemmaSide",
     "LengthMismatchError",
     "MalformedRecordError",
     "MalformedTokenError",
@@ -104,7 +103,7 @@ DATACLASS_FIELDS = {
         "bleu4", "bleu1", "n_sentences", "noun_eligible", "verb_eligible",
         "agreement_eligible", "tense_eligible",
     ),
-    "GlossLine": ("tokens", "lemma_side"),
+    "GlossLine": ("tokens",),
     "GlossMorph": ("kind", "text", "joiner"),
     "GlossToken": ("morphs",),
     "IgtRecord": (

@@ -502,6 +502,29 @@ def test_parse_odin_names_the_line_of_a_bad_block(tmp_path, capsys):
     )
 
 
+def test_parse_odin_warns_about_a_two_line_run_and_writes_the_rest(tmp_path, capsys):
+    blocks = write(tmp_path / "blocks.txt", "one\ntwo\n\ns\ng\nt\n")
+    outfile = tmp_path / "corpus.igt"
+    assert main(["parse-odin", "--in", blocks, "--lang", "tur", "--out", str(outfile)]) == 0
+    assert capsys.readouterr().err == (
+        "igt: warning: BLOCK_SHAPE: run of 2 line(s) starting at line 1 "
+        "is not a 3-4 line IGT block (line 1)\n"
+    )
+    assert read(outfile) == "id=odin-0001\tlang=tur\tsrc=s\tgloss_tgt=g\ttgt=t\n"
+
+
+def test_prepare_multi_reads_a_gloss_with_two_punctuation_tokens_in_a_row(tmp_path):
+    blocks = write(tmp_path / "blocks.txt", "s\na !? .\nb c d\nt\n")
+    corpus = tmp_path / "corpus.igt"
+    assert main(["parse-odin", "--in", blocks, "--lang", "tur", "--out", str(corpus)]) == 0
+    assert "gloss_src=a!? .\t" in read(corpus)
+    src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+    argv = ["prepare-multi", "--in", str(corpus), "--src-out", str(src), "--tgt-out", str(tgt)]
+    assert main(argv) == 0
+    assert read(src) == "tur b c d\n"
+    assert read(tgt) == "t\n"
+
+
 def test_pivot_names_the_line_of_a_bad_analyzer_line(tmp_path, capsys):
     analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n\na++B\n")
     dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
@@ -510,3 +533,13 @@ def test_pivot_names_the_line_of_a_bad_analyzer_line(tmp_path, capsys):
         "igt: PIPELINE_STAGE_ERROR: stage parse-analyzer: "
         "analyzer token has an empty tag: 'a++B' (line 3)\n"
     )
+
+
+def test_line_mapping_commands_name_the_line_of_a_bad_input_line(tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n\na++B\n")
+    outfile = tmp_path / "gloss.txt"
+    assert main(["parse-analyzer", "--in", analyzer, "--out", str(outfile)]) == 1
+    assert capsys.readouterr().err == (
+        "igt: MALFORMED_TOKEN: line 3: analyzer token has an empty tag: 'a++B'\n"
+    )
+    assert not outfile.exists()

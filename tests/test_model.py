@@ -14,7 +14,6 @@ from igtpivot import (
     IgtRecord,
     Joiner,
     LanguageTag,
-    LemmaSide,
     MalformedRecordError,
     MorphKind,
     TokenCountMismatchError,
@@ -73,8 +72,8 @@ def test_record_requires_some_content():
 
 
 def test_record_enforces_gloss_token_parity():
-    three = tokenize_gloss("a b c", lemma_side=LemmaSide.SOURCE)
-    four = tokenize_gloss("a b c d", lemma_side=LemmaSide.TARGET)
+    three = tokenize_gloss("a b c")
+    four = tokenize_gloss("a b c d")
     with pytest.raises(TokenCountMismatchError):
         IgtRecord(id="x", lang=LanguageTag("deu"), gloss_src=three, gloss_tgt=four)
 
@@ -124,8 +123,8 @@ def test_parse_rejects_gloss_count_mismatch_with_named_invariant():
     base = IgtRecord(
         id="x",
         lang=LanguageTag("deu"),
-        gloss_src=tokenize_gloss("a b c", lemma_side=LemmaSide.SOURCE),
-        gloss_tgt=tokenize_gloss("a b c", lemma_side=LemmaSide.TARGET),
+        gloss_src=tokenize_gloss("a b c"),
+        gloss_tgt=tokenize_gloss("a b c"),
     )
     line = serialize_record(base)
     broken = line.replace("gloss_tgt=a b c", "gloss_tgt=a b c d")

@@ -33,7 +33,6 @@ from golden_data import (
     NORMALIZATION_GOLD_NUMBER_FIRST,
     NORMALIZATION_GOLD_PERSON_FIRST,
 )
-from igtpivot.model import LemmaSide
 
 
 def _normalize_text(text, table):
@@ -183,7 +182,7 @@ def test_normalization_idempotent_and_count_preserving_random():
     rng = random.Random(777)
     table = default_table()
     for _ in range(100):
-        line = random_gloss_line(rng, LemmaSide.TARGET, rng.randint(1, 5))
+        line = random_gloss_line(rng, rng.randint(1, 5))
         normalized = normalize_gloss_line(line, table)
         assert len(normalized.tokens) == len(line.tokens)
         assert normalize_gloss_line(normalized, table) == normalized
@@ -203,7 +202,7 @@ def test_normalized_labels_are_registry_or_flagged():
     rng = random.Random(1234)
     table = default_table()
     for _ in range(50):
-        line = random_gloss_line(rng, LemmaSide.TARGET, rng.randint(1, 5))
+        line = random_gloss_line(rng, rng.randint(1, 5))
         normalized = normalize_gloss_line(line, table)
         unknown = set(unknown_labels(normalized, table))
         for token in normalized.tokens:
@@ -221,7 +220,6 @@ def test_analyzer_gold_lines():
     for before, after in ANALYZER_GOLD:
         gloss = analyzer_to_gloss(parse_analyzer_line(before), table)
         assert gloss.render() == after
-        assert gloss.lemma_side is LemmaSide.SOURCE
 
 
 def test_analyzer_root_restoration_is_exact_match_only():

@@ -12,7 +12,6 @@ from igtpivot import (
     BlockShapeError,
     EmptyLineError,
     LanguageTag,
-    LemmaSide,
     MalformedTokenError,
     MorphKind,
     RawIgtBlock,
@@ -105,7 +104,7 @@ def test_tokenizer_round_trips_example_glosses(gloss):
 def test_tokenizer_round_trip_random_lines():
     rng = random.Random(5150)
     for _ in range(200):
-        line = random_gloss_line(rng, LemmaSide.TARGET, rng.randint(1, 6))
+        line = random_gloss_line(rng, rng.randint(1, 6))
         rendered = line.render()
         assert tokenize_gloss(rendered) == line
 
@@ -179,15 +178,16 @@ def test_tokenizer_respects_custom_registry():
 
 
 def test_blocks_split_on_blank_lines():
-    text = "a b\nc d\n\ne f\ng h\n"
+    text = "a b\nc d\ne f\n\ng h\ni j\nk l\nm n\n"
     blocks, warnings = parse_odin_blocks(text)
     assert len(blocks) == 2
     assert not warnings
-    assert blocks[0].lines == ("a b", "c d")
+    assert blocks[0].lines == ("a b", "c d", "e f")
+    assert blocks[1].lines == ("g h", "i j", "k l", "m n")
 
 
 def test_overlong_run_is_warned_with_line_number():
-    text = "1\n2\n3\n4\n5\n\nok line\nsecond\n"
+    text = "1\n2\n3\n4\n5\n\nok line\nsecond\nthird\n"
     blocks, warnings = parse_odin_blocks(text)
     assert len(blocks) == 1
     assert len(warnings) == 1
@@ -197,7 +197,7 @@ def test_overlong_run_is_warned_with_line_number():
 
 
 def test_single_line_run_is_warned():
-    blocks, warnings = parse_odin_blocks("lonely\n\na\nb\n")
+    blocks, warnings = parse_odin_blocks("lonely\n\na\nb\nc\n")
     assert len(blocks) == 1
     assert len(warnings) == 1
 
@@ -252,8 +252,6 @@ def test_block_to_record_maps_four_lines():
     )
     record = block_to_record(block, "tur")
     assert record.gloss_src is not None
-    assert record.gloss_src.lemma_side is LemmaSide.SOURCE
-    assert record.gloss_tgt.lemma_side is LemmaSide.TARGET
 
 
 def test_block_to_record_rejects_gloss_count_mismatch():
@@ -265,22 +263,23 @@ def test_block_to_record_rejects_gloss_count_mismatch():
 
 
 def test_block_to_record_rejects_two_line_block():
-    with pytest.raises(BlockShapeError):
-        block_to_record(RawIgtBlock(lines=("a", "b")), "und")
+    # no 2-line block reaches block_to_record: the block itself refuses two lines
+    with pytest.raises(BlockShapeError, match=r"^block must have 3-4 lines, got 2$"):
+        RawIgtBlock(lines=("a", "b"))
 
 
 def test_block_errors_name_the_blocks_start_line():
     text = "one\ntwo\nthree\n\nsrc\na b\na b c\nthe target\n\nx\ny\n"
-    blocks, _ = parse_odin_blocks(text)
-    assert [block.start_line for block in blocks] == [1, 5, 10]
+    blocks, warnings = parse_odin_blocks(text)
+    assert [block.start_line for block in blocks] == [1, 5]
     assert block_to_record(blocks[0], "und").gloss_tgt.render() == "two"
     with pytest.raises(TokenCountMismatchError, match=r"^line 5: gloss token counts differ"):
         block_to_record(blocks[1], "und")
-    with pytest.raises(BlockShapeError, match=r"^line 10: cannot map a 2-line block"):
-        block_to_record(blocks[2], "und")
+    # the 2-line run is a warning that names its line, not a block
+    assert [(w.code, w.line) for w in warnings] == [("BLOCK_SHAPE", 10)]
     # a hand-built block has no start line, and its error names none
-    with pytest.raises(BlockShapeError, match=r"^cannot map"):
-        block_to_record(RawIgtBlock(lines=("x", "y")), "und")
+    with pytest.raises(TokenCountMismatchError, match=r"^gloss token counts differ"):
+        block_to_record(RawIgtBlock(lines=("src", "a b", "a b c", "the target")), "und")
 
 
 # --- ToolBox ---------------------------------------------------------------------

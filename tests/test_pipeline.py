@@ -13,7 +13,6 @@ from igtpivot import (
     IgtRecord,
     LanguageTag,
     LemmaDictionary,
-    LemmaSide,
     MorphKind,
     OovPolicy,
     PipelineStageError,
@@ -49,7 +48,7 @@ def pivot_dictionary():
 
 
 def source_gloss(text):
-    return tokenize_gloss(text, lemma_side=LemmaSide.SOURCE)
+    return tokenize_gloss(text)
 
 
 # --- substitution -----------------------------------------------------------------
@@ -60,7 +59,6 @@ def test_substitution_gold_lines():
     for before, after in SUBSTITUTION_GOLD:
         result = substitute_lemmas(source_gloss(before), dictionary)
         assert result.render() == after
-        assert result.lemma_side is LemmaSide.TARGET
 
 
 def test_substitution_with_empty_dictionary_keeps_everything():
@@ -68,7 +66,6 @@ def test_substitution_with_empty_dictionary_keeps_everything():
     gloss = source_gloss("Kadin.NOM dance ediyor-AOR.3.SG.")
     result = substitute_lemmas(gloss, empty, OovPolicy.KEEP)
     assert result.render() == gloss.render()
-    assert result.lemma_side is LemmaSide.TARGET
     assert result.tokens == gloss.tokens
 
 
@@ -122,7 +119,7 @@ def test_substitution_preserves_token_count():
         gloss = record.gloss_src or record.gloss_tgt
         if gloss is None:
             continue
-        gloss = tokenize_gloss(gloss.render(), lemma_side=LemmaSide.SOURCE)
+        gloss = tokenize_gloss(gloss.render())
         for policy in OovPolicy:
             result = substitute_lemmas(gloss, dictionary, policy)
             assert len(result.tokens) == len(gloss.tokens)
@@ -511,7 +508,7 @@ def test_external_translator_timeout_kills_the_translators_children():
 
 
 def test_substitution_returns_a_token_it_does_not_change_as_it_is():
-    gloss = tokenize_gloss("3SG zork-PST ev-LOC .", lemma_side=LemmaSide.SOURCE)
+    gloss = tokenize_gloss("3SG zork-PST ev-LOC .")
     dictionary = load_dictionary("ev\thouse\n")
     kept = substitute_lemmas(gloss, dictionary, OovPolicy.KEEP)
     assert [a is b for a, b in zip(kept.tokens, gloss.tokens)] == [True, True, False, True]

@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igtpivot import GlossMorph, LemmaSide, tokenize_gloss
+from igtpivot import GlossMorph, tokenize_gloss
 from igtpivot.parsing import _segment_morph, _word_to_tokens
 
 from gen_helpers import random_gloss_line
@@ -27,12 +27,11 @@ _word = st.lists(
 ).map("".join)
 _line = st.lists(_word, min_size=1, max_size=6).map(" ".join)
 _registry = st.frozensets(st.sampled_from(["kap", "NOM", "Zorp", "3SG", "a", "9", ".", "Z"]))
-_side = st.sampled_from(LemmaSide)
 
 
-@given(_line, _side)
-def test_memo_equals_reference_on_default_registry(line, side):
-    assert tokenize_gloss(line, lemma_side=side) == reference_tokenize_gloss(line, lemma_side=side)
+@given(_line)
+def test_memo_equals_reference_on_default_registry(line):
+    assert tokenize_gloss(line) == reference_tokenize_gloss(line)
 
 
 @given(_line, _registry)
@@ -74,7 +73,7 @@ def test_memo_equals_reference_after_cache_clear(line, registry):
 def test_morphs_are_built_at_most_once_per_distinct_segment(monkeypatch):
     rng = random.Random(606)
     lines = [
-        random_gloss_line(rng, LemmaSide.TARGET, rng.randint(1, 8)).render() for _ in range(400)
+        random_gloss_line(rng, rng.randint(1, 8)).render() for _ in range(400)
     ]
     expected = [reference_tokenize_gloss(line) for line in lines]
     segments = {

@@ -1,7 +1,7 @@
 """The gloss tokenizer before its word and segment memos: every word of
 every line is split, classified and built anew."""
 
-from igtpivot import GlossLine, GlossMorph, GlossToken, Joiner, LemmaSide, MorphKind
+from igtpivot import GlossLine, GlossMorph, GlossToken, Joiner, MorphKind
 from igtpivot.model import PUNCT_CHARS, is_punct
 from igtpivot.normalize import default_label_registry
 from igtpivot.parsing import _looks_like_label, _split_segments
@@ -23,10 +23,10 @@ def reference_word_to_tokens(word, registry):
     return tokens
 
 
-def reference_tokenize_gloss(line, *, lemma_side=LemmaSide.TARGET, label_registry=None):
+def reference_tokenize_gloss(line, *, label_registry=None):
     if label_registry is None:
         label_registry = default_label_registry()
     tokens = []
     for word in line.split():
         tokens.extend(reference_word_to_tokens(word, label_registry))
-    return GlossLine(tokens=tuple(tokens), lemma_side=lemma_side)
+    return GlossLine(tokens=tuple(tokens))
