@@ -22,6 +22,7 @@ from .align import (
     train_model1,
 )
 from .errors import (
+    BadLanguageTagError,
     BadRatiosError,
     BlockShapeError,
     CycleDetectedError,
@@ -73,7 +74,6 @@ from .normalize import (
     analyzer_to_gloss,
     default_label_registry,
     default_table,
-    load_table,
     loads_table,
     normalize_gloss_line,
     normalize_label,

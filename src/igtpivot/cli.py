@@ -12,8 +12,7 @@ import io
 import os
 import shutil
 import sys
-import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import IO, Callable, Iterator
 
 from . import align as align_mod
@@ -23,7 +22,7 @@ from . import normalize as normalize_mod
 from . import parsing as parsing_mod
 from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .model import split_lines
+from .model import split_lines, strip_eol
 from .tables import DEFAULT_TABLE_TEXT
 
 
@@ -35,41 +34,43 @@ class _FileNotFound(IgtError):
     code = "FILE_NOT_FOUND"
 
 
-def _read(path: "str | None") -> str:
+def _reconfigured(stream: IO[str], **settings: str) -> IO[str]:
+    """``stream`` given ``settings``; one that holds text rather than bytes
+    (an ``io.StringIO`` put in place of stdin or stdout) is left as it is."""
+    if isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(**settings)
+    return stream
+
+
+def _open(path: "str | None") -> AbstractContextManager[IO[str]]:
+    r"""Every input, stdin for ``None`` or ``-``, read by one rule: UTF-8, a
+    leading BOM dropped, lines split at ``\n`` only (each then ended by
+    :func:`strip_eol`).  A context manager; stdin is left open."""
     if path is None or path == "-":
-        return sys.stdin.read()
+        return nullcontext(_reconfigured(sys.stdin, encoding="utf-8-sig", newline="\n"))
     if not os.path.exists(path):
         raise _FileNotFound(f"input file does not exist: {path}")
-    with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    if text.startswith("﻿"):
-        text = text[1:]
-    return text
+    return open(path, encoding="utf-8-sig", newline="\n")
+
+
+def _read(path: "str | None") -> str:
+    with _open(path) as handle:
+        return handle.read()
 
 
 def _iter_lines(path: "str | None") -> Iterator[str]:
-    r"""The lines of ``split_lines(_read(path))``, read one at a time: a
-    file opened with ``newline="\n"`` splits at ``\n`` only, and the
-    ``utf-8-sig`` codec drops a leading BOM."""
-    if path is None or path == "-":
-        source = nullcontext(sys.stdin)
-    elif not os.path.exists(path):
-        raise _FileNotFound(f"input file does not exist: {path}")
-    else:
-        source = open(path, encoding="utf-8-sig", newline="\n")
-    with source as handle:
+    """The lines of ``split_lines(_read(path))``, read one at a time."""
+    with _open(path) as handle:
         for line in handle:
-            if line.endswith("\n"):
-                line = line[:-1]
-            yield line[:-1] if line.endswith("\r") else line
+            yield strip_eol(line)
 
 
 @contextmanager
 def _destination(path: "str | None") -> Iterator[IO[str]]:
-    """stdout for ``None`` or ``-``, else ``path`` opened for writing, its
-    directory made first."""
+    r"""stdout for ``None`` or ``-``, else ``path`` opened for writing, its
+    directory made first; either way UTF-8 text with ``\n`` line ends."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield _reconfigured(sys.stdout, encoding="utf-8", newline="\n")
         return
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -84,12 +85,12 @@ def _write(path: "str | None", text: str) -> None:
 
 @contextmanager
 def _spooled(path: "str | None", head: "Callable[[], str] | None" = None) -> Iterator[IO[str]]:
-    """Collect output in an anonymous temporary file.  Only when the block
-    succeeds is ``path`` opened, by :func:`_destination` as for
+    """Collect output in a :func:`~igtpivot.pipeline._spool`.  Only when the
+    block succeeds is ``path`` opened, by :func:`_destination` as for
     :func:`_write`, and given ``head()`` and then the spool, copied in
     chunks no larger than io's own buffers; on failure ``path`` is never
     touched and nothing reaches stdout."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+    with pipeline_mod._spool() as spool:
         yield spool
         spool.seek(0)
         with _destination(path) as handle:
@@ -136,7 +137,7 @@ def _emit_warnings(warnings: "list[ParseWarning]") -> None:
 def _load_norm_table(spec: str, person_first: bool) -> normalize_mod.NormalizationTable:
     if spec == "default":
         return normalize_mod.default_table(person_first=person_first)
-    return normalize_mod.load_table(spec, person_first=person_first)
+    return normalize_mod.loads_table(_read(spec), person_first=person_first)
 
 
 def _translator_from_spec(spec: str, timeout: float) -> pipeline_mod.TranslatorHandle:
@@ -158,20 +159,20 @@ _OOV_BY_NAME = {p.value: p for p in pipeline_mod.OovPolicy}
 
 
 def _cmd_parse_odin(args: argparse.Namespace) -> int:
-    text = _read(args.infile)
-    blocks, warnings = parsing_mod.parse_odin_blocks(text)
+    lang = model_mod.as_language_tag(args.lang)
+    blocks, warnings = parsing_mod.parse_odin_blocks(_read(args.infile))
     _emit_warnings(warnings)
     records = []
     for i, block in enumerate(blocks, start=1):
         records.append(
-            parsing_mod.block_to_record(block, args.lang, record_id=f"{args.id_prefix}-{i:04d}")
+            parsing_mod.block_to_record(block, lang, record_id=f"{args.id_prefix}-{i:04d}")
         )
     _write(args.outfile, model_mod.dump_corpus(records))
     return 0
 
 
 def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
-    text = _read(args.infile)
+    lang = model_mod.as_language_tag(args.lang)
     field_map = None
     if args.map:
         field_map = {}
@@ -181,7 +182,7 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
                 raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
             field_map[marker.strip()] = role.strip()
     records, warnings = parsing_mod.parse_toolbox(
-        text, field_map, lang=args.lang, id_prefix=args.id_prefix
+        _read(args.infile), field_map, lang=lang, id_prefix=args.id_prefix
     )
     _emit_warnings(warnings)
     _write(args.outfile, model_mod.dump_corpus(records))
@@ -273,9 +274,14 @@ def _cmd_prepare_multi(args: argparse.Namespace) -> int:
 
 
 def _cmd_pivot(args: argparse.Namespace) -> int:
+    translator = _translator_from_spec(args.translator, args.timeout)
+    if args.split_morphs and translator.kind is pipeline_mod.TranslatorKind.BASELINE_DETOKENIZE:
+        raise _CliError(
+            "--split-morphs shapes the identity and cmd: translators' input; "
+            "the baseline translator does not use it"
+        )
     table = _load_norm_table(args.table, not args.number_first)
     dictionary = align_mod.load_dictionary(_read(args.dict))
-    translator = _translator_from_spec(args.translator, args.timeout)
     report = pipeline_mod.PipelineReport()
     traces = pipeline_mod.iter_pipeline(
         _iter_lines(args.analyzer_out),

@@ -30,6 +30,13 @@ class BadRatiosError(IgtError):
     code = "BAD_RATIOS"
 
 
+class BadLanguageTagError(IgtError, ValueError):
+    """A language tag that is not three lowercase letters.  Also a
+    ``ValueError``, so callers catching that still work."""
+
+    code = "BAD_LANGUAGE_TAG"
+
+
 class EmptyLineError(IgtError):
     code = "EMPTY_LINE"
 

@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
+    BadLanguageTagError,
     BadRatiosError,
     MalformedRecordError,
     TokenCountMismatchError,
@@ -50,14 +51,21 @@ def is_word(text: str) -> bool:
     return bool(text) and not _find_space(text)
 
 
+def strip_eol(line: str) -> str:
+    r"""``line`` without one trailing ``\n`` and then one trailing ``\r``:
+    how every reader ends a line it split at ``\n``."""
+    return line.removesuffix("\n").removesuffix("\r")
+
+
 def split_lines(text: str) -> list[str]:
-    r"""Lines of ``text`` split at ``\n`` only, each without one trailing
-    ``\r``; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v`` and ``\f``
-    stay inside their line, so a line is never counted as two."""
+    r"""Lines of ``text`` split at ``\n`` only, each ended by
+    :func:`strip_eol`; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v``,
+    ``\f`` and a lone ``\r`` stay inside their line, so a line is never
+    counted as two."""
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
+    return [strip_eol(line) for line in lines]
 
 
 class Joiner(Enum):
@@ -83,7 +91,9 @@ class LanguageTag:
 
     def __post_init__(self) -> None:
         if not _LANG_RE.match(self.code):
-            raise ValueError(f"language tag must be 3 lowercase letters, got {self.code!r}")
+            raise BadLanguageTagError(
+                f"language tag must be 3 lowercase letters, got {self.code!r}"
+            )
 
     def __str__(self) -> str:
         return self.code
@@ -230,34 +240,22 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+_escape_re = re.compile(r"\\.?", re.DOTALL)
+
+
 def _unescape(value: str, *, offset: int, fieldname: str) -> str:
     if "\\" not in value:
         return value
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\":
-            if i + 1 >= len(value):
-                raise MalformedRecordError(
-                    "dangling backslash escape", offset=offset, field=fieldname
-                )
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                raise MalformedRecordError(
-                    f"unknown escape \\{nxt}", offset=offset, field=fieldname
-                )
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+
+    def unescape(match: re.Match) -> str:
+        escape = match.group()
+        if escape in _UNESCAPES:
+            return _UNESCAPES[escape]
+        message = "dangling backslash escape" if escape == "\\" else f"unknown escape {escape}"
+        raise MalformedRecordError(message, offset=offset, field=fieldname)
+
+    return _escape_re.sub(unescape, value)
 
 
 def serialize_record(record: IgtRecord) -> str:

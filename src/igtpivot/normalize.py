@@ -210,7 +210,13 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
         if section == "variants":
             if key in variant_map:
                 raise TableParseError(f"duplicate variant {key!r}", line=lineno)
-            variant_map[key] = image_of(fields[1].strip(), lineno)
+            image = image_of(fields[1].strip(), lineno)
+            if not image:
+                raise TableParseError(
+                    f"variant {key!r} maps to no label ('-' is for [analyzer] tags)",
+                    line=lineno,
+                )
+            variant_map[key] = image
         elif section == "analyzer":
             if key in analyzer_map:
                 raise TableParseError(f"duplicate analyzer tag {key!r}", line=lineno)
@@ -241,13 +247,6 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
         restore_map=restore_map,
         person_first=person_first,
     )
-
-
-def load_table(path: str, *, person_first: bool = True) -> NormalizationTable:
-    r""":func:`loads_table` of a file, read as every other reader reads one: a
-    leading BOM is dropped and lines split at ``\n`` only."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        return loads_table(handle.read(), person_first=person_first)
 
 
 @lru_cache(maxsize=None)

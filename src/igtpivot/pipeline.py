@@ -38,6 +38,7 @@ from .model import (
     MorphKind,
     is_punct,
     split_lines,
+    strip_eol,
 )
 from .normalize import NormalizationTable, _analyzer_to_gloss
 from .parsing import parse_analyzer_line, tokenize_gloss
@@ -231,14 +232,14 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
     ``\n``-ended lines, as its stdin.  Return its stdout, checked to hold as
     many lines, as a text file at offset 0 for the caller to close.
 
-    stdin, stdout and stderr are anonymous temporary files, so the data never
-    sits in memory.  The output is read as a text-mode pipe would be: ``\r``
-    and ``\r\n`` end a line too.
+    stdin, stdout and stderr are spools (:func:`_spool`), so the data never
+    sits in memory, and the output is read as every input is: lines split at
+    ``\n`` only.
     """
     payload.seek(0)
-    stdout = tempfile.TemporaryFile("w+", encoding="utf-8")
+    stdout = _spool()
     try:
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as stderr:
+        with _spool() as stderr:
             try:
                 argv = shlex.split(translator.command or "")
                 proc = subprocess.Popen(
@@ -280,10 +281,6 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
         raise
 
 
-def _chomp(line: str) -> str:
-    return line[:-1] if line.endswith("\n") else line
-
-
 def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle) -> list[str]:
     """Translate rendered gloss lines, one output line per input line.
 
@@ -298,7 +295,7 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
         for line in lines:
             payload.write(line + "\n")
         with _run_external(payload, len(lines), translator) as outputs:
-            return [_chomp(line) for line in outputs]
+            return [strip_eol(line) for line in outputs]
 
 
 def _stages(
@@ -353,7 +350,7 @@ def _translate_externally(
         rows.seek(0)
         with outputs:
             for target in outputs:
-                yield SentenceTrace(*marshal.load(rows), _chomp(target))
+                yield SentenceTrace(*marshal.load(rows), strip_eol(target))
 
 
 def iter_pipeline(
@@ -371,8 +368,10 @@ def iter_pipeline(
 
     Blank lines are skipped.  Stage errors propagate wrapped with the stage
     name and the 1-based position of the line in ``lines``, blank lines
-    counted.  The baseline and identity translators hold nothing past the
-    current sentence.  An external translator runs once for all sentences,
+    counted.  ``split_morphs`` shapes only the identity and external
+    translators' input, one whitespace word per morph; the baseline strips
+    labels from the gloss itself.  The baseline and identity translators
+    hold nothing past the current sentence.  An external translator runs once for all sentences,
     fed through anonymous temporary files, so nothing is yielded until it
     has succeeded.  ``report.sentences`` is left as it is.
     """

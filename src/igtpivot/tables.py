@@ -1,7 +1,7 @@
 """Embedded default normalization table.
 
-The format is the same one ``load_table`` reads from disk; ``igt dump-table``
-writes this text out for user editing.
+The format is the one ``loads_table`` parses and the CLI's ``--table`` reads
+from a file; ``igt dump-table`` writes this text out for user editing.
 """
 
 DEFAULT_TABLE_TEXT = """\

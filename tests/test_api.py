@@ -9,6 +9,7 @@ import igtpivot
 
 EXPORTS = [
     "AnalyzerToken",
+    "BadLanguageTagError",
     "BadRatiosError",
     "BlockShapeError",
     "CorpusSplit",
@@ -66,7 +67,6 @@ EXPORTS = [
     "load_corpus",
     "load_dictionary",
     "load_lexicon",
-    "load_table",
     "load_translation_table",
     "loads_table",
     "non_repetition",

@@ -1,5 +1,6 @@
 """Command-line interface: goldens, exit codes, idempotency, stream defaults."""
 
+import contextlib
 import io
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from igtpivot import default_table, load_table, loads_table
+from igtpivot import default_table, loads_table
 from igtpivot.cli import build_parser, main
 from igtpivot.tables import DEFAULT_TABLE_TEXT
 
@@ -263,7 +264,7 @@ def test_eval_without_annotations(tmp_path, capsys):
 def test_dump_table_round_trips(tmp_path):
     out = tmp_path / "table.txt"
     assert main(["dump-table", "--out", str(out)]) == 0
-    assert load_table(str(out)) == default_table()
+    assert loads_table(out.read_text(encoding="utf-8")) == default_table()
 
 
 def test_stdout_default(capsys):
@@ -273,8 +274,14 @@ def test_stdout_default(capsys):
     assert loads_table(out) == default_table()
 
 
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A stdin over ``data`` as the interpreter sets one up: lines split at
+    ``\n`` only."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
 def test_stdin_default(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("Man.NOM see-PAST.3SG.\n"))
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(b"Man.NOM see-PAST.3SG.\n"))
     assert main(["normalize"]) == 0
     assert capsys.readouterr().out == "Man.NOM see-PST.3.SG.\n"
 
@@ -448,7 +455,7 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     def run(*args):
         return subprocess.run(
             [sys.executable, "-m", module, *args],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, encoding="utf-8", env=env, timeout=60,
         )
 
     result = run("dump-table")
@@ -457,6 +464,74 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     result = run("normalize", "--in", str(tmp_path / "nope.txt"))
     assert result.returncode == 1
     assert result.stderr.startswith("igt: FILE_NOT_FOUND:")
+
+
+# --- one text boundary: every input is UTF-8, BOM dropped, \n-only lines ------------
+
+
+def run_igt(*args, stdin=b"", **env_vars):
+    """``python -m igtpivot`` in a subprocess, bytes in and bytes out."""
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "igtpivot", *args],
+        input=stdin, capture_output=True, env=env, timeout=60,
+    )
+
+
+def test_main_writes_to_a_stdout_redirected_to_text():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["dump-table"]) == 0
+    assert out.getvalue() == DEFAULT_TABLE_TEXT
+
+
+def test_split_drops_a_bom_on_stdin(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdin", stdin_bytes("\ufeffid=a\tlang=tur\ttgt=x\n".encode("utf-8")))
+    train, valid, test = (str(tmp_path / name) for name in ("train", "valid", "test"))
+    argv = ["split", "--train-out", train, "--valid-out", valid, "--test-out", test,
+            "--ratios", "1,0,0"]
+    assert main(argv) == 0
+    assert read(tmp_path / "train") == "id=a\tlang=tur\ttgt=x\n"
+
+
+def test_subst_reads_stdin_as_utf8_whatever_the_stdio_encoding(tmp_path):
+    dict_file = write(tmp_path / "d.tsv", "kadın\twoman\n")
+    result = run_igt(
+        "subst", "--dict", dict_file,
+        stdin="kadın-NOM gör-PST\n".encode("utf-8"), PYTHONIOENCODING="latin-1",
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == "woman-NOM gör-PST\n".encode("utf-8")
+
+
+def test_normalize_writes_stdout_as_utf8_whatever_the_stdio_encoding(tmp_path):
+    gloss = write(tmp_path / "tr.txt", "kadın-Past.3SG\n")
+    result = run_igt("normalize", "--in", gloss, PYTHONIOENCODING="latin-1")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == "kadın-PST.3.SG\n".encode("utf-8")
+
+
+def test_table_is_an_input_like_any_other(tmp_path, monkeypatch, capsys):
+    gloss = write(tmp_path / "gloss.txt", "woman-Past.3SG\n")
+    missing = str(tmp_path / "nope.txt")
+    assert main(["normalize", "--table", missing, "--in", gloss]) == 1
+    assert capsys.readouterr().err == f"igt: FILE_NOT_FOUND: input file does not exist: {missing}\n"
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(DEFAULT_TABLE_TEXT.encode("utf-8")))
+    assert main(["normalize", "--table", "-", "--in", gloss]) == 0
+    assert capsys.readouterr().out == "woman-PST.3.SG\n"
+
+
+def test_normalize_reads_its_table_by_the_one_text_rule(tmp_path):
+    # the BOM is dropped, and a lone \r stays inside its line, so the
+    # [variants] header after it is part of a comment and ``B<TAB>A`` is read
+    # as two registry labels: ``B`` is not rewritten to ``A``
+    table = tmp_path / "table.txt"
+    table.write_bytes("\ufeff[registry]\nA\n# note\r[variants]\nB\tA\n".encode("utf-8"))
+    gloss = write(tmp_path / "gloss.txt", "x-B\n")
+    out = tmp_path / "out.txt"
+    assert main(["normalize", "--table", str(table), "--in", gloss, "--out", str(out)]) == 0
+    assert read(out) == "x-B\n"
 
 
 def test_dict_writes_a_hand_written_tables_targets_in_lowercase(tmp_path):
@@ -543,3 +618,19 @@ def test_line_mapping_commands_name_the_line_of_a_bad_input_line(tmp_path, capsy
         "igt: MALFORMED_TOKEN: line 3: analyzer token has an empty tag: 'a++B'\n"
     )
     assert not outfile.exists()
+
+
+@pytest.mark.parametrize("command,lang", [("parse-odin", "TUR"), ("parse-toolbox", "x")])
+def test_parse_commands_reject_a_bad_language_tag_with_its_code(command, lang, tmp_path, capsys):
+    infile = write(tmp_path / "in.txt", "s\ng\nt\n")
+    assert main([command, "--in", infile, "--lang", lang]) == 1
+    assert capsys.readouterr().err == (
+        f"igt: BAD_LANGUAGE_TAG: language tag must be 3 lowercase letters, got {lang!r}\n"
+    )
+
+
+def test_pivot_rejects_split_morphs_with_the_baseline_before_reading_input(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    argv = ["pivot", "--analyzer-out", missing, "--dict", missing, "--split-morphs"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("igt: CLI_ERROR: --split-morphs ")

@@ -4,10 +4,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtpivot import (
+    BadLanguageTagError,
     BadRatiosError,
     GlossMorph,
     GlossToken,
@@ -24,10 +25,11 @@ from igtpivot import (
     split_corpus,
     tokenize_gloss,
 )
-from igtpivot.model import DELIMITERS, has_delimiter, split_lines
+from igtpivot.model import DELIMITERS, _unescape, has_delimiter, split_lines
 
 from gen_helpers import random_record
 from golden_data import IGT_EXAMPLES
+from unescape_reference import reference_unescape
 
 
 # --- types ------------------------------------------------------------------
@@ -42,6 +44,15 @@ def test_language_tag_accepts_three_lowercase_letters(code):
 def test_language_tag_rejects_bad_codes(code):
     with pytest.raises(ValueError):
         LanguageTag(code)
+
+
+def test_a_bad_language_tag_has_its_own_code_and_is_a_bad_record_field():
+    with pytest.raises(BadLanguageTagError) as exc:
+        LanguageTag("TUR")
+    assert exc.value.code == "BAD_LANGUAGE_TAG" and isinstance(exc.value, ValueError)
+    with pytest.raises(MalformedRecordError) as exc:
+        parse_record("id=x\tlang=TUR\ttgt=t")
+    assert exc.value.field == "lang"
 
 
 def test_morph_rejects_empty_whitespace_and_derives_opaque():
@@ -158,6 +169,28 @@ def test_malformed_error_carries_offset_and_field():
         assert exc.offset == len("id=x\tlang=deu\t".encode("utf-8"))
     else:
         pytest.fail("expected MalformedRecordError")
+
+
+def _unescape_outcome(unescape, value, offset, fieldname):
+    try:
+        return unescape(value, offset=offset, fieldname=fieldname)
+    except MalformedRecordError as exc:
+        return ("error", str(exc), exc.offset, exc.field)
+
+
+# escapes, good, unknown and dangling, among any other characters
+_escaped = st.text(
+    st.one_of(st.sampled_from("\\tnq\n\t"), st.characters(exclude_categories=["Cs"])),
+    max_size=16,
+)
+
+
+@settings(max_examples=500)
+@given(_escaped, st.integers(min_value=0, max_value=999), st.sampled_from(["src", "tgt"]))
+def test_unescape_matches_the_character_loop(value, offset, fieldname):
+    assert _unescape_outcome(_unescape, value, offset, fieldname) == _unescape_outcome(
+        reference_unescape, value, offset, fieldname
+    )
 
 
 def test_random_records_round_trip():

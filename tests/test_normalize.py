@@ -12,7 +12,6 @@ from igtpivot import (
     TableParseError,
     analyzer_to_gloss,
     default_table,
-    load_table,
     loads_table,
     normalize_gloss_line,
     normalize_label,
@@ -89,6 +88,7 @@ def test_self_mapping_is_a_fixed_point_not_a_cycle():
         ("[composites]\n(?P<p>[123])(?P<n>SG)\n", "named groups"),
         ("[registry]\nA\n[variants]\nnotab\n", "tab-separated"),
         ("[registry]\nA\n[analyzer]\nTag\tA\tweird\n", "unknown analyzer flag"),
+        ("[registry]\nA\n[variants]\nZAP\t-\n", "line 4: variant 'ZAP' maps to no label"),
     ],
 )
 def test_table_parse_errors(text, fragment):
@@ -103,24 +103,6 @@ def test_table_parse_error_carries_line_number():
         assert exc.line == 4
     else:
         pytest.fail("expected TableParseError")
-
-
-def test_load_table_from_file(tmp_path):
-    path = tmp_path / "table.txt"
-    path.write_text(DEFAULT_TABLE_TEXT, encoding="utf-8")
-    table = load_table(str(path))
-    assert table == default_table()
-
-
-def test_load_table_reads_a_file_as_loads_table_reads_its_text(tmp_path):
-    # a lone \r stays inside its line, so the [variants] header after it is
-    # part of a comment and ``B<TAB>A`` is read as two registry labels
-    text = "[registry]\nA\n# note\r[variants]\nB\tA\n"
-    path = tmp_path / "table.txt"
-    path.write_bytes(("\ufeff" + text).encode("utf-8"))
-    table = load_table(str(path))
-    assert table == loads_table(text)
-    assert table.variant_map == {} and table.registry == {"A", "B"}
 
 
 # --- label normalization -----------------------------------------------------------

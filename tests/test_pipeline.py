@@ -466,6 +466,13 @@ def test_external_translator_keeps_line_separator_inside_a_line():
     assert translate(["a", "b"], handle) == ["a\u2028!", "b\u2028!"]
 
 
+def test_external_translator_keeps_a_lone_carriage_return_inside_a_line():
+    # output is split at \n only, and the \r of a \r\n ending is dropped
+    stub = _stub("import sys; sys.stdin.read(); sys.stdout.buffer.write(b'a\\rb\\r\\n')")
+    handle = TranslatorHandle(TranslatorKind.EXTERNAL, command=stub, timeout=30)
+    assert translate(["x"], handle) == ["a\rb"]
+
+
 def test_external_translator_dropped_line_is_not_hidden_by_line_separator():
     # two inputs, one output line that str.splitlines would count as two
     dropper = _stub(

@@ -73,7 +73,7 @@ def test_iter_lines_reads_stdin_as_read_does(monkeypatch):
     monkeypatch.setattr(sys, "stdin", stdin())
     expected = split_lines(cli._read("-"))
     monkeypatch.setattr(sys, "stdin", stdin())
-    assert list(cli._iter_lines("-")) == expected == ["\ufeffa", "b\u2028c", "", "d"]
+    assert list(cli._iter_lines("-")) == expected == ["a", "b\u2028c", "", "d"]
 
 
 def test_iter_lines_missing_file_fails_with_its_code(tmp_path, capsys):
