@@ -21,6 +21,7 @@ from igtpivot import (
     unknown_labels,
 )
 from igtpivot import normalize
+from igtpivot.cli import _load_norm_table
 from igtpivot.normalize import _analyzer_to_gloss
 from igtpivot.parsing import AnalyzerToken
 from igtpivot.tables import DEFAULT_TABLE_TEXT
@@ -103,6 +104,26 @@ def test_table_parse_error_carries_line_number():
         assert exc.line == 4
     else:
         pytest.fail("expected TableParseError")
+
+
+def test_load_table_from_file(tmp_path):
+    # only the CLI opens a table file: ``--table PATH`` reads it through
+    # ``_load_norm_table``, which hands its text to ``loads_table``
+    path = tmp_path / "table.txt"
+    path.write_text(DEFAULT_TABLE_TEXT, encoding="utf-8")
+    table = _load_norm_table(str(path), person_first=True)
+    assert table == default_table()
+
+
+def test_load_table_reads_a_file_as_loads_table_reads_its_text(tmp_path):
+    # a lone \r stays inside its line, so the [variants] header after it is
+    # part of a comment and ``B<TAB>A`` is read as two registry labels
+    text = "[registry]\nA\n# note\r[variants]\nB\tA\n"
+    path = tmp_path / "table.txt"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    table = _load_norm_table(str(path), person_first=True)
+    assert table == loads_table(text)
+    assert table.variant_map == {} and table.registry == {"A", "B"}
 
 
 # --- label normalization -----------------------------------------------------------
