@@ -22,6 +22,7 @@ from .align import (
     train_model1,
 )
 from .errors import (
+    BadEncodingError,
     BadLanguageTagError,
     BadRatiosError,
     BlockShapeError,
@@ -76,9 +77,7 @@ from .normalize import (
     default_table,
     loads_table,
     normalize_gloss_line,
-    normalize_label,
     unknown_analyzer_tags,
-    unknown_labels,
 )
 from .parsing import (
     DEFAULT_TOOLBOX_MAP,

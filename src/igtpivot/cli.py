@@ -22,7 +22,7 @@ from . import normalize as normalize_mod
 from . import parsing as parsing_mod
 from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .model import split_lines, strip_eol
+from .model import decode_utf8, split_lines, strip_eol
 from .tables import DEFAULT_TABLE_TEXT
 
 
@@ -36,33 +36,37 @@ class _FileNotFound(IgtError):
 
 def _reconfigured(stream: IO[str], **settings: str) -> IO[str]:
     """``stream`` given ``settings``; one that holds text rather than bytes
-    (an ``io.StringIO`` put in place of stdin or stdout) is left as it is."""
+    (an ``io.StringIO`` put in place of stdout) is left as it is."""
     if isinstance(stream, io.TextIOWrapper):
         stream.reconfigure(**settings)
     return stream
 
 
-def _open(path: "str | None") -> AbstractContextManager[IO[str]]:
-    r"""Every input, stdin for ``None`` or ``-``, read by one rule: UTF-8, a
-    leading BOM dropped, lines split at ``\n`` only (each then ended by
-    :func:`strip_eol`).  A context manager; stdin is left open."""
+def _open(path: "str | None") -> AbstractContextManager[IO[bytes]]:
+    """The bytes of an input, stdin's for ``None`` or ``-``.  A context
+    manager; stdin is left open."""
     if path is None or path == "-":
-        return nullcontext(_reconfigured(sys.stdin, encoding="utf-8-sig", newline="\n"))
+        return nullcontext(sys.stdin.buffer)
     if not os.path.exists(path):
         raise _FileNotFound(f"input file does not exist: {path}")
-    return open(path, encoding="utf-8-sig", newline="\n")
+    return open(path, "rb")
 
 
 def _read(path: "str | None") -> str:
+    r"""Every input, read by one rule: UTF-8, a leading BOM dropped, lines
+    split at ``\n`` only (each then ended by :func:`strip_eol`).  A byte that
+    is not UTF-8 fails with ``BAD_ENCODING`` naming the input and its line."""
     with _open(path) as handle:
-        return handle.read()
+        return decode_utf8(handle.read(), path or "-", bom=True)
 
 
 def _iter_lines(path: "str | None") -> Iterator[str]:
     """The lines of ``split_lines(_read(path))``, read one at a time."""
     with _open(path) as handle:
-        for line in handle:
-            yield strip_eol(line)
+        for lineno, raw in enumerate(handle, start=1):
+            text = decode_utf8(raw, path or "-", lineno, bom=lineno == 1)
+            if text:  # empty only for an input that is just a BOM, which has no line
+                yield strip_eol(text)
 
 
 @contextmanager
@@ -146,6 +150,10 @@ def _translator_from_spec(spec: str, timeout: float) -> pipeline_mod.TranslatorH
     if spec == "identity":
         return pipeline_mod.TranslatorHandle(pipeline_mod.TranslatorKind.IDENTITY)
     if spec.startswith("cmd:"):
+        if not spec[4:].strip():
+            raise _CliError("--translator cmd: needs a command")
+        if not timeout > 0:
+            raise _CliError(f"--timeout must be a positive number of seconds, got {timeout}")
         return pipeline_mod.TranslatorHandle(
             pipeline_mod.TranslatorKind.EXTERNAL, command=spec[4:], timeout=timeout
         )
@@ -180,7 +188,11 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
             marker, sep, role = entry.partition("=")
             if not sep:
                 raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
-            field_map[marker.strip()] = role.strip()
+            role = role.strip()
+            if role not in parsing_mod._TOOLBOX_ROLES:
+                roles = ", ".join(sorted(parsing_mod._TOOLBOX_ROLES))
+                raise _CliError(f"bad --map entry {entry!r} (role {role!r} is not one of {roles})")
+            field_map[marker.strip()] = role
     records, warnings = parsing_mod.parse_toolbox(
         _read(args.infile), field_map, lang=lang, id_prefix=args.id_prefix
     )
@@ -231,6 +243,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    if args.iters < 1:
+        raise _CliError(f"--iters must be at least 1, got {args.iters}")
     corpus = align_mod.ParallelCorpus.from_texts(_read(args.src), _read(args.tgt))
     table = align_mod.train_model1(corpus, iterations=args.iters, null_word=args.null)
     if args.ttable_out:

@@ -79,6 +79,20 @@ class LexiconParseError(_NumberedLineError):
     where = "lexicon line"
 
 
+class BadEncodingError(_NumberedLineError):
+    """Input that is not UTF-8, reported as ``<source> line N: ...``: the
+    source is a path, ``-`` for stdin or ``translator output``, and N the
+    line of the first bad byte."""
+
+    code = "BAD_ENCODING"
+
+    def __init__(self, source: str, cause: UnicodeDecodeError, *, line: int):
+        self.where = f"{source} line"
+        bad = cause.object[cause.start]
+        super().__init__(f"not UTF-8 (byte 0x{bad:02x}: {cause.reason})", line=line)
+        self.source = source
+
+
 class CycleDetectedError(IgtError):
     code = "CYCLE_DETECTED"
 

@@ -88,12 +88,21 @@ def bleu(
     at all are vacuous and excluded from the mean, so identical corpora
     score exactly 100 whatever their sentence lengths.
     """
+    if not 1 <= max_n <= 4:
+        raise ValueError(f"max_n must be in 1..4, got {max_n}")
+    return _bleu_score(_bleu_counts(hypotheses, references, max_n), max_n, smooth)
+
+
+def _bleu_counts(
+    hypotheses: "list[TokenList]", references: "list[TokenList]", max_n: int
+) -> tuple[list[int], list[int], int, int]:
+    """One pass over the corpus: per order ``n`` in 1..``max_n`` the clipped
+    n-gram matches and the hypothesis n-gram count (index 0 unused), then
+    the hypothesis and reference lengths."""
     if len(hypotheses) != len(references):
         raise LengthMismatchError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
-    if not 1 <= max_n <= 4:
-        raise ValueError(f"max_n must be in 1..4, got {max_n}")
     matched = [0] * (max_n + 1)
     total = [0] * (max_n + 1)
     hyp_len = 0
@@ -110,6 +119,15 @@ def bleu(
                 min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
             )
             total[n] += max(len(hyp) - n + 1, 0)
+    return matched, total, hyp_len, ref_len
+
+
+def _bleu_score(
+    counts: tuple[list[int], list[int], int, int], max_n: int, smooth: bool
+) -> float:
+    """BLEU of orders 1..``max_n`` from :func:`_bleu_counts` of any order
+    at least ``max_n``."""
+    matched, total, hyp_len, ref_len = counts
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -190,13 +208,11 @@ def tense_match(
     hypothesis: TokenList,
     annotation: EvalAnnotation,
     lexicon: InflectionLexicon,
-    use_auxiliaries: bool = True,
 ) -> int:
     """1 iff some expected verb appears in a form of the expected tense.
 
-    Auxiliary patterns (on by default): ``will`` + bare lemma counts as
-    future; ``is/are/am`` or ``was/were`` + V-ing count as present or past
-    progressive respectively.
+    Auxiliary patterns count too: ``will`` + bare lemma is future, and
+    ``is/are/am`` or ``was/were`` + V-ing is present or past progressive.
     """
     tense = annotation.expected_tense
     tokens = _content_tokens(hypothesis)
@@ -207,20 +223,18 @@ def tense_match(
         if tense == "PST":
             if lexicon.past_forms(verb) & present:
                 return 1
-            if use_auxiliaries:
-                gerund = lexicon.gerund(verb)
-                if any((aux, gerund) in bigrams for aux in ("was", "were")):
-                    return 1
+            gerund = lexicon.gerund(verb)
+            if any((aux, gerund) in bigrams for aux in ("was", "were")):
+                return 1
         elif tense == "PRS":
             forms = {verb, lexicon.third_sg(verb)}
             if verb == "be":
                 forms |= {"is", "are", "am"}
             if forms & present:
                 return 1
-            if use_auxiliaries:
-                gerund = lexicon.gerund(verb)
-                if any((aux, gerund) in bigrams for aux in ("is", "are", "am")):
-                    return 1
+            gerund = lexicon.gerund(verb)
+            if any((aux, gerund) in bigrams for aux in ("is", "are", "am")):
+                return 1
         elif tense == "FUT":
             if ("will", verb) in bigrams:
                 return 1
@@ -236,15 +250,11 @@ def evaluate(
     annotations: "list[EvalAnnotation | None] | None" = None,
     lexicon: "InflectionLexicon | None" = None,
     smooth: bool = False,
-    use_auxiliaries: bool = True,
 ) -> EvalReport:
     """Score a test set with all seven numbers (five metrics plus 4-gram and
     1-gram BLEU).  Accuracy metrics are macro-averaged over the sentences
     eligible for them and scaled to percentages."""
-    if len(hypotheses) != len(references):
-        raise LengthMismatchError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
+    counts = _bleu_counts(hypotheses, references, 4)
     if annotations is None:
         annotations = [None] * len(hypotheses)
     if len(annotations) != len(hypotheses):
@@ -267,7 +277,7 @@ def evaluate(
         if ann.subject_features is not None and ann.expected_verbs:
             agreement_scores.append(subj_verb_agreement(hyp, ann, lexicon))
         if ann.expected_tense is not None and ann.expected_verbs:
-            tense_scores.append(tense_match(hyp, ann, lexicon, use_auxiliaries))
+            tense_scores.append(tense_match(hyp, ann, lexicon))
 
     def _avg(scores: "list[float] | list[int]") -> "float | None":
         return 100.0 * sum(scores) / len(scores) if scores else None
@@ -278,8 +288,8 @@ def evaluate(
         subj_verb_agreement=_avg(agreement_scores),
         tense_match=_avg(tense_scores),
         non_repetition=non_repetition(hypotheses),
-        bleu4=bleu(hypotheses, references, max_n=4, smooth=smooth),
-        bleu1=bleu(hypotheses, references, max_n=1, smooth=smooth),
+        bleu4=_bleu_score(counts, 4, smooth),
+        bleu1=_bleu_score(counts, 1, smooth),
         n_sentences=len(hypotheses),
         noun_eligible=len(noun_scores),
         verb_eligible=len(verb_scores),

@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
+    BadEncodingError,
     BadLanguageTagError,
     BadRatiosError,
     MalformedRecordError,
@@ -55,6 +56,17 @@ def strip_eol(line: str) -> str:
     r"""``line`` without one trailing ``\n`` and then one trailing ``\r``:
     how every reader ends a line it split at ``\n``."""
     return line.removesuffix("\n").removesuffix("\r")
+
+
+def decode_utf8(data: bytes, source: str, line: int = 1, *, bom: bool = False) -> str:
+    """``data``, which starts at line ``line`` of ``source``, decoded as
+    UTF-8, a leading byte-order mark dropped when ``bom``.  A byte that is
+    not UTF-8 raises :class:`BadEncodingError` naming its line."""
+    try:
+        return data.decode("utf-8-sig" if bom else "utf-8")
+    except UnicodeDecodeError as exc:
+        where = line + data.count(b"\n", 0, exc.start)
+        raise BadEncodingError(source, exc, line=where) from exc
 
 
 def split_lines(text: str) -> list[str]:

@@ -6,14 +6,15 @@ composites (``3SG`` becomes ``3.SG``), and converts morphological-analyzer
 tags into gloss labels (``Kadi+A3sg+Pnon+Nom`` becomes
 ``Kadin.3.SG.NPOSS.NOM``).
 
-Unknown labels pass through unchanged so no information is destroyed; they
-can be counted via :func:`unknown_labels` / :func:`unknown_analyzer_tags`.
+Unknown labels pass through unchanged so no information is destroyed;
+:meth:`NormalizationTable.lookup_label` flags each one, and
+:func:`unknown_analyzer_tags` lists the analyzer tags the table lacks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import CycleDetectedError, TableParseError
@@ -107,9 +108,6 @@ class NormalizationTable:
         if raw.upper() in self.registry:
             return (raw.upper(),), True
         return (raw,), False
-
-    def with_person_first(self, person_first: bool) -> "NormalizationTable":
-        return replace(self, person_first=person_first)
 
 
 def _order_person_number(labels: tuple[str, ...], person_first: bool) -> tuple[str, ...]:
@@ -258,13 +256,6 @@ def default_label_registry() -> frozenset[str]:
     return default_table().label_registry()
 
 
-def normalize_label(raw: str, table: NormalizationTable) -> list[str]:
-    """Canonical label sequence for one raw label (unknown labels pass
-    through unchanged as a single-element list)."""
-    labels, _ = table.lookup_label(raw)
-    return list(labels)
-
-
 def _label_morphs(
     labels: tuple[str, ...], first_joiner: Joiner
 ) -> list[GlossMorph]:
@@ -331,16 +322,6 @@ def _analyzer_to_gloss(
             morphs.extend(_label_morphs((tag,), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
     return GlossLine(tokens=tuple(gloss_tokens)), unknown
-
-
-def unknown_labels(line: GlossLine, table: NormalizationTable) -> list[str]:
-    """Label morphs the table cannot resolve (flagged, never dropped)."""
-    found = []
-    for token in line.tokens:
-        for morph in token.morphs:
-            if morph.kind is MorphKind.LABEL and not table.lookup_label(morph.text)[1]:
-                found.append(morph.text)
-    return found
 
 
 def unknown_analyzer_tags(

@@ -67,7 +67,6 @@ class RawIgtBlock:
     """A run of 3 or 4 consecutive non-blank lines from an ODIN-style file."""
 
     lines: tuple[str, ...]
-    source_language_hint: str | None = None
     start_line: int = 0
 
     def __post_init__(self) -> None:
@@ -248,7 +247,6 @@ def block_to_record(
             gloss_src=_tokenize_optional(gloss_src_text, label_registry),
             gloss_tgt=_tokenize_optional(gloss_tgt_text, label_registry),
             target_text=target,
-            provenance=block.source_language_hint or "",
         )
     except TokenCountMismatchError as exc:
         raise TokenCountMismatchError(f"{where}{exc}") from exc

@@ -36,6 +36,7 @@ from .model import (
     IgtRecord,
     Joiner,
     MorphKind,
+    decode_utf8,
     is_punct,
     split_lines,
     strip_eol,
@@ -197,12 +198,10 @@ def _training_pairs(
         yield f"{record.lang.code} {record.gloss_tgt.render_spaced(split_morphs)}", record.target_text
 
 
-def baseline_detokenize(
-    line: str, label_registry: "frozenset[str] | set[str] | None" = None
-) -> str:
+def baseline_detokenize(line: str) -> str:
     """Crude gloss-to-English baseline: strip all labels, turn underscores
     into spaces, capitalize the first character, keep punctuation tokens."""
-    return _strip_labels(tokenize_gloss(line, label_registry=label_registry))
+    return _strip_labels(tokenize_gloss(line))
 
 
 def _strip_labels(gloss: GlossLine) -> str:
@@ -233,8 +232,8 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
     many lines, as a text file at offset 0 for the caller to close.
 
     stdin, stdout and stderr are spools (:func:`_spool`), so the data never
-    sits in memory, and the output is read as every input is: lines split at
-    ``\n`` only.
+    sits in memory, and the output is read as every input is: UTF-8, lines
+    split at ``\n`` only.
     """
     payload.seek(0)
     stdout = _spool()
@@ -269,7 +268,9 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
                     f"{stderr.read().strip()[:200]}"
                 )
         stdout.seek(0)
-        n_outputs = sum(1 for _ in stdout)
+        n_outputs = 0
+        for n_outputs, raw in enumerate(stdout.buffer, start=1):
+            decode_utf8(raw, "translator output", n_outputs)
         if n_outputs != n_lines:
             raise TranslatorCountMismatchError(
                 f"translator returned {n_outputs} line(s) for {n_lines} input(s)"

@@ -634,3 +634,85 @@ def test_pivot_rejects_split_morphs_with_the_baseline_before_reading_input(tmp_p
     argv = ["pivot", "--analyzer-out", missing, "--dict", missing, "--split-morphs"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("igt: CLI_ERROR: --split-morphs ")
+
+
+# --- input that is not UTF-8 ----------------------------------------------------------------
+
+
+def _not_utf8(path, lines_before):
+    path.write_bytes(b"ok-NOM\n" * lines_before + b"kad\xffn-NOM\n")
+    return str(path)
+
+
+def _input_argv(command, infile):
+    if command == "normalize":  # read a line at a time
+        return ["normalize", "--in", infile]
+    return ["eval", "--hyp", infile, "--ref", infile]  # read whole
+
+
+@pytest.mark.parametrize("command", ["normalize", "eval"])
+@pytest.mark.parametrize("lines_before", [1, 2000])  # 2000 lines run past 8 KiB
+def test_input_that_is_not_utf8_names_the_file_and_line(command, lines_before, tmp_path, capsys):
+    infile = _not_utf8(tmp_path / "bad.txt", lines_before)
+    assert main(_input_argv(command, infile)) == 1
+    assert capsys.readouterr().err == (
+        f"igt: BAD_ENCODING: {infile} line {lines_before + 1}: "
+        "not UTF-8 (byte 0xff: invalid start byte)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["normalize", "eval"])
+def test_stdin_that_is_not_utf8_is_named_dash(command, tmp_path, monkeypatch, capsys):
+    data = Path(_not_utf8(tmp_path / "bad.txt", 1)).read_bytes()
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(data))
+    assert main(_input_argv(command, "-")) == 1
+    assert capsys.readouterr().err == (
+        "igt: BAD_ENCODING: - line 2: not UTF-8 (byte 0xff: invalid start byte)\n"
+    )
+
+
+def test_pivot_reports_translator_output_that_is_not_utf8_at_the_translate_stage(
+    tmp_path, capsys
+):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n")
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    out = tmp_path / "out.txt"
+    script = "import sys; sys.stdin.read(); sys.stdout.buffer.write(bytes([255, 10]))"
+    command = f"cmd:{sys.executable} -c \"{script}\""
+    argv = ["pivot", "--analyzer-out", analyzer, "--dict", dict_file,
+            "--translator", command, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "igt: PIPELINE_STAGE_ERROR: stage translate: translator output line 1: "
+        "not UTF-8 (byte 0xff: invalid start byte)\n"
+    )
+    assert not out.exists()
+
+
+# --- flag values checked before any input is read --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["parse-toolbox", "--in", "{missing}", "--lang", "tur", "--map", "t=src,g=gloss_tgt"],
+         "bad --map entry 't=src' (role 'src' is not one of "
+         "gloss_src, gloss_tgt, ignore, source, target)"),
+        (["align", "--src", "{missing}", "--tgt", "{missing}", "--iters", "0"],
+         "--iters must be at least 1, got 0"),
+        (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}", "--translator", "cmd:"],
+         "--translator cmd: needs a command"),
+        (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}",
+          "--translator", "cmd:cat", "--timeout", "0"],
+         "--timeout must be a positive number of seconds, got 0.0"),
+        (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}",
+          "--translator", "cmd:cat", "--timeout", "-1"],
+         "--timeout must be a positive number of seconds, got -1.0"),
+    ],
+    ids=["map-role", "iters", "empty-command", "zero-timeout", "negative-timeout"],
+)
+def test_bad_flag_values_are_cli_errors_before_any_input_is_read(argv, message, tmp_path, capsys):
+    # every input is missing, so reading one would fail with FILE_NOT_FOUND instead
+    missing = str(tmp_path / "nope.txt")
+    assert main([arg.format(missing=missing) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"igt: CLI_ERROR: {message}\n"

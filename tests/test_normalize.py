@@ -1,5 +1,6 @@
 """Label normalization: variant mapping, composites, analyzer conversion."""
 
+import dataclasses
 import random
 
 import pytest
@@ -14,11 +15,9 @@ from igtpivot import (
     default_table,
     loads_table,
     normalize_gloss_line,
-    normalize_label,
     parse_analyzer_line,
     tokenize_gloss,
     unknown_analyzer_tags,
-    unknown_labels,
 )
 from igtpivot import normalize
 from igtpivot.cli import _load_norm_table
@@ -45,11 +44,11 @@ def _normalize_text(text, table):
 
 def test_default_table_variant_lookups():
     table = default_table()
-    assert normalize_label("PRES", table) == ["PRS"]
-    assert normalize_label("Past", table) == ["PST"]
-    assert normalize_label("pst", table) == ["PST"]
-    assert normalize_label("NOMZ", table) == ["NMLZ"]
-    assert normalize_label("ADVL", table) == ["ADV"]
+    assert table.lookup_label("PRES")[0] == ("PRS",)
+    assert table.lookup_label("Past")[0] == ("PST",)
+    assert table.lookup_label("pst")[0] == ("PST",)
+    assert table.lookup_label("NOMZ")[0] == ("NMLZ",)
+    assert table.lookup_label("ADVL")[0] == ("ADV",)
 
 
 def test_default_table_analyzer_lookups():
@@ -75,7 +74,7 @@ def test_cycle_detection():
 def test_self_mapping_is_a_fixed_point_not_a_cycle():
     text = "[registry]\nX\n[variants]\nX\tX\n"
     table = loads_table(text)
-    assert normalize_label("X", table) == ["X"]
+    assert table.lookup_label("X")[0] == ("X",)
 
 
 @pytest.mark.parametrize(
@@ -132,23 +131,23 @@ def test_load_table_reads_a_file_as_loads_table_reads_its_text(tmp_path):
 def test_composite_expansion_person_first_and_number_first():
     person_first = default_table()
     number_first = default_table(False)
-    assert normalize_label("3SG", person_first) == ["3", "SG"]
-    assert normalize_label("3SG", number_first) == ["SG", "3"]
-    assert normalize_label("1pl", person_first) == ["1", "PL"]
-    assert normalize_label("3S", person_first) == ["3", "SG"]
-    assert normalize_label("2sing", person_first) == ["2", "SG"]
+    assert person_first.lookup_label("3SG")[0] == ("3", "SG")
+    assert number_first.lookup_label("3SG")[0] == ("SG", "3")
+    assert person_first.lookup_label("1pl")[0] == ("1", "PL")
+    assert person_first.lookup_label("3S")[0] == ("3", "SG")
+    assert person_first.lookup_label("2sing")[0] == ("2", "SG")
 
 
 def test_registry_labels_are_fixed_points():
     table = default_table()
     for label in ["PST", "NOM", "SG", "3", "PROG"]:
-        assert normalize_label(label, table) == [label]
+        assert table.lookup_label(label)[0] == (label,)
 
 
 def test_lowercase_registry_hit_uppercases():
     table = default_table()
-    assert normalize_label("sg", table) == ["SG"]
-    assert normalize_label("nom", table) == ["NOM"]
+    assert table.lookup_label("sg")[0] == ("SG",)
+    assert table.lookup_label("nom")[0] == ("NOM",)
 
 
 def test_unknown_label_passes_through_flagged():
@@ -207,12 +206,10 @@ def test_normalized_labels_are_registry_or_flagged():
     for _ in range(50):
         line = random_gloss_line(rng, rng.randint(1, 5))
         normalized = normalize_gloss_line(line, table)
-        unknown = set(unknown_labels(normalized, table))
         for token in normalized.tokens:
             for morph in token.morphs:
                 if morph.kind is MorphKind.LABEL:
-                    assert morph.text in table.registry or morph.text in unknown or \
-                        table.lookup_label(morph.text)[1]
+                    assert morph.text in table.registry or not table.lookup_label(morph.text)[1]
 
 
 # --- analyzer conversion -----------------------------------------------------------
@@ -271,8 +268,9 @@ def test_number_first_orders_analyzer_tags_and_variants():
     gloss = analyzer_to_gloss(tokens, default_table()).render()
     assert gloss == "gel-PST.3.SG kitap.3.SG.1.SG.POSS.ACC."
     table = loads_table("[registry]\n1 2 3 SG PL DU POSS\n[variants]\n3POSS\t3.DU.POSS\n")
-    assert normalize_label("3POSS", table) == ["3", "DU", "POSS"]
-    assert normalize_label("3POSS", table.with_person_first(False)) == ["DU", "3", "POSS"]
+    assert table.lookup_label("3POSS")[0] == ("3", "DU", "POSS")
+    number_first = dataclasses.replace(table, person_first=False)
+    assert number_first.lookup_label("3POSS")[0] == ("DU", "3", "POSS")
 
 
 def test_number_first_moves_each_number_once():
@@ -332,7 +330,7 @@ def test_number_first_table_made_after_the_person_first_one_has_its_own_morphs()
     tokens = parse_analyzer_line("gel+Past+A3sg")
     person_first = default_table()
     assert analyzer_to_gloss(tokens, person_first).render() == "gel-PST.3.SG"
-    number_first = person_first.with_person_first(False)
+    number_first = dataclasses.replace(person_first, person_first=False)
     assert analyzer_to_gloss(tokens, number_first).render() == "gel-PST.SG.3"
     assert analyzer_to_gloss(tokens, person_first).render() == "gel-PST.3.SG"
 

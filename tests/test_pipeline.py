@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtpivot import (
+    BadEncodingError,
     IgtRecord,
     LanguageTag,
     LemmaDictionary,
@@ -524,3 +525,14 @@ def test_substitution_returns_a_token_it_does_not_change_as_it_is():
     dropped = substitute_lemmas(gloss, dictionary, OovPolicy.DROP)
     assert [a is b for a, b in zip(dropped.tokens, gloss.tokens)] == [True, False, False, True]
     assert dropped.render() == "3SG PST house-LOC."
+
+
+def test_translate_names_the_line_of_translator_output_that_is_not_utf8():
+    script = "import sys; sys.stdin.read(); sys.stdout.buffer.write(bytes([111, 107, 10, 255]))"
+    handle = TranslatorHandle(
+        TranslatorKind.EXTERNAL, command=f"{sys.executable} -c \"{script}\"", timeout=30
+    )
+    with pytest.raises(BadEncodingError) as caught:
+        translate(["a", "b"], handle)
+    assert isinstance(caught.value, ValueError)
+    assert (caught.value.source, caught.value.line) == ("translator output", 2)
