@@ -23,8 +23,10 @@ from .align import (
 )
 from .errors import (
     BadEncodingError,
+    BadFieldRoleError,
     BadLanguageTagError,
     BadRatiosError,
+    BadTranslatorError,
     BlockShapeError,
     CycleDetectedError,
     EmptyCorpusError,

@@ -13,7 +13,7 @@ import os
 import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from . import align as align_mod
 from . import metrics as metrics_mod
@@ -22,7 +22,8 @@ from . import normalize as normalize_mod
 from . import parsing as parsing_mod
 from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .model import decode_utf8, split_lines, strip_eol
+from .inflect import load_lexicon
+from .model import decode_lines, decode_utf8, split_lines
 from .tables import DEFAULT_TABLE_TEXT
 
 
@@ -63,10 +64,7 @@ def _read(path: "str | None") -> str:
 def _iter_lines(path: "str | None") -> Iterator[str]:
     """The lines of ``split_lines(_read(path))``, read one at a time."""
     with _open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = decode_utf8(raw, path or "-", lineno, bom=lineno == 1)
-            if text:  # empty only for an input that is just a BOM, which has no line
-                yield strip_eol(text)
+        yield from decode_lines(handle, path or "-")
 
 
 @contextmanager
@@ -133,9 +131,11 @@ def _warn(warning: ParseWarning) -> None:
     print(f"igt: warning: {warning}", file=sys.stderr)
 
 
-def _emit_warnings(warnings: "list[ParseWarning]") -> None:
-    for warning in warnings:
-        _warn(warning)
+def _write_corpus(path: "str | None", records: Iterable[model_mod.IgtRecord]) -> None:
+    """One corpus line per record, serialized as it comes, through :func:`_spooled`."""
+    with _spooled(path) as out:
+        for record in records:
+            out.write(model_mod.serialize_record(record) + "\n")
 
 
 def _load_norm_table(spec: str, person_first: bool) -> normalize_mod.NormalizationTable:
@@ -168,36 +168,30 @@ _OOV_BY_NAME = {p.value: p for p in pipeline_mod.OovPolicy}
 
 def _cmd_parse_odin(args: argparse.Namespace) -> int:
     lang = model_mod.as_language_tag(args.lang)
-    blocks, warnings = parsing_mod.parse_odin_blocks(_read(args.infile))
-    _emit_warnings(warnings)
-    records = []
-    for i, block in enumerate(blocks, start=1):
-        records.append(
-            parsing_mod.block_to_record(block, lang, record_id=f"{args.id_prefix}-{i:04d}")
-        )
-    _write(args.outfile, model_mod.dump_corpus(records))
+    blocks = parsing_mod._odin_blocks(_iter_lines(args.infile), _warn)
+    _write_corpus(args.outfile, (
+        parsing_mod.block_to_record(block, lang, record_id=f"{args.id_prefix}-{i:04d}")
+        for i, block in enumerate(blocks, start=1)
+    ))
     return 0
 
 
 def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
     lang = model_mod.as_language_tag(args.lang)
-    field_map = None
-    if args.map:
-        field_map = {}
-        for entry in args.map.split(","):
-            marker, sep, role = entry.partition("=")
-            if not sep:
-                raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
-            role = role.strip()
-            if role not in parsing_mod._TOOLBOX_ROLES:
-                roles = ", ".join(sorted(parsing_mod._TOOLBOX_ROLES))
-                raise _CliError(f"bad --map entry {entry!r} (role {role!r} is not one of {roles})")
-            field_map[marker.strip()] = role
-    records, warnings = parsing_mod.parse_toolbox(
-        _read(args.infile), field_map, lang=lang, id_prefix=args.id_prefix
-    )
-    _emit_warnings(warnings)
-    _write(args.outfile, model_mod.dump_corpus(records))
+    field_map = {}  # empty: the default map
+    for entry in args.map.split(",") if args.map else ():
+        marker, sep, role = entry.partition("=")
+        if not sep:
+            raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
+        role = role.strip()
+        if role not in parsing_mod._TOOLBOX_ROLES:
+            roles = ", ".join(sorted(parsing_mod._TOOLBOX_ROLES))
+            raise _CliError(f"bad --map entry {entry!r} (role {role!r} is not one of {roles})")
+        field_map[marker.strip()] = role
+    fmap = parsing_mod._normalize_field_map(field_map)
+    lines = _iter_lines(args.infile)
+    records = parsing_mod._toolbox_records(lines, fmap, lang, args.id_prefix, _warn)
+    _write_corpus(args.outfile, records)
     return 0
 
 
@@ -338,16 +332,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise _CliError(
                 f"annotation file has {len(annotations)} rows for {len(hyps)} hypotheses"
             )
-    lexicon = None
-    if args.lexicon:
-        lexicon = metrics_mod.default_lexicon() if args.lexicon == "default" else None
-        if lexicon is None:
-            from .inflect import load_lexicon
-
-            lexicon = load_lexicon(_read(args.lexicon))
-    report = metrics_mod.evaluate(
-        hyps, refs, annotations, lexicon=lexicon, smooth=args.smooth
-    )
+    lexicon = None if args.lexicon in (None, "default") else load_lexicon(_read(args.lexicon))
+    report = metrics_mod.evaluate(hyps, refs, annotations, lexicon=lexicon, smooth=args.smooth)
     _write(args.outfile, metrics_mod.format_report(report) + metrics_mod.summary_line(report) + "\n")
     return 0
 

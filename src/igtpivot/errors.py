@@ -37,6 +37,10 @@ class BadLanguageTagError(IgtError, ValueError):
     code = "BAD_LANGUAGE_TAG"
 
 
+class BadFieldRoleError(IgtError, ValueError):
+    code = "BAD_FIELD_ROLE"
+
+
 class EmptyLineError(IgtError):
     code = "EMPTY_LINE"
 
@@ -114,6 +118,10 @@ class LengthMismatchError(IgtError, ValueError):
 
 class TranslatorError(IgtError):
     code = "TRANSLATOR_ERROR"
+
+
+class BadTranslatorError(IgtError, ValueError):
+    code = "BAD_TRANSLATOR"
 
 
 class TranslatorTimeoutError(TranslatorError):

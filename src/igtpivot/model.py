@@ -69,6 +69,14 @@ def decode_utf8(data: bytes, source: str, line: int = 1, *, bom: bool = False) -
         raise BadEncodingError(source, exc, line=where) from exc
 
 
+def decode_lines(lines: Iterable[bytes], source: str) -> Iterator[str]:
+    """Every input's lines, as ``split_lines`` of its decoded whole, one at a time."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = decode_utf8(raw, source, lineno, bom=lineno == 1)
+        if text:  # empty only for an input that is just a BOM, which has no line
+            yield strip_eol(text)
+
+
 def split_lines(text: str) -> list[str]:
     r"""Lines of ``text`` split at ``\n`` only, each ended by
     :func:`strip_eol`; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v``,

@@ -7,6 +7,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BLOCK_SHAPE,
@@ -14,6 +16,7 @@ from .errors import (
     ORPHAN_LINE,
     TOKEN_COUNT_MISMATCH,
     UNKNOWN_MARKER,
+    BadFieldRoleError,
     BlockShapeError,
     EmptyLineError,
     MalformedTokenError,
@@ -36,6 +39,7 @@ from .model import (
 )
 
 _JOINER_BY_CHAR = {ch: Joiner(ch) for ch in DELIMITERS}
+_Warn = Callable[[ParseWarning], None]  # what a streaming parser passes each warning to
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,39 +187,29 @@ def parse_odin_blocks(text: str) -> tuple[list[RawIgtBlock], list[ParseWarning]]
 
     Runs of 3-4 lines become blocks; 1-, 2- and 5+-line runs are reported as
     ``BLOCK_SHAPE`` warnings, so every non-blank input line is accounted for
-    by exactly one block or one warning.
+    by exactly one block or one warning.  ``igt parse-odin`` reads the same
+    blocks one run at a time, printing each warning as it is met.
     """
-    blocks: list[RawIgtBlock] = []
     warnings: list[ParseWarning] = []
+    return list(_odin_blocks(split_lines(text), warnings.append)), warnings
+
+
+def _odin_blocks(lines: Iterable[str], warn: _Warn) -> Iterator[RawIgtBlock]:
+    """:func:`parse_odin_blocks`'s blocks one run at a time, each misshapen
+    run's warning passed to ``warn`` as it is met."""
     run: list[str] = []
-    run_start = 0
-
-    def flush() -> None:
-        if not run:
-            return
-        if 3 <= len(run) <= 4:
-            blocks.append(RawIgtBlock(lines=tuple(run), start_line=run_start))
-        else:
-            warnings.append(
-                ParseWarning(
-                    BLOCK_SHAPE,
-                    f"run of {len(run)} line(s) starting at line {run_start} "
-                    "is not a 3-4 line IGT block",
-                    line=run_start,
-                )
-            )
-
-    for lineno, raw in enumerate(split_lines(text), start=1):
+    for lineno, raw in enumerate(chain(lines, ("",)), start=1):  # "" ends the last run
         line = raw.strip()
         if line:
-            if not run:
-                run_start = lineno
             run.append(line)
-        else:
-            flush()
-            run = []
-    flush()
-    return blocks, warnings
+            continue
+        start = lineno - len(run)
+        if 3 <= len(run) <= 4:
+            yield RawIgtBlock(lines=tuple(run), start_line=start)
+        elif run:
+            shape = f"run of {len(run)} line(s) starting at line {start} is not a 3-4 line IGT block"
+            warn(ParseWarning(BLOCK_SHAPE, shape, line=start))
+        run.clear()
 
 
 def block_to_record(
@@ -254,23 +248,18 @@ def block_to_record(
 
 # --- ToolBox backslash-coded files -------------------------------------------
 
-DEFAULT_TOOLBOX_MAP = {
-    "t": "source",
-    "m": "ignore",
-    "g": "gloss_tgt",
-    "f": "target",
-}
+DEFAULT_TOOLBOX_MAP = {"t": "source", "m": "ignore", "g": "gloss_tgt", "f": "target"}
 
 _TOOLBOX_ROLES = frozenset({"source", "gloss_src", "gloss_tgt", "target", "ignore"})
 
 _MARKER_RE = re.compile(r"^\\(\S+)\s*(.*)$")
 
 
-def _normalize_field_map(field_map: dict[str, str]) -> dict[str, str]:
+def _normalize_field_map(field_map: "dict[str, str] | None") -> dict[str, str]:
     normalized = {}
-    for marker, role in field_map.items():
+    for marker, role in (field_map or DEFAULT_TOOLBOX_MAP).items():
         if role not in _TOOLBOX_ROLES:
-            raise ValueError(f"unknown ToolBox field role {role!r} for marker {marker!r}")
+            raise BadFieldRoleError(f"unknown ToolBox field role {role!r} for marker {marker!r}")
         normalized[marker.lstrip("\\")] = role
     return normalized
 
@@ -290,17 +279,24 @@ def parse_toolbox(
     previous marker's content with a single space; one before the first
     marker yields an ``ORPHAN_LINE`` warning.  Markers missing from
     ``field_map`` yield ``UNKNOWN_MARKER`` warnings and are skipped; records
-    whose mapped fields are all empty are skipped with ``EMPTY_RECORD``.
+    whose mapped fields are all empty are skipped with ``EMPTY_RECORD``, and
+    those whose glosses differ in token count with ``TOKEN_COUNT_MISMATCH``.
+    An unknown role raises :class:`BadFieldRoleError`.  ``igt parse-toolbox``
+    reads the same records one at a time, printing each warning as it is met.
     """
-    fmap = _normalize_field_map(dict(field_map) if field_map else DEFAULT_TOOLBOX_MAP)
+    fmap = _normalize_field_map(field_map)
     tag = as_language_tag(lang)
     warnings: list[ParseWarning] = []
-    records: list[IgtRecord] = []
+    lines = split_lines(text)
+    records = _toolbox_records(lines, fmap, tag, id_prefix, warnings.append, label_registry)
+    return list(records), warnings
 
-    chunks: list[list[tuple[str, str, int]]] = []  # (marker, content, lineno)
+
+def _toolbox_chunks(lines: Iterable[str], warn: _Warn) -> Iterator[list[tuple[str, str, int]]]:
+    """Each record's ``(marker, content, line)`` fields, continuation lines folded in."""
     delimiter: str | None = None
     current: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(split_lines(text), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         match = _MARKER_RE.match(raw)
@@ -309,52 +305,52 @@ def parse_toolbox(
                 marker, content, start = current[-1]
                 current[-1] = (marker, f"{content} {raw.strip()}".strip(), start)
             else:
-                warnings.append(
-                    ParseWarning(ORPHAN_LINE, "line before the first marker", line=lineno)
-                )
+                warn(ParseWarning(ORPHAN_LINE, "line before the first marker", line=lineno))
             continue
         marker, content = match.group(1), match.group(2).strip()
         if delimiter is None:
             delimiter = marker
         if marker == delimiter and current:
-            chunks.append(current)
+            yield current
             current = []
         current.append((marker, content, lineno))
     if current:
-        chunks.append(current)
+        yield current
 
-    for index, chunk in enumerate(chunks):
+
+def _toolbox_records(
+    lines: Iterable[str], fmap: dict[str, str], tag: LanguageTag, id_prefix: str,
+    warn: _Warn, label_registry: "frozenset[str] | set[str] | None" = None,
+) -> Iterator[IgtRecord]:
+    """:func:`parse_toolbox`'s records one at a time, each warning passed to
+    ``warn`` as it is met.  A skipped record still uses up its id number."""
+    for index, chunk in enumerate(_toolbox_chunks(lines, warn), start=1):
         fields: dict[str, str] = {}
         start_line = chunk[0][2]
         for marker, content, lineno in chunk:
             role = fmap.get(marker)
             if role is None:
-                warnings.append(
-                    ParseWarning(UNKNOWN_MARKER, f"marker \\{marker} has no mapping", line=lineno)
-                )
+                warn(ParseWarning(UNKNOWN_MARKER, f"marker \\{marker} has no mapping", line=lineno))
                 continue
             if role == "ignore" or not content:
                 continue
             fields[role] = f"{fields[role]} {content}".strip() if role in fields else content
         if not fields:
-            warnings.append(
-                ParseWarning(EMPTY_RECORD, "record has no mapped content", line=start_line)
-            )
+            warn(ParseWarning(EMPTY_RECORD, "record has no mapped content", line=start_line))
             continue
         try:
-            records.append(
-                IgtRecord(
-                    id=f"{id_prefix}-{index + 1:04d}",
-                    lang=tag,
-                    source_text=fields.get("source"),
-                    gloss_src=_tokenize_optional(fields.get("gloss_src"), label_registry),
-                    gloss_tgt=_tokenize_optional(fields.get("gloss_tgt"), label_registry),
-                    target_text=fields.get("target"),
-                )
+            record = IgtRecord(
+                id=f"{id_prefix}-{index:04d}",
+                lang=tag,
+                source_text=fields.get("source"),
+                gloss_src=_tokenize_optional(fields.get("gloss_src"), label_registry),
+                gloss_tgt=_tokenize_optional(fields.get("gloss_tgt"), label_registry),
+                target_text=fields.get("target"),
             )
         except TokenCountMismatchError as exc:
-            warnings.append(ParseWarning(TOKEN_COUNT_MISMATCH, str(exc), line=start_line))
-    return records, warnings
+            warn(ParseWarning(TOKEN_COUNT_MISMATCH, str(exc), line=start_line))
+            continue
+        yield record
 
 
 # --- morphological analyzer output -------------------------------------------

@@ -22,6 +22,7 @@ from typing import IO, Callable, Iterable, Iterator
 from .align import LemmaDictionary
 from .errors import (
     SKIPPED_RECORD,
+    BadTranslatorError,
     IgtError,
     ParseWarning,
     PipelineStageError,
@@ -36,16 +37,16 @@ from .model import (
     IgtRecord,
     Joiner,
     MorphKind,
-    decode_utf8,
+    decode_lines,
     is_punct,
     split_lines,
-    strip_eol,
 )
 from .normalize import NormalizationTable, _analyzer_to_gloss
 from .parsing import parse_analyzer_line, tokenize_gloss
 
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
 OOV_CLOSE = "⟧"
+_OUTPUT = "translator output"  # how a BAD_ENCODING error names it
 
 
 class OovPolicy(Enum):
@@ -72,7 +73,9 @@ class TranslatorHandle:
 
     def __post_init__(self) -> None:
         if self.kind is TranslatorKind.EXTERNAL and not (self.command or "").strip():
-            raise ValueError("EXTERNAL translator requires a non-empty command")
+            raise BadTranslatorError("EXTERNAL translator requires a non-empty command")
+        if not self.timeout > 0:  # nan too, which would wait forever
+            raise BadTranslatorError(f"timeout must be positive seconds, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -226,17 +229,16 @@ def _spool() -> IO[str]:
     return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
 
 
-def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) -> IO[str]:
+def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) -> IO[bytes]:
     r"""Run the translator once with ``payload``, a spool of ``n_lines``
     ``\n``-ended lines, as its stdin.  Return its stdout, checked to hold as
-    many lines, as a text file at offset 0 for the caller to close.
+    many lines, as a binary file at offset 0 for the caller to close.
 
-    stdin, stdout and stderr are spools (:func:`_spool`), so the data never
-    sits in memory, and the output is read as every input is: UTF-8, lines
-    split at ``\n`` only.
+    stdin, stdout and stderr are temporary files, so the data never sits in
+    memory, and the output is read as every input is (``decode_lines``).
     """
     payload.seek(0)
-    stdout = _spool()
+    stdout = tempfile.TemporaryFile()
     try:
         with _spool() as stderr:
             try:
@@ -268,9 +270,7 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
                     f"{stderr.read().strip()[:200]}"
                 )
         stdout.seek(0)
-        n_outputs = 0
-        for n_outputs, raw in enumerate(stdout.buffer, start=1):
-            decode_utf8(raw, "translator output", n_outputs)
+        n_outputs = sum(1 for _ in decode_lines(stdout, _OUTPUT))
         if n_outputs != n_lines:
             raise TranslatorCountMismatchError(
                 f"translator returned {n_outputs} line(s) for {n_lines} input(s)"
@@ -296,7 +296,7 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
         for line in lines:
             payload.write(line + "\n")
         with _run_external(payload, len(lines), translator) as outputs:
-            return [strip_eol(line) for line in outputs]
+            return list(decode_lines(outputs, _OUTPUT))
 
 
 def _stages(
@@ -350,8 +350,8 @@ def _translate_externally(
             raise PipelineStageError("translate", exc) from exc
         rows.seek(0)
         with outputs:
-            for target in outputs:
-                yield SentenceTrace(*marshal.load(rows), strip_eol(target))
+            for target in decode_lines(outputs, _OUTPUT):
+                yield SentenceTrace(*marshal.load(rows), target)
 
 
 def iter_pipeline(

@@ -1,0 +1,154 @@
+"""Memory check at the paper's corpus size for the streaming corpus commands.
+
+The paper pools 54,545 ODIN glosses and 70,918 Arapaho glosses.  This script
+generates the seed-7 ``corpus`` inputs of ``perfbench/gen.py`` (3,000 IGT
+records) and writes them once (x1) and 23 times over (x23, 69,000 records),
+as ODIN blocks and as a ToolBox file.  It runs ``igt parse-odin``,
+``igt parse-toolbox`` and ``igt prepare-multi`` on each size as its own
+children and fails unless each command's peak RSS at x23 is within 1.10x of
+its figure at x1.  It also checks that both parsers write the same records
+and that no command warns.
+
+Linux reports, as a child's peak RSS, at least the high-water mark of the
+process it was forked from.  So the script imports no igtpivot, runs the
+generator as a child too, and copies the inputs a line at a time; it fails if
+its own peak is not below every child's figure.
+
+Usage: python tests/paper_scale.py [--work DIR]
+(pytest does not collect it: the name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 7
+TIMES = 23
+BOUND = 1.10
+CHILD_TIMEOUT = 300.0  # seconds for one command
+TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
+TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
+
+
+def peak_mb(argv: list[str], stderr_path: str) -> float:
+    """Run ``argv`` to completion as a child; return its peak RSS in MB.
+    Fails if it exits nonzero or writes to stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    with open(stderr_path, "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stderr=err)
+        deadline = time.monotonic() + CHILD_TIMEOUT
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                proc.kill()
+                os.wait4(proc.pid, 0)
+                proc.returncode = -9
+                raise SystemExit(f"timed out after {CHILD_TIMEOUT} s: {argv}")
+            time.sleep(0.02)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        message = err.read()
+    if proc.returncode != 0 or message:
+        raise SystemExit(f"{argv} exited {proc.returncode}:\n{message}")
+    return usage.ru_maxrss / 1024.0
+
+
+def write_inputs(blocks_path: str, work: str, times: int) -> tuple[str, str]:
+    """The ODIN blocks of ``blocks_path`` written ``times`` times over, and the
+    same records as a ToolBox file; return both paths."""
+    odin = os.path.join(work, f"blocks.x{times}.txt")
+    toolbox = os.path.join(work, f"records.x{times}.tb")
+    with open(odin, "w", encoding="utf-8", newline="\n") as odin_out, open(
+        toolbox, "w", encoding="utf-8", newline="\n"
+    ) as toolbox_out:
+        for _ in range(times):
+            with open(blocks_path, encoding="utf-8", newline="\n") as source:
+                field = 0
+                for line in source:
+                    odin_out.write(line)
+                    if line.strip():
+                        toolbox_out.write(f"\\{TOOLBOX_MARKERS[field]} {line}")
+                        field += 1
+                    else:
+                        toolbox_out.write(line)
+                        field = 0
+            odin_out.write("\n")  # a blank line between copies keeps their blocks apart
+            toolbox_out.write("\n")
+    return odin, toolbox
+
+
+def count_lines(path: str) -> int:
+    with open(path, "rb") as handle:
+        return sum(1 for _ in handle)
+
+
+def run_size(generated: str, work: str, times: int) -> dict[str, float]:
+    """Each command's peak RSS in MB on the inputs written ``times`` times over."""
+    odin, toolbox = write_inputs(os.path.join(generated, "blocks.txt"), work, times)
+    corpus = os.path.join(work, f"corpus.x{times}.igt")
+    from_toolbox = os.path.join(work, f"toolbox.x{times}.igt")
+    igt = [sys.executable, "-m", "igtpivot"]
+    runs = {
+        "parse-odin": ["parse-odin", "--in", odin, "--out", corpus],
+        "parse-toolbox": ["parse-toolbox", "--in", toolbox, "--map", TOOLBOX_MAP,
+                          "--id-prefix", "odin", "--out", from_toolbox],
+        "prepare-multi": ["prepare-multi", "--in", corpus,
+                          "--src-out", os.path.join(work, f"multi.x{times}.src"),
+                          "--tgt-out", os.path.join(work, f"multi.x{times}.tgt")],
+    }
+    stderr_path = os.path.join(work, "stderr.txt")
+    peaks = {}
+    for command, argv in runs.items():
+        lang = ["--lang", "tur"] if command.startswith("parse-") else []
+        peaks[command] = peak_mb([*igt, *argv, *lang], stderr_path)
+    if not filecmp.cmp(corpus, from_toolbox, shallow=False):
+        raise SystemExit(f"parse-odin and parse-toolbox records differ at x{times}")
+    n_records = count_lines(corpus)
+    if n_records != times * count_lines(os.path.join(generated, "ref.txt")):
+        raise SystemExit(f"x{times} wrote {n_records} records")
+    print(f"x{times}: {n_records} records")
+    return peaks
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--work", help="directory for the files (default: a temporary one)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as scratch:
+        work = args.work or scratch
+        os.makedirs(work, exist_ok=True)
+        generated = os.path.join(work, "gen")
+        subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "gen.py"), "--workload", "corpus",
+             "--seed", str(SEED), "--out", generated],
+            check=True, stdout=subprocess.DEVNULL,
+        )
+        once, scaled = run_size(generated, work, 1), run_size(generated, work, TIMES)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"this script peaked at {own:.1f} MB")
+    failures = []
+    for command in once:
+        ratio = scaled[command] / once[command]
+        print(f"{command:14} x1 {once[command]:6.1f} MB   x{TIMES} {scaled[command]:6.1f} MB   "
+              f"ratio {ratio:.3f}")
+        if ratio > BOUND:
+            failures.append(f"{command} grew {ratio:.3f}x from x1 to x{TIMES} (bound {BOUND}x)")
+        if min(once[command], scaled[command]) <= own:
+            failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

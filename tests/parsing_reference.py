@@ -1,0 +1,123 @@
+"""The ODIN and ToolBox parsers as they were before they became single-pass
+generators: each reads the whole text, builds every block or chunk first,
+and collects its warnings in a list.  Kept as the reference the streaming
+parsers are differential-tested against; built from public names only."""
+
+import re
+
+from igtpivot import IgtRecord, ParseWarning, RawIgtBlock, TokenCountMismatchError, tokenize_gloss
+from igtpivot.model import as_language_tag, split_lines
+
+TOOLBOX_ROLES = frozenset({"source", "gloss_src", "gloss_tgt", "target", "ignore"})
+DEFAULT_TOOLBOX_MAP = {"t": "source", "m": "ignore", "g": "gloss_tgt", "f": "target"}
+_MARKER_RE = re.compile(r"^\\(\S+)\s*(.*)$")
+
+
+def _tokenize_optional(text, registry):
+    return None if text is None else tokenize_gloss(text, label_registry=registry)
+
+
+def reference_parse_odin_blocks(text):
+    blocks = []
+    warnings = []
+    run = []
+    run_start = 0
+
+    def flush():
+        if not run:
+            return
+        if 3 <= len(run) <= 4:
+            blocks.append(RawIgtBlock(lines=tuple(run), start_line=run_start))
+        else:
+            warnings.append(
+                ParseWarning(
+                    "BLOCK_SHAPE",
+                    f"run of {len(run)} line(s) starting at line {run_start} "
+                    "is not a 3-4 line IGT block",
+                    line=run_start,
+                )
+            )
+
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if line:
+            if not run:
+                run_start = lineno
+            run.append(line)
+        else:
+            flush()
+            run = []
+    flush()
+    return blocks, warnings
+
+
+def reference_parse_toolbox(
+    text, field_map=None, *, lang="und", id_prefix="toolbox", label_registry=None
+):
+    fmap = {}
+    for marker, role in (dict(field_map) if field_map else DEFAULT_TOOLBOX_MAP).items():
+        if role not in TOOLBOX_ROLES:
+            raise ValueError(f"unknown ToolBox field role {role!r} for marker {marker!r}")
+        fmap[marker.lstrip("\\")] = role
+    tag = as_language_tag(lang)
+    warnings = []
+    records = []
+
+    chunks = []  # lists of (marker, content, lineno)
+    delimiter = None
+    current = []
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        if not raw.strip():
+            continue
+        match = _MARKER_RE.match(raw)
+        if match is None:
+            if current:
+                marker, content, start = current[-1]
+                current[-1] = (marker, f"{content} {raw.strip()}".strip(), start)
+            else:
+                warnings.append(
+                    ParseWarning("ORPHAN_LINE", "line before the first marker", line=lineno)
+                )
+            continue
+        marker, content = match.group(1), match.group(2).strip()
+        if delimiter is None:
+            delimiter = marker
+        if marker == delimiter and current:
+            chunks.append(current)
+            current = []
+        current.append((marker, content, lineno))
+    if current:
+        chunks.append(current)
+
+    for index, chunk in enumerate(chunks):
+        fields = {}
+        start_line = chunk[0][2]
+        for marker, content, lineno in chunk:
+            role = fmap.get(marker)
+            if role is None:
+                warnings.append(
+                    ParseWarning("UNKNOWN_MARKER", f"marker \\{marker} has no mapping", line=lineno)
+                )
+                continue
+            if role == "ignore" or not content:
+                continue
+            fields[role] = f"{fields[role]} {content}".strip() if role in fields else content
+        if not fields:
+            warnings.append(
+                ParseWarning("EMPTY_RECORD", "record has no mapped content", line=start_line)
+            )
+            continue
+        try:
+            records.append(
+                IgtRecord(
+                    id=f"{id_prefix}-{index + 1:04d}",
+                    lang=tag,
+                    source_text=fields.get("source"),
+                    gloss_src=_tokenize_optional(fields.get("gloss_src"), label_registry),
+                    gloss_tgt=_tokenize_optional(fields.get("gloss_tgt"), label_registry),
+                    target_text=fields.get("target"),
+                )
+            )
+        except TokenCountMismatchError as exc:
+            warnings.append(ParseWarning("TOKEN_COUNT_MISMATCH", str(exc), line=start_line))
+    return records, warnings

@@ -12,8 +12,10 @@ import igtpivot
 EXPORTS = [
     "AnalyzerToken",
     "BadEncodingError",
+    "BadFieldRoleError",
     "BadLanguageTagError",
     "BadRatiosError",
+    "BadTranslatorError",
     "BlockShapeError",
     "CorpusSplit",
     "CycleDetectedError",

@@ -442,6 +442,24 @@ def test_eval_reports_a_bad_lexicon_row_with_code_and_line(tmp_path, capsys):
     )
 
 
+def test_eval_lexicon_default_is_no_flag_and_a_user_lexicon_overrides_a_past_form(tmp_path):
+    hyp = write(tmp_path / "h.txt", "he goed home .\n")
+    ref = write(tmp_path / "r.txt", "he went home .\n")
+    ann = write(tmp_path / "a.tsv", "s1\tverbs=go\tsubj=3.SG\ttense=PST\n")
+    lexicon = write(tmp_path / "lex.tsv", "go\tgoed\n")
+    argv = ["eval", "--hyp", hyp, "--ref", ref, "--ann", ann]
+    outputs = {}
+    for name, flag in [("none", []), ("default", ["--lexicon", "default"]),
+                       ("user", ["--lexicon", lexicon])]:
+        out = tmp_path / f"{name}.txt"
+        assert main([*argv, *flag, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["default"] == outputs["none"]
+    # with the built-in lexicon "goed" is no past form of "go"; the user's row makes it one
+    assert b" tense_match=0.00 " in outputs["none"]
+    assert b" tense_match=100.00 " in outputs["user"]
+
+
 # --- python -m ------------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -687,6 +705,18 @@ def test_pivot_reports_translator_output_that_is_not_utf8_at_the_translate_stage
         "not UTF-8 (byte 0xff: invalid start byte)\n"
     )
     assert not out.exists()
+
+
+def test_pivot_drops_a_bom_that_leads_the_translator_output(tmp_path):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\nev+A3sg\n")
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    out = tmp_path / "out.txt"
+    data = list("\ufeffx\ny\n".encode("utf-8"))
+    script = f"import sys; sys.stdin.read(); sys.stdout.buffer.write(bytes({data}))"
+    argv = ["pivot", "--analyzer-out", analyzer, "--dict", dict_file,
+            "--translator", f"cmd:{sys.executable} -c \"{script}\"", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == b"x\ny\n"
 
 
 # --- flag values checked before any input is read --------------------------------------------

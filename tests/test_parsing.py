@@ -1,14 +1,17 @@
 """Gloss tokenizer, ODIN block parser, ToolBox parser, analyzer-line parser."""
 
+import contextlib
+import io
 import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtpivot import (
     AnalyzerToken,
+    BadFieldRoleError,
     BlockShapeError,
     EmptyLineError,
     LanguageTag,
@@ -17,16 +20,19 @@ from igtpivot import (
     RawIgtBlock,
     TokenCountMismatchError,
     block_to_record,
+    dump_corpus,
     parse_analyzer_line,
     parse_odin_blocks,
     parse_toolbox,
     tokenize_gloss,
 )
-from igtpivot.model import Joiner, is_punct
-from igtpivot.parsing import _split_segments
+from igtpivot import cli
+from igtpivot.model import Joiner, is_punct, split_lines
+from igtpivot.parsing import _odin_blocks, _split_segments
 
 from gen_helpers import random_gloss_line
 from golden_data import IGT_EXAMPLES
+from parsing_reference import reference_parse_odin_blocks, reference_parse_toolbox
 
 
 def kinds(token):
@@ -392,8 +398,135 @@ def test_toolbox_accounts_for_every_nonblank_line(lines):
 
 
 def test_toolbox_rejects_unknown_role():
-    with pytest.raises(ValueError):
+    message = r"^unknown ToolBox field role 'sideways' for marker 't'$"
+    with pytest.raises(BadFieldRoleError, match=message) as caught:
         parse_toolbox("\\t x\n", {"t": "sideways"}, lang="und")
+    assert caught.value.code == "BAD_FIELD_ROLE"
+    assert isinstance(caught.value, ValueError)
+
+
+# --- the streaming parsers against the whole-text ones they replaced -------------
+
+
+_BLANK = st.sampled_from(["", " ", "\t ", "\u2028"])  # U+2028 is whitespace inside a line
+_WORD = st.sampled_from(["kadin", "dans-NOM", "3.SG", "ev=DAT", "gel-PST", ".", "a", "b?"])
+_INDENT = st.sampled_from(["", " ", "\t"])
+_TEXT_LINE = st.tuples(_INDENT, st.lists(_WORD, min_size=1, max_size=4)).map(
+    lambda parts: parts[0] + " ".join(parts[1])
+)
+
+
+@st.composite
+def _file_text(draw, runs):
+    """The lines of ``runs`` (lists of non-blank lines), each run after one or
+    two blank or whitespace-only lines, ended by ``\\n`` or ``\\r\\n``; the
+    last line end may be missing."""
+    lines = draw(st.lists(_BLANK, max_size=2))
+    for index, run in enumerate(runs):
+        if index:
+            lines += draw(st.lists(_BLANK, min_size=1, max_size=2))
+        lines += run
+    lines += draw(st.lists(_BLANK, max_size=2))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+_ODIN_TEXT = st.lists(st.lists(_TEXT_LINE, min_size=1, max_size=6), max_size=6).flatmap(_file_text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ODIN_TEXT)
+def test_odin_blocks_and_warnings_match_the_whole_text_parser(text):
+    # blocks with their lines and start lines; warnings with code, message, line and order
+    assert parse_odin_blocks(text) == reference_parse_odin_blocks(text)
+
+
+def test_odin_blocks_read_no_further_than_the_run_they_yield():
+    lines = split_lines("a\nb\nc\n\nlone\n\nd\ne\nf\ng\n")
+    read, warnings = [], []
+
+    def source():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    blocks = _odin_blocks(source(), warnings.append)
+    assert next(blocks).lines == ("a", "b", "c") and read == lines[:4] and warnings == []
+    assert next(blocks).start_line == 7
+    assert [w.line for w in warnings] == [5]  # met before the second block was yielded
+    assert list(blocks) == [] and read == lines
+
+
+# markers of the default map and of _TOOLBOX_MAP, an unknown one (\zz), an empty
+# field, and glosses of two and three tokens, so that the two gloss sides of a
+# record can differ in count
+_TOOLBOX_FIELD = st.sampled_from([
+    "\\t kadin dans ediyor.", "\\t", "\\m kadin-NOM dans", "\\m kadin-NOM dans et-PROG",
+    "\\g woman-NOM dance", "\\g woman-NOM dance do-PROG", "\\g", "\\f The woman dances.",
+    "\\zz mystery", "\\ref 001", "  folded continuation", "more-PL",
+])
+_TOOLBOX_MAP = {"t": "source", "m": "gloss_src", "\\g": "gloss_tgt", "f": "target", "ref": "ignore"}
+_TOOLBOX_RECORD = st.tuples(
+    st.sampled_from(["\\t Nwg yeej.", "\\ref 002"]), st.lists(_TOOLBOX_FIELD, max_size=5)
+).map(lambda parts: [parts[0], *parts[1]])
+# orphan lines come before the first record
+_TOOLBOX_TEXT = st.tuples(
+    st.lists(st.sampled_from(["stray header", "  also stray"]), max_size=2),
+    st.lists(_TOOLBOX_RECORD, max_size=6),
+).flatmap(lambda parts: _file_text([parts[0], *parts[1]] if parts[0] else parts[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TOOLBOX_TEXT, st.sampled_from([None, _TOOLBOX_MAP]))
+def test_toolbox_records_and_warnings_match_the_whole_text_parser(text, field_map):
+    # records with their ids; ORPHAN_LINE, UNKNOWN_MARKER, EMPTY_RECORD and
+    # TOKEN_COUNT_MISMATCH warnings with code, message, line and order
+    found = parse_toolbox(text, field_map, lang="blu", id_prefix="tb")
+    assert found == reference_parse_toolbox(text, field_map, lang="blu", id_prefix="tb")
+
+
+
+def _run_cli(tmp_path_factory, command, text, *flags):
+    """``igt COMMAND`` over ``text``: exit code, output file bytes, stderr."""
+    directory = tmp_path_factory.mktemp(command)
+    source, out = directory / "in.txt", directory / "out.igt"
+    source.write_bytes(text.encode("utf-8"))
+    out.write_bytes(b"old\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--in", str(source), "--lang", "tur", *flags, "--out", str(out)])
+    return code, out.read_bytes(), stderr.getvalue()
+
+
+def _warned(warnings):
+    return "".join(f"igt: warning: {w}\n" for w in warnings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ODIN_TEXT)
+def test_parse_odin_writes_and_warns_as_the_whole_text_parser(tmp_path_factory, text):
+    blocks, warnings = reference_parse_odin_blocks(text)
+    records = []
+    for index, block in enumerate(blocks, start=1):
+        try:
+            records.append(block_to_record(block, "tur", record_id=f"odin-{index:04d}"))
+        except TokenCountMismatchError as exc:
+            # the output is untouched, and only the runs before the bad block have warned
+            before = [w for w in warnings if w.line < block.start_line]
+            expected = (1, b"old\n", f"{_warned(before)}igt: TOKEN_COUNT_MISMATCH: {exc}\n")
+            break
+    else:
+        expected = (0, dump_corpus(records).encode("utf-8"), _warned(warnings))
+    assert _run_cli(tmp_path_factory, "parse-odin", text) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TOOLBOX_TEXT)
+def test_parse_toolbox_writes_and_warns_as_the_whole_text_parser(tmp_path_factory, text):
+    records, warnings = reference_parse_toolbox(text, _TOOLBOX_MAP, lang="tur", id_prefix="tb")
+    expected = (0, dump_corpus(records).encode("utf-8"), _warned(warnings))
+    flags = ["--id-prefix", "tb", "--map", "t=source,m=gloss_src,\\g=gloss_tgt,f=target,ref=ignore"]
+    assert _run_cli(tmp_path_factory, "parse-toolbox", text, *flags) == expected
 
 
 # --- analyzer output ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from igtpivot import (
     BadEncodingError,
+    BadTranslatorError,
     IgtRecord,
     LanguageTag,
     LemmaDictionary,
@@ -204,8 +205,20 @@ def test_identity_translator_echoes():
 
 
 def test_external_translator_requires_command():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadTranslatorError, match="^EXTERNAL translator requires") as caught:
         TranslatorHandle(TranslatorKind.EXTERNAL)
+    assert caught.value.code == "BAD_TRANSLATOR"
+    assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize("kind", [TranslatorKind.EXTERNAL, TranslatorKind.IDENTITY])
+# nan compares false with everything, so an external translator used to run with no timeout
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_translator_timeout_must_be_a_positive_number_of_seconds(kind, timeout):
+    message = f"^timeout must be positive seconds, got {timeout}$"
+    with pytest.raises(BadTranslatorError, match=message) as caught:
+        TranslatorHandle(kind, command="cat", timeout=timeout)
+    assert caught.value.code == "BAD_TRANSLATOR"
 
 
 def _stub(code: str) -> str:
@@ -536,3 +549,13 @@ def test_translate_names_the_line_of_translator_output_that_is_not_utf8():
         translate(["a", "b"], handle)
     assert isinstance(caught.value, ValueError)
     assert (caught.value.source, caught.value.line) == ("translator output", 2)
+
+
+def test_translate_drops_a_bom_that_leads_the_translator_output():
+    # b"\xef\xbb\xbfx\n\xef\xbb\xbfy\n": only the first line's mark is a BOM
+    data = list("\ufeffx\n\ufeffy\n".encode("utf-8"))
+    script = f"import sys; sys.stdin.read(); sys.stdout.buffer.write(bytes({data}))"
+    handle = TranslatorHandle(
+        TranslatorKind.EXTERNAL, command=f"{sys.executable} -c \"{script}\"", timeout=30
+    )
+    assert translate(["a", "b"], handle) == ["x", "\ufeffy"]

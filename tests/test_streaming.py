@@ -28,7 +28,7 @@ from igtpivot import cli
 from igtpivot.model import split_lines
 from igtpivot.pipeline import PipelineReport, format_report
 
-from gen_helpers import random_analyzer_corpus, random_record
+from gen_helpers import cv_words, random_analyzer_corpus, random_record
 from golden_data import PIVOT_DICTIONARY_TSV, TURKISH_ANALYZER_FIXTURE
 
 BASELINE = TranslatorHandle(TranslatorKind.BASELINE_DETOKENIZE)
@@ -131,6 +131,47 @@ def test_prepare_multi_peak_memory_does_not_grow_with_the_input(tmp_path):
     assert tenfold <= 1.25 * once, (once, tenfold)
 
 
+def _igt_blocks(rng, n):
+    """``n`` four-line IGT examples (source, source gloss, target gloss,
+    translation) over a vocabulary of 40 roots."""
+    words = cv_words(rng, 80)
+    roots, targets = words[:40], words[40:]
+    blocks = []
+    for _ in range(n):
+        picks = [rng.randrange(40) for _ in range(rng.randint(3, 8))]
+        labels = [rng.choice(["-PST.3.SG", ".NOM", ".3.PL.ACC", ""]) for _ in picks]
+        blocks.append((
+            " ".join(roots[i] + "ka" for i in picks) + ".",
+            " ".join(roots[i] + label for i, label in zip(picks, labels)) + ".",
+            " ".join(targets[i] + label for i, label in zip(picks, labels)) + ".",
+            " ".join(targets[i] for i in picks).capitalize() + ".",
+        ))
+    return blocks
+
+
+@pytest.mark.parametrize("command", ["parse-odin", "parse-toolbox"])
+def test_parse_peak_memory_does_not_grow_with_the_input(tmp_path, command):
+    blocks = _igt_blocks(random.Random(5), 300)
+    if command == "parse-odin":
+        text = "".join("\n".join(block) + "\n\n" for block in blocks)
+        flags = []
+    else:
+        text = "".join("\\t {}\n\\m {}\n\\g {}\n\\f {}\n\n".format(*block) for block in blocks)
+        flags = ["--map", "t=source,m=gloss_src,g=gloss_tgt,f=target"]
+    out = tmp_path / "out.igt"
+
+    def argv(times):
+        source = write(tmp_path / f"in{times}.txt", text * times)
+        return [command, "--in", source, "--lang", "tur", *flags, "--out", str(out)]
+
+    assert cli.main(argv(1)) == 0  # warm: the tokenizer memo and import-time caches
+    once = _traced_peak(argv(1))
+    single = out.read_bytes()
+    tenfold = _traced_peak(argv(10))
+    assert tenfold <= 1.25 * once, (once, tenfold)
+    assert out.read_bytes().count(b"\n") == 10 * single.count(b"\n") == 3000
+
+
 # --- all-or-nothing output ----------------------------------------------------------
 
 
@@ -189,6 +230,43 @@ def test_failed_line_mapping_leaves_the_output_untouched(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == "old\n"
     assert cli.main(["parse-analyzer", "--in", source]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_failed_parse_odin_leaves_the_output_untouched_and_warns_only_before_the_bad_block(
+    tmp_path, capsys
+):
+    # a good block, a 2-line run, a block whose glosses differ in count, a 2-line run
+    source = write(tmp_path / "blocks.txt", "s\ng\nt\n\none\ntwo\n\ns\na b\nc\nt\n\nx\ny\n")
+    out = tmp_path / "out.igt"
+    out.write_text("old\n", encoding="utf-8")
+    for destination in (str(out), "-"):
+        argv = ["parse-odin", "--in", source, "--lang", "tur", "--out", destination]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, out.read_text(encoding="utf-8")) == ("", "old\n")
+        # the run after the bad block is never reached, so it does not warn
+        assert captured.err == (
+            "igt: warning: BLOCK_SHAPE: run of 2 line(s) starting at line 5 "
+            "is not a 3-4 line IGT block (line 5)\n"
+            "igt: TOKEN_COUNT_MISMATCH: line 8: "
+            "gloss token counts differ: 2 source-lemma vs 1 target-lemma\n"
+        )
+
+
+def test_failed_parse_toolbox_leaves_the_output_untouched_and_warns_only_before_the_failure(
+    tmp_path, capsys
+):
+    source = tmp_path / "in.tb"
+    source.write_bytes(b"stray\n\\t s\n\\f t\n\n\\t s2\n\\zz x\n\\f t\xff\n")
+    out = tmp_path / "out.igt"
+    out.write_text("old\n", encoding="utf-8")
+    assert cli.main(["parse-toolbox", "--in", str(source), "--lang", "tur", "--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "old\n"
+    # the second record's \zz marker is never reported: the bad byte ends the run first
+    assert capsys.readouterr().err == (
+        "igt: warning: ORPHAN_LINE: line before the first marker (line 1)\n"
+        f"igt: BAD_ENCODING: {source} line 7: not UTF-8 (byte 0xff: invalid start byte)\n"
+    )
 
 
 def test_prepare_multi_names_the_malformed_line_and_writes_nothing(tmp_path, capsys):
