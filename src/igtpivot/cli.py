@@ -101,17 +101,6 @@ def _spooled(path: "str | None", head: "Callable[[], str] | None" = None) -> Ite
             shutil.copyfileobj(spool, handle, io.DEFAULT_BUFFER_SIZE)
 
 
-class _LineError(IgtError):
-    """A converter's error on one input line, reported as ``line N:
-    message`` under the cause's code (``VALUE_ERROR`` for a plain
-    ``ValueError``, as :func:`main` reports one)."""
-
-    def __init__(self, cause: Exception, line: int):
-        super().__init__(f"line {line}: {cause}")
-        self.code = getattr(cause, "code", "VALUE_ERROR")
-        self.line = line
-
-
 def _map_lines(args: argparse.Namespace, convert) -> int:
     """Write ``convert`` of each non-blank input line; blank lines stay blank
     and are counted in the line number a converter's error is given."""
@@ -121,8 +110,9 @@ def _map_lines(args: argparse.Namespace, convert) -> int:
             if line.strip():
                 try:
                     text = convert(line)
-                except (IgtError, ValueError) as exc:
-                    raise _LineError(exc, lineno) from exc
+                except IgtError as exc:
+                    exc.line = exc.line or lineno
+                    raise
             out.write(text + "\n")
     return 0
 
@@ -183,11 +173,13 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
         marker, sep, role = entry.partition("=")
         if not sep:
             raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
-        role = role.strip()
+        marker, role = marker.strip().lstrip("\\"), role.strip()
         if role not in parsing_mod._TOOLBOX_ROLES:
             roles = ", ".join(sorted(parsing_mod._TOOLBOX_ROLES))
             raise _CliError(f"bad --map entry {entry!r} (role {role!r} is not one of {roles})")
-        field_map[marker.strip()] = role
+        if marker in field_map:
+            raise _CliError(f"bad --map entry {entry!r} (marker \\{marker} is already mapped)")
+        field_map[marker] = role
     fmap = parsing_mod._normalize_field_map(field_map)
     lines = _iter_lines(args.infile)
     records = parsing_mod._toolbox_records(lines, fmap, lang, args.id_prefix, _warn)

@@ -10,9 +10,20 @@ from dataclasses import dataclass
 
 
 class IgtError(Exception):
-    """Base class for all operational errors."""
+    """Base class for all operational errors.  ``line`` is the input line
+    the error was met on (0 for none); a set line heads the message, as
+    ``<where> N: message``."""
 
     code = "IGT_ERROR"
+    where = "line"
+
+    def __init__(self, *args: object, line: int = 0):
+        super().__init__(*args)
+        self.line = line
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{self.where} {self.line}: {message}" if self.line else message
 
 
 class MalformedRecordError(IgtError):
@@ -57,33 +68,21 @@ class MalformedTokenError(IgtError):
     code = "MALFORMED_TOKEN"
 
 
-class _NumberedLineError(IgtError, ValueError):
-    """A malformed row of a line-oriented file, reported as ``<where> N:
-    message`` (just ``message`` for line 0, a fault of the whole file).  Also
-    a ``ValueError``, so callers catching that still work."""
-
-    where = "line"
-
-    def __init__(self, message: str, *, line: int = 0):
-        super().__init__(f"{self.where} {line}: {message}" if line else message)
-        self.line = line
-
-
-class TableParseError(_NumberedLineError):
+class TableParseError(IgtError, ValueError):
     code = "TABLE_PARSE_ERROR"
 
 
-class AnnotationParseError(_NumberedLineError):
+class AnnotationParseError(IgtError, ValueError):
     code = "ANNOTATION_PARSE_ERROR"
     where = "annotation line"
 
 
-class LexiconParseError(_NumberedLineError):
+class LexiconParseError(IgtError, ValueError):
     code = "LEXICON_PARSE_ERROR"
     where = "lexicon line"
 
 
-class BadEncodingError(_NumberedLineError):
+class BadEncodingError(IgtError, ValueError):
     """Input that is not UTF-8, reported as ``<source> line N: ...``: the
     source is a path, ``-`` for stdin or ``translator output``, and N the
     line of the first bad byte."""
@@ -98,11 +97,18 @@ class BadEncodingError(_NumberedLineError):
 
 
 class CycleDetectedError(IgtError):
+    """A label normalization can yield that normalizes to ``image`` rather
+    than to itself, so normalizing twice would not give what normalizing
+    once does."""
+
     code = "CYCLE_DETECTED"
 
-    def __init__(self, label: str):
-        super().__init__(f"normalization cycle through label {label!r}")
+    def __init__(self, label: str, image: tuple[str, ...]):
+        super().__init__(
+            f"label {label!r} normalizes to {'.'.join(image)!r}, not to itself"
+        )
         self.label = label
+        self.image = image
 
 
 class EmptyCorpusError(IgtError):
@@ -147,11 +153,13 @@ class PipelineStageError(IgtError):
     code = "PIPELINE_STAGE_ERROR"
 
     def __init__(self, stage: str, cause: Exception, *, line: int = 0):
-        where = f" (line {line})" if line else ""
-        super().__init__(f"stage {stage}: {cause}{where}")
+        super().__init__(f"stage {stage}: {cause}", line=line)
         self.stage = stage
         self.cause = cause
-        self.line = line
+
+    def __str__(self) -> str:
+        message = Exception.__str__(self)
+        return f"{message} (line {self.line})" if self.line else message
 
 
 @dataclass(frozen=True)

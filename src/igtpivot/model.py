@@ -363,9 +363,8 @@ def iter_corpus(lines: Iterable[str]) -> Iterator[IgtRecord]:
         try:
             record = parse_record(line)
         except MalformedRecordError as exc:
-            raise MalformedRecordError(
-                f"line {lineno}: {exc}", offset=exc.offset, field=exc.field
-            ) from exc
+            exc.line = exc.line or lineno
+            raise
         yield record
 
 

@@ -125,25 +125,11 @@ def _order_person_number(labels: tuple[str, ...], person_first: bool) -> tuple[s
     return tuple(ordered)
 
 
-def _check_cycles(variant_map: dict[str, tuple[str, ...]]) -> None:
-    for start in variant_map:
-        seen = {start}
-        current = start
-        while True:
-            image = variant_map.get(current)
-            if image is None or len(image) != 1:
-                break
-            nxt = image[0]
-            if nxt == current:
-                break
-            if nxt in seen:
-                raise CycleDetectedError(nxt)
-            seen.add(nxt)
-            current = nxt
-
-
 def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
-    """Parse a normalization table from its text form."""
+    """Parse a normalization table from its text form.  A label a lookup
+    can yield (a registry label, or a person or number label when there are
+    composites) that does not normalize to itself, as in a variant chain or
+    cycle, raises :class:`CycleDetectedError`."""
     variant_map: dict[str, tuple[str, ...]] = {}
     composite_rules: list[re.Pattern] = []
     registry: set[str] = set()
@@ -235,8 +221,7 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
                     )
             restore_map[key] = target
 
-    _check_cycles(variant_map)
-    return NormalizationTable(
+    table = NormalizationTable(
         variant_map=variant_map,
         composite_rules=tuple(composite_rules),
         registry=frozenset(registry),
@@ -245,6 +230,15 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
         restore_map=restore_map,
         person_first=person_first,
     )
+    # a lookup yields registry labels, or person and number labels from a
+    # composite, so normalizing twice gives what normalizing once does when
+    # each of those maps to itself
+    outputs = registry | (_PERSONS | _NUMBERS if composite_rules else set())
+    for label in sorted(outputs):
+        image = table.lookup_label(label)[0]
+        if image != (label,):
+            raise CycleDetectedError(label, image)
+    return table
 
 
 @lru_cache(maxsize=None)

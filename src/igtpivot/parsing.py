@@ -224,10 +224,9 @@ def block_to_record(
 
     Token counts are enforced between the two gloss lines only; the source
     line may tokenize differently (clitics, merged words).  A block's error
-    names its ``start_line`` when that is set.
+    has its ``start_line``, when that is set, as ``line``.
     """
     tag = as_language_tag(lang)
-    where = f"line {block.start_line}: " if block.start_line else ""
     if len(block.lines) == 3:
         source, gloss_tgt_text, target = block.lines
         gloss_src_text = None
@@ -243,7 +242,8 @@ def block_to_record(
             target_text=target,
         )
     except TokenCountMismatchError as exc:
-        raise TokenCountMismatchError(f"{where}{exc}") from exc
+        exc.line = exc.line or block.start_line
+        raise
 
 
 # --- ToolBox backslash-coded files -------------------------------------------
@@ -256,11 +256,17 @@ _MARKER_RE = re.compile(r"^\\(\S+)\s*(.*)$")
 
 
 def _normalize_field_map(field_map: "dict[str, str] | None") -> dict[str, str]:
+    """``field_map`` (the default map if empty) keyed by markers without
+    their backslash; an unknown role or a marker given twice (``\\t`` and
+    ``t``) raises :class:`BadFieldRoleError`."""
     normalized = {}
     for marker, role in (field_map or DEFAULT_TOOLBOX_MAP).items():
         if role not in _TOOLBOX_ROLES:
             raise BadFieldRoleError(f"unknown ToolBox field role {role!r} for marker {marker!r}")
-        normalized[marker.lstrip("\\")] = role
+        key = marker.lstrip("\\")
+        if key in normalized:
+            raise BadFieldRoleError(f"ToolBox marker \\{key} is mapped twice")
+        normalized[key] = role
     return normalized
 
 
@@ -274,15 +280,18 @@ def parse_toolbox(
 ) -> tuple[list[IgtRecord], list[ParseWarning]]:
     """Parse a ToolBox file into records.
 
-    Records are delimited by the recurrence of the first marker seen in the
-    file.  Continuation lines (no leading backslash) are folded into the
-    previous marker's content with a single space; one before the first
-    marker yields an ``ORPHAN_LINE`` warning.  Markers missing from
-    ``field_map`` yield ``UNKNOWN_MARKER`` warnings and are skipped; records
-    whose mapped fields are all empty are skipped with ``EMPTY_RECORD``, and
-    those whose glosses differ in token count with ``TOKEN_COUNT_MISMATCH``.
-    An unknown role raises :class:`BadFieldRoleError`.  ``igt parse-toolbox``
-    reads the same records one at a time, printing each warning as it is met.
+    Lines whose marker starts with ``_`` (the ``\\_sh v3.0 400 Text`` header
+    ToolBox writes) are file headers and are skipped.  Records are delimited
+    by the recurrence of the first other marker seen in the file.
+    Continuation lines (no leading backslash) are folded into the previous
+    marker's content with a single space; one before the first marker yields
+    an ``ORPHAN_LINE`` warning.  Markers missing from ``field_map`` yield
+    ``UNKNOWN_MARKER`` warnings and are skipped; records whose mapped fields
+    are all empty are skipped with ``EMPTY_RECORD``, and those whose glosses
+    differ in token count with ``TOKEN_COUNT_MISMATCH``.  An unknown role, or
+    a marker mapped twice, raises :class:`BadFieldRoleError`.  ``igt
+    parse-toolbox`` reads the same records one at a time, printing each
+    warning as it is met.
     """
     fmap = _normalize_field_map(field_map)
     tag = as_language_tag(lang)
@@ -308,6 +317,8 @@ def _toolbox_chunks(lines: Iterable[str], warn: _Warn) -> Iterator[list[tuple[st
                 warn(ParseWarning(ORPHAN_LINE, "line before the first marker", line=lineno))
             continue
         marker, content = match.group(1), match.group(2).strip()
+        if marker.startswith("_"):  # a file header such as \_sh v3.0 400 Text
+            continue
         if delimiter is None:
             delimiter = marker
         if marker == delimiter and current:

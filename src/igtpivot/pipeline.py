@@ -371,18 +371,22 @@ def iter_pipeline(
     name and the 1-based position of the line in ``lines``, blank lines
     counted.  ``split_morphs`` shapes only the identity and external
     translators' input, one whitespace word per morph; the baseline strips
-    labels from the gloss itself.  The baseline and identity translators
-    hold nothing past the current sentence.  An external translator runs once for all sentences,
-    fed through anonymous temporary files, so nothing is yielded until it
-    has succeeded.  ``report.sentences`` is left as it is.
+    labels from the gloss itself, so with it ``split_morphs`` raises
+    :class:`BadTranslatorError` before any line is read.  The baseline and
+    identity translators hold nothing past the current sentence.  An
+    external translator runs once for all sentences, fed through anonymous
+    temporary files, so nothing is yielded until it has succeeded.
+    ``report.sentences`` is left as it is.
     """
+    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
+    if split_morphs and baseline:
+        raise BadTranslatorError("split_morphs is not used by the baseline translator")
     if report is None:
         report = PipelineReport()
     stages = _stages(lines, table, dictionary, oov_policy, report)
     if translator.kind is TranslatorKind.EXTERNAL:
         yield from _translate_externally(stages, translator, split_morphs)
         return
-    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
     for line, gloss_src, gloss_tgt in stages:
         target = _strip_labels(gloss_tgt) if baseline else gloss_tgt.render_spaced(split_morphs)
         yield SentenceTrace(line, gloss_src.render(), gloss_tgt.render(), target)

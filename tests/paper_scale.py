@@ -3,11 +3,11 @@
 The paper pools 54,545 ODIN glosses and 70,918 Arapaho glosses.  This script
 generates the seed-7 ``corpus`` inputs of ``perfbench/gen.py`` (3,000 IGT
 records) and writes them once (x1) and 23 times over (x23, 69,000 records),
-as ODIN blocks and as a ToolBox file.  It runs ``igt parse-odin``,
-``igt parse-toolbox`` and ``igt prepare-multi`` on each size as its own
-children and fails unless each command's peak RSS at x23 is within 1.10x of
-its figure at x1.  It also checks that both parsers write the same records
-and that no command warns.
+as ODIN blocks and as a ToolBox file headed by ToolBox's ``\\_sh`` line.  It
+runs ``igt parse-odin``, ``igt parse-toolbox`` and ``igt prepare-multi`` on
+each size as its own children and fails unless each command's peak RSS at
+x23 is within 1.10x of its figure at x1.  It also checks that both parsers
+write the same records and that no command warns.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -36,6 +36,7 @@ BOUND = 1.10
 CHILD_TIMEOUT = 300.0  # seconds for one command
 TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
 TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
+TOOLBOX_HEADER = "\\_sh v3.0 400 Text"  # the first line of a file ToolBox writes
 
 
 def peak_mb(argv: list[str], stderr_path: str) -> float:
@@ -65,12 +66,14 @@ def peak_mb(argv: list[str], stderr_path: str) -> float:
 
 def write_inputs(blocks_path: str, work: str, times: int) -> tuple[str, str]:
     """The ODIN blocks of ``blocks_path`` written ``times`` times over, and the
-    same records as a ToolBox file; return both paths."""
+    same records as a ToolBox file under ToolBox's header line; return both
+    paths."""
     odin = os.path.join(work, f"blocks.x{times}.txt")
     toolbox = os.path.join(work, f"records.x{times}.tb")
     with open(odin, "w", encoding="utf-8", newline="\n") as odin_out, open(
         toolbox, "w", encoding="utf-8", newline="\n"
     ) as toolbox_out:
+        toolbox_out.write(f"{TOOLBOX_HEADER}\n\n")
         for _ in range(times):
             with open(blocks_path, encoding="utf-8", newline="\n") as source:
                 field = 0

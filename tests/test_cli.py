@@ -201,6 +201,26 @@ def test_parse_toolbox_cli(tmp_path):
     assert "lang=blu" in read(out)
 
 
+def test_parse_toolbox_skips_the_file_header(tmp_path, capsys):
+    text = "\\_sh v3.0 400 Text\n\n\\t a b\n\\g x y\n\\f one\n\n\\t c d\n\\g z w\n\\f two\n"
+    out = tmp_path / "corpus.igt"
+    argv = ["parse-toolbox", "--in", write(tmp_path / "tb.txt", text), "--lang", "arp"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ids = [line.split("\t")[0] for line in read(out).splitlines()]
+    assert ids == ["id=toolbox-0001", "id=toolbox-0002"]
+
+
+def test_parse_toolbox_rejects_a_marker_mapped_twice_before_reading_input(tmp_path, capsys):
+    missing = str(tmp_path / "nope.txt")
+    argv = ["parse-toolbox", "--in", missing, "--lang", "arp",
+            "--map", "t=source,g=gloss_tgt,f=target,t=target"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "igt: CLI_ERROR: bad --map entry 't=target' (marker \\t is already mapped)\n"
+    )
+
+
 # --- pivot and eval --------------------------------------------------------------------------
 
 

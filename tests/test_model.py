@@ -12,6 +12,7 @@ from igtpivot import (
     BadRatiosError,
     GlossMorph,
     GlossToken,
+    IgtError,
     IgtRecord,
     Joiner,
     LanguageTag,
@@ -19,12 +20,14 @@ from igtpivot import (
     MorphKind,
     TokenCountMismatchError,
     dump_corpus,
+    iter_corpus,
     load_corpus,
     parse_record,
     serialize_record,
     split_corpus,
     tokenize_gloss,
 )
+from igtpivot.errors import LexiconParseError
 from igtpivot.model import DELIMITERS, _unescape, has_delimiter, split_lines
 
 from gen_helpers import random_record
@@ -169,6 +172,26 @@ def test_malformed_error_carries_offset_and_field():
         assert exc.offset == len("id=x\tlang=deu\t".encode("utf-8"))
     else:
         pytest.fail("expected MalformedRecordError")
+
+
+def test_every_igt_error_has_a_line_printed_before_its_message():
+    assert (IgtError("x").line, str(IgtError("x"))) == (0, "x")
+    error = MalformedRecordError("x", field="id")
+    error.line = 4
+    assert (str(error), error.args) == ("line 4: x", ("x",))
+    assert str(LexiconParseError("x", line=2)) == "lexicon line 2: x"
+
+
+def test_corpus_errors_carry_their_line_with_offset_and_field():
+    bad = "id=x\tlang=deu\tbogus=1\ttgt=t"
+    text = f"id=a\tlang=deu\ttgt=t\n\n{bad}\n"
+    for read in (load_corpus, lambda text: list(iter_corpus(split_lines(text)))):
+        with pytest.raises(MalformedRecordError) as caught:
+            read(text)
+        assert caught.value.line == 3  # the blank line is counted
+        assert caught.value.field == "bogus"
+        assert caught.value.offset == len("id=x\tlang=deu\t".encode("utf-8"))
+        assert str(caught.value) == "line 3: unknown field 'bogus'"
 
 
 def _unescape_outcome(unescape, value, offset, fieldname):

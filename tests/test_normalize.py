@@ -71,6 +71,20 @@ def test_cycle_detection():
         loads_table(text)
 
 
+def test_variant_chain_is_rejected_so_normalizing_is_idempotent():
+    # X->A->B->C would normalize w-X to w-A, and w-A to w-B on a second pass
+    text = "[registry]\nA B C\n[variants]\nX\tA\nA\tB\nB\tC\n"
+    message = r"^label 'A' normalizes to 'B', not to itself$"
+    with pytest.raises(CycleDetectedError, match=message) as caught:
+        loads_table(text)
+    assert (caught.value.label, caught.value.image) == ("A", ("B",))
+    # a composite's number label counts too: 3SG gives 3.SG, and SG gives PL
+    composite = "[composites]\n(?P<person>[123])(?P<number>SG|PL)\n"
+    with pytest.raises(CycleDetectedError, match=r"^label 'SG' normalizes to 'PL'"):
+        loads_table(f"[registry]\n3 PL\n[variants]\nSG\tPL\n{composite}")
+    loads_table("[registry]\n3 PL\n[variants]\nSG\tPL\n")  # no composite yields SG
+
+
 def test_self_mapping_is_a_fixed_point_not_a_cycle():
     text = "[registry]\nX\n[variants]\nX\tX\n"
     table = loads_table(text)

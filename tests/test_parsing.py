@@ -288,6 +288,15 @@ def test_block_errors_name_the_blocks_start_line():
         block_to_record(RawIgtBlock(lines=("src", "a b", "a b c", "the target")), "und")
 
 
+def test_block_error_carries_the_start_line_as_data():
+    block = RawIgtBlock(lines=("src", "a b", "a b c", "the target"), start_line=7)
+    with pytest.raises(TokenCountMismatchError) as caught:
+        block_to_record(block, "und")
+    assert caught.value.line == block.start_line
+    assert str(caught.value) == f"line 7: {caught.value.args[0]}"
+    assert not caught.value.args[0].startswith("line")
+
+
 # --- ToolBox ---------------------------------------------------------------------
 
 
@@ -367,6 +376,24 @@ def test_toolbox_orphan_lines_warn_with_line_number():
     assert len(records) == 1
     assert [(w.code, w.line) for w in warnings] == [("ORPHAN_LINE", 1), ("ORPHAN_LINE", 3)]
     assert str(warnings[0]) == "ORPHAN_LINE: line before the first marker (line 1)"
+
+
+TOOLBOX_WITH_HEADER = (
+    "\\_sh v3.0 400 Text\n\n\\t a b\n\\g x y\n\\f one\n\n\\t c d\n\\g z w\n\\f two\n"
+)
+
+
+def test_toolbox_header_is_skipped_and_is_not_the_delimiter():
+    records, warnings = parse_toolbox(TOOLBOX_WITH_HEADER, lang="arp", id_prefix="arp")
+    assert warnings == []
+    assert [(r.id, r.source_text, r.target_text) for r in records] == [
+        ("arp-0001", "a b", "one"), ("arp-0002", "c d", "two"),
+    ]
+
+
+def test_toolbox_rejects_a_marker_mapped_twice():
+    with pytest.raises(BadFieldRoleError, match=r"^ToolBox marker \\t is mapped twice$"):
+        parse_toolbox("\\t x\n", {"\\t": "source", "t": "target"}, lang="und")
 
 
 def _is_marker_line(line):

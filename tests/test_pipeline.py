@@ -25,6 +25,7 @@ from igtpivot import (
     TranslatorTimeoutError,
     baseline_detokenize,
     default_table,
+    iter_pipeline,
     load_dictionary,
     oov_lemmas,
     parse_analyzer_line,
@@ -466,6 +467,19 @@ def test_pipeline_baseline_never_tokenizes_a_gloss(monkeypatch):
         TURKISH_ANALYZER_FIXTURE, default_table(), pivot_dictionary(), BASELINE
     )
     assert targets == ["Woman dance be .", "Man woman see ."]
+
+
+def test_split_morphs_with_the_baseline_is_rejected_before_reading_a_line():
+    def unread():
+        raise AssertionError("an input line was read")
+        yield  # a generator, so that reading it runs the body
+
+    with pytest.raises(BadTranslatorError, match="^split_morphs is not used by the baseline"):
+        next(iter_pipeline(unread(), default_table(), pivot_dictionary(), BASELINE,
+                           split_morphs=True))
+    with pytest.raises(BadTranslatorError):
+        run_pipeline(TURKISH_ANALYZER_FIXTURE, default_table(), pivot_dictionary(), BASELINE,
+                     split_morphs=True)
 
 
 # --- external translator line protocol -----------------------------------------------------
