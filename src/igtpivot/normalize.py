@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable
 
 from .errors import CycleDetectedError, TableParseError
 from .model import (
@@ -102,9 +103,15 @@ class NormalizationTable:
             match = rule.fullmatch(raw)
             if match is None:
                 continue
-            number = match.group("number").upper()
-            pair = (match.group("person"), _NUMBER_ALIASES.get(number, number))
-            return _order_person_number(pair, self.person_first), True
+            person, number = match.group("person", "number")
+            if number is not None:
+                number = number.upper()
+                number = _NUMBER_ALIASES.get(number, number)
+            # a capture that is no person or number label is no composite:
+            # it could normalize again, to something else, on a second pass
+            if person not in _PERSONS or number not in _NUMBERS:
+                continue
+            return _order_person_number((person, number), self.person_first), True
         if raw.upper() in self.registry:
             return (raw.upper(),), True
         return (raw,), False
@@ -302,20 +309,28 @@ def _analyzer_to_gloss(
     lookup per tag."""
     unknown: list[str] = []
     gloss_tokens = []
-    tag_morphs = table._tag_morphs
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
         morphs = [GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)]
-        for tag in token.tags:
-            shared = tag_morphs.get(tag)
-            if shared is not None:
-                morphs.extend(shared)
-                continue
-            unknown.append(tag)
-            first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
-            morphs.extend(_label_morphs((tag,), first))
+        _label_tail(token.tags, table, morphs, unknown)
         gloss_tokens.append(GlossToken(tuple(morphs)))
     return GlossLine(tokens=tuple(gloss_tokens)), unknown
+
+
+def _label_tail(
+    tags: "Iterable[str]", table: NormalizationTable, morphs: list[GlossMorph], unknown: list[str]
+) -> None:
+    """Append the label morphs of analyzer ``tags`` to ``morphs`` and the
+    tags the table lacks to ``unknown``, from one lookup per tag."""
+    tag_morphs = table._tag_morphs
+    for tag in tags:
+        shared = tag_morphs.get(tag)
+        if shared is not None:
+            morphs.extend(shared)
+            continue
+        unknown.append(tag)
+        first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
+        morphs.extend(_label_morphs((tag,), first))
 
 
 def unknown_analyzer_tags(

@@ -38,7 +38,7 @@ from .model import (
     split_lines,
 )
 
-_JOINER_BY_CHAR = {ch: Joiner(ch) for ch in DELIMITERS}
+_JOINER_BY_CHAR = {joiner._value_: joiner for joiner in Joiner}  # "" is WORD_INITIAL
 _Warn = Callable[[ParseWarning], None]  # what a streaming parser passes each warning to
 
 
@@ -87,18 +87,21 @@ _DELIM_CLASS = re.escape(DELIMITERS)
 _SPLIT_RE = re.compile(f"(?!^)([{_DELIM_CLASS}])(?=[^{_DELIM_CLASS}])")
 
 
-def _split_segments(core: str) -> list[tuple[Joiner, str]]:
-    """Split a word at ``-``/``.``/``=``.
+def _delimited_segments(core: str) -> list[tuple[str, str]]:
+    """Split a word at ``-``/``.``/``=`` into ``(delimiter, text)`` pairs,
+    the delimiter ``""`` for the first segment.
 
     A delimiter that would create an empty segment (at the start or end of
     the word, or immediately before another delimiter) is kept as literal
     text of the adjacent segment, so rendering reproduces the input exactly.
     """
     parts = _SPLIT_RE.split(core)  # text, delimiter, text, delimiter, ...
-    segments = [(Joiner.WORD_INITIAL, parts[0])]
-    for i in range(1, len(parts), 2):
-        segments.append((_JOINER_BY_CHAR[parts[i]], parts[i + 1]))
-    return segments
+    return [("", parts[0]), *zip(parts[1::2], parts[2::2])]
+
+
+def _split_segments(core: str) -> list[tuple[Joiner, str]]:
+    """:func:`_delimited_segments` with each delimiter as its :class:`Joiner`."""
+    return [(_JOINER_BY_CHAR[delimiter], text) for delimiter, text in _delimited_segments(core)]
 
 
 _EDGE_RE = re.compile(r"^[^0-9A-Za-z]+|[^0-9A-Za-z]+$")
@@ -124,9 +127,11 @@ _WORD_MEMO_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
-def _segment_morph(joiner: Joiner, text: str, registry: frozenset[str]) -> GlossMorph:
+def _segment_morph(delimiter: str, text: str, registry: frozenset[str]) -> GlossMorph:
+    # keyed on the delimiter character, not on the Joiner, whose hash is a
+    # Python-level function
     kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-    return GlossMorph(kind, text, joiner)
+    return GlossMorph(kind, text, _JOINER_BY_CHAR[delimiter])
 
 
 @lru_cache(maxsize=_WORD_MEMO_SIZE)
@@ -137,7 +142,10 @@ def _word_to_tokens(word: str, registry: frozenset[str]) -> tuple[GlossToken, ..
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
     token = GlossToken(
-        tuple(_segment_morph(joiner, text, registry) for joiner, text in _split_segments(core))
+        tuple(
+            _segment_morph(delimiter, text, registry)
+            for delimiter, text in _delimited_segments(core)
+        )
     )
     return (token, *_word_to_tokens(trailing, registry)) if trailing else (token,)
 
@@ -373,19 +381,34 @@ def parse_analyzer_line(line: str) -> list[AnalyzerToken]:
     Tokens are whitespace-separated ``surface+Tag+Tag...`` groups; sentence
     punctuation attached to the end of a token is split off as its own token.
     """
-    tokens: list[AnalyzerToken] = []
+    return [
+        AnalyzerToken(surface, tuple(run[1:].split("+")) if run else ())
+        for surface, run in _analyzer_words(line)
+    ]
+
+
+def _analyzer_words(line: str) -> list[tuple[str, str]]:
+    """:func:`parse_analyzer_line`'s tokens, checked, as ``(surface, tag
+    run)`` strings: the run is the ``+Tag+Tag`` text after the surface, and
+    ``""`` for a token without tags."""
+    words: list[tuple[str, str]] = []
     for word in line.split():
-        if is_punct(word):
-            tokens.append(AnalyzerToken(word))
-            continue
         core = word.rstrip(PUNCT_CHARS)
-        trailing = word[len(core) :]
-        parts = core.split("+")
-        if not parts[0]:
-            raise MalformedTokenError(f"analyzer token has empty surface: {word!r}")
-        if any(not part for part in parts[1:]):
-            raise MalformedTokenError(f"analyzer token has an empty tag: {word!r}")
-        tokens.append(AnalyzerToken(parts[0], tuple(parts[1:])))
-        if trailing:
-            tokens.append(AnalyzerToken(trailing))
-    return tokens
+        if not core:  # punctuation only
+            words.append((word, ""))
+            continue
+        plus = core.find("+")
+        if plus < 0:
+            words.append((core, ""))
+        else:
+            surface, run = core[:plus], core[plus:]
+            if not surface:
+                raise MalformedTokenError(f"analyzer token has empty surface: {word!r}")
+            if run.endswith("+") or "++" in run:
+                raise MalformedTokenError(f"analyzer token has an empty tag: {word!r}")
+            if is_punct(surface):
+                raise MalformedTokenError(f"punctuation token {surface!r} must not carry tags")
+            words.append((surface, run))
+        if len(core) < len(word):
+            words.append((word[len(core) :], ""))
+    return words

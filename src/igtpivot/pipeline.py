@@ -17,7 +17,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .align import LemmaDictionary
 from .errors import (
@@ -39,10 +39,11 @@ from .model import (
     MorphKind,
     decode_lines,
     is_punct,
+    join_tokens,
     split_lines,
 )
-from .normalize import NormalizationTable, _analyzer_to_gloss
-from .parsing import parse_analyzer_line, tokenize_gloss
+from .normalize import NormalizationTable, _label_tail
+from .parsing import _analyzer_words, tokenize_gloss
 
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
 OOV_CLOSE = "⟧"
@@ -101,6 +102,16 @@ class PipelineReport:
     sentences: list[SentenceTrace] = field(default_factory=list)
 
 
+def _target_lemma(lemma: str, dictionary: LemmaDictionary) -> "str | None":
+    """The dictionary's translation of ``lemma``, title case re-applied, or
+    None when the dictionary lacks it."""
+    hit = dictionary.lookup(lemma)
+    if hit is None:
+        return None
+    target = hit[0]
+    return target[:1].upper() + target[1:] if lemma[:1].isupper() else target
+
+
 def _substitute_token(
     token: GlossToken, dictionary: LemmaDictionary, policy: OovPolicy, missing: list[str]
 ) -> GlossToken:
@@ -111,11 +122,8 @@ def _substitute_token(
             morphs.append(morph)
             kept += 1
             continue
-        hit = dictionary.lookup(morph.text)
-        if hit is not None:
-            target = hit[0]
-            if morph.text[:1].isupper():
-                target = target[:1].upper() + target[1:]
+        target = _target_lemma(morph.text, dictionary)
+        if target is not None:
             morphs.append(GlossMorph(MorphKind.LEMMA, target, morph.joiner))
             continue
         missing.append(morph.text)
@@ -299,50 +307,174 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
             return list(decode_lines(outputs, _OUTPUT))
 
 
+# A gloss corpus repeats a small set of lemmas and tag runs many times over,
+# so iter_pipeline converts, looks up and renders each distinct one once per
+# run.  Each of its memos is emptied when it reaches this many entries.
+_MEMO_SIZE = 1 << 14
+
+
+def _memo(memo: dict, key: str, value):
+    """``value``, stored in ``memo`` under ``key`` after emptying a full memo."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+class _Lemma(NamedTuple):
+    """A source lemma: an analyzer surface, restored."""
+
+    text: str
+    punct: bool  # sentence punctuation only
+
+
+class _Tail(NamedTuple):
+    """The label morphs a tag run (``+A3sg+Nom``, or ``""``) adds to its lemma."""
+
+    text: str  # rendered: ``.3.SG.NOM``, or "" for no label
+    dropped: str  # rendered without the first joiner, as when DROP removes the lemma
+    dropped_punct: bool  # that form is one punctuation morph
+    split: str  # one whitespace word per morph: ``.3 .SG .NOM``
+    unknown: tuple[str, ...]  # the tags the table lacks
+
+
+class _Target(NamedTuple):
+    """What a source lemma becomes in the target gloss."""
+
+    text: "str | None"  # None for an OOV lemma that DROP removes
+    punct: bool
+    missed: bool  # the dictionary lacks the lemma
+
+
+def _source_lemma(surface: str, table: NormalizationTable) -> _Lemma:
+    lemma = table.restore_map.get(surface, surface)
+    GlossMorph(MorphKind.LEMMA, lemma, Joiner.WORD_INITIAL)  # the check a gloss morph gets
+    return _Lemma(lemma, is_punct(lemma))
+
+
+def _tail(run: str, table: NormalizationTable) -> _Tail:
+    morphs: list[GlossMorph] = []
+    unknown: list[str] = []
+    _label_tail(run.split("+")[1:], table, morphs, unknown)
+    pieces = [morph.joiner._value_ + morph.text for morph in morphs]
+    text = "".join(pieces)
+    dropped_punct = len(morphs) == 1 and is_punct(morphs[0].text)
+    return _Tail(text, text[1:], dropped_punct, " ".join(pieces), tuple(unknown))
+
+
+def _target(lemma: str, dictionary: LemmaDictionary, oov_policy: OovPolicy) -> _Target:
+    """:func:`substitute_lemmas` of one lemma."""
+    if is_punct(lemma):
+        return _Target(lemma, True, False)  # never looked up
+    target = _target_lemma(lemma, dictionary)
+    if target is not None:
+        GlossMorph(MorphKind.LEMMA, target, Joiner.WORD_INITIAL)  # the check a gloss morph gets
+        return _Target(target, is_punct(target), False)
+    if oov_policy is OovPolicy.KEEP:
+        return _Target(lemma, False, True)
+    if oov_policy is OovPolicy.KEEP_MARKED:
+        return _Target(f"{OOV_OPEN}{lemma}{OOV_CLOSE}", False, True)
+    return _Target(None, False, True)
+
+
 def _stages(
     lines: Iterable[str],
     table: NormalizationTable,
     dictionary: LemmaDictionary,
     oov_policy: OovPolicy,
     report: PipelineReport,
-) -> Iterator[tuple[str, GlossLine, GlossLine]]:
-    """``(analyzer line, source gloss, target gloss)`` per non-blank line,
-    whose counts are added to ``report`` before it is yielded."""
+    baseline: bool,
+    split_morphs: bool,
+) -> Iterator[tuple[str, str, str, str]]:
+    """``(analyzer line, source gloss, target gloss, translator input)`` per
+    non-blank line, whose counts are added to ``report`` before it is
+    yielded.  The translator input is the baseline's target when
+    ``baseline``, else the target gloss spaced (one word per morph when
+    ``split_morphs``).
+
+    The glosses are what :func:`analyzer_to_gloss`, :func:`substitute_lemmas`
+    and :meth:`GlossLine.render` make, assembled from pieces each built once
+    per run: a surface's restored lemma, a tag run's label tail and a source
+    lemma's target (so ``dictionary.lookup`` sees each distinct lemma once).
+    """
+    lemmas: dict[str, _Lemma] = {}
+    tails: dict[str, _Tail] = {}
+    targets: dict[str, _Target] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         stage = "parse-analyzer"
         try:
-            tokens = parse_analyzer_line(line)
+            words = _analyzer_words(line)
             stage = "analyzer-to-gloss"
-            gloss_src, unknown = _analyzer_to_gloss(tokens, table)
+            glossed = [
+                (
+                    lemmas.get(surface) or _memo(lemmas, surface, _source_lemma(surface, table)),
+                    tails.get(run) or _memo(tails, run, _tail(run, table)),
+                )
+                for surface, run in words
+            ]
             stage = "substitute"
-            gloss_tgt, missing = _substitute(gloss_src, dictionary, oov_policy)
+            substituted = [
+                targets.get(lemma.text)
+                or _memo(targets, lemma.text, _target(lemma.text, dictionary, oov_policy))
+                for lemma, _ in glossed
+            ]
         except (IgtError, ValueError) as exc:
             raise PipelineStageError(stage, exc, line=lineno) from exc
 
+        source: list[tuple[str, bool]] = []
+        target: list[tuple[str, bool]] = []
+        heads: list[tuple["str | None", _Tail]] = []
+        unknown = oov = 0
+        for ((lemma, lemma_punct), tail), (head, head_punct, missed) in zip(glossed, substituted):
+            unknown += len(tail.unknown)
+            oov += missed
+            text = tail.text
+            source.append((lemma + text, lemma_punct and not text))
+            if head is None and not text:
+                head = lemma  # a bare OOV lemma stays: dropping it would empty the token
+            if head is None:  # DROP left only the labels
+                target.append((tail.dropped, tail.dropped_punct))
+            else:
+                target.append((head + text, head_punct and not text))
+            heads.append((head, tail))
+
+        if baseline:  # _strip_labels: each token's lemma, or the one punctuation label DROP left
+            sentence = " ".join(
+                tail.dropped if head is None else head.replace("_", " ")
+                for head, tail in heads
+                if head is not None or tail.dropped_punct
+            )
+            shaped = sentence[:1].upper() + sentence[1:]
+        elif split_morphs:  # render_spaced(True): one word per morph
+            shaped = " ".join(
+                tail.split[1:] if head is None else f"{head} {tail.split}" if tail.text else head
+                for head, tail in heads
+            )
+        else:
+            shaped = " ".join(text for text, _ in target)
+
         report.n_sentences += 1
-        report.analyzer_tokens += len(tokens)
-        report.gloss_src_tokens += len(gloss_src.tokens)
-        report.gloss_tgt_tokens += len(gloss_tgt.tokens)
-        report.unknown_labels += len(unknown)
-        report.oov_lemmas += len(missing)
-        yield line, gloss_src, gloss_tgt
+        report.analyzer_tokens += len(words)
+        report.gloss_src_tokens += len(words)
+        report.gloss_tgt_tokens += len(words)
+        report.unknown_labels += unknown
+        report.oov_lemmas += oov
+        yield line, join_tokens(source), join_tokens(target), shaped
 
 
 def _translate_externally(
-    stages: Iterator[tuple[str, GlossLine, GlossLine]],
-    translator: TranslatorHandle,
-    split_morphs: bool,
+    stages: Iterator[tuple[str, str, str, str]], translator: TranslatorHandle
 ) -> Iterator[SentenceTrace]:
-    """One translator process for every sentence.  The rendered stages wait
-    in a spool (marshalled, since a library caller's line may hold any
-    character) until the translator has succeeded."""
+    """One translator process for every sentence.  The stages wait in a
+    spool (marshalled, since a library caller's line may hold any character)
+    until the translator has succeeded."""
     with tempfile.TemporaryFile() as rows, _spool() as payload:
         n_lines = 0
-        for line, gloss_src, gloss_tgt in stages:
-            marshal.dump((line, gloss_src.render(), gloss_tgt.render()), rows)
-            payload.write(gloss_tgt.render_spaced(split_morphs) + "\n")
+        for line, gloss_src, gloss_tgt, spaced in stages:
+            marshal.dump((line, gloss_src, gloss_tgt), rows)
+            payload.write(spaced + "\n")
             n_lines += 1
         try:
             outputs = _run_external(payload, n_lines, translator)
@@ -376,20 +508,20 @@ def iter_pipeline(
     identity translators hold nothing past the current sentence.  An
     external translator runs once for all sentences, fed through anonymous
     temporary files, so nothing is yielded until it has succeeded.
-    ``report.sentences`` is left as it is.
+    ``report.sentences`` is left as it is.  Each distinct lemma and tag run
+    is converted, looked up and rendered once per run, in bounded memos.
     """
     baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
     if split_morphs and baseline:
         raise BadTranslatorError("split_morphs is not used by the baseline translator")
     if report is None:
         report = PipelineReport()
-    stages = _stages(lines, table, dictionary, oov_policy, report)
+    stages = _stages(lines, table, dictionary, oov_policy, report, baseline, split_morphs)
     if translator.kind is TranslatorKind.EXTERNAL:
-        yield from _translate_externally(stages, translator, split_morphs)
+        yield from _translate_externally(stages, translator)
         return
-    for line, gloss_src, gloss_tgt in stages:
-        target = _strip_labels(gloss_tgt) if baseline else gloss_tgt.render_spaced(split_morphs)
-        yield SentenceTrace(line, gloss_src.render(), gloss_tgt.render(), target)
+    for line, gloss_src, gloss_tgt, target in stages:
+        yield SentenceTrace(line, gloss_src, gloss_tgt, target)
 
 
 def run_pipeline(

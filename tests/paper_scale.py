@@ -1,13 +1,17 @@
-"""Memory check at the paper's corpus size for the streaming corpus commands.
+"""Memory check at the paper's corpus size for the streaming commands.
 
 The paper pools 54,545 ODIN glosses and 70,918 Arapaho glosses.  This script
 generates the seed-7 ``corpus`` inputs of ``perfbench/gen.py`` (3,000 IGT
 records) and writes them once (x1) and 23 times over (x23, 69,000 records),
 as ODIN blocks and as a ToolBox file headed by ToolBox's ``\\_sh`` line.  It
 runs ``igt parse-odin``, ``igt parse-toolbox`` and ``igt prepare-multi`` on
-each size as its own children and fails unless each command's peak RSS at
-x23 is within 1.10x of its figure at x1.  It also checks that both parsers
-write the same records and that no command warns.
+each size as its own children.  It also generates the seed-7 ``pivot``
+inputs (5,000 analyzer lines) and runs ``igt pivot --translator baseline
+--report`` on them once (x1) and 14 times over (x14, 70,000 lines).  It
+fails unless each command's peak RSS at the larger size is within 1.10x of
+its figure at x1.  It also checks that both parsers write the same records,
+that no corpus command warns, and that ``pivot`` writes nothing to stderr
+but its one-line summary, whose counts grow 14-fold.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -32,6 +37,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 7
 TIMES = 23
+PIVOT_TIMES = 14
 BOUND = 1.10
 CHILD_TIMEOUT = 300.0  # seconds for one command
 TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
@@ -39,9 +45,9 @@ TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
 TOOLBOX_HEADER = "\\_sh v3.0 400 Text"  # the first line of a file ToolBox writes
 
 
-def peak_mb(argv: list[str], stderr_path: str) -> float:
-    """Run ``argv`` to completion as a child; return its peak RSS in MB.
-    Fails if it exits nonzero or writes to stderr."""
+def peak_mb(argv: list[str], stderr_path: str) -> tuple[float, str]:
+    """Run ``argv`` to completion as a child; return its peak RSS in MB and
+    what it wrote to stderr.  Fails if it exits nonzero."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with open(stderr_path, "w+", encoding="utf-8") as err:
         proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stderr=err)
@@ -59,9 +65,9 @@ def peak_mb(argv: list[str], stderr_path: str) -> float:
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         message = err.read()
-    if proc.returncode != 0 or message:
+    if proc.returncode != 0:
         raise SystemExit(f"{argv} exited {proc.returncode}:\n{message}")
-    return usage.ru_maxrss / 1024.0
+    return usage.ru_maxrss / 1024.0, message
 
 
 def write_inputs(blocks_path: str, work: str, times: int) -> tuple[str, str]:
@@ -113,7 +119,9 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
     peaks = {}
     for command, argv in runs.items():
         lang = ["--lang", "tur"] if command.startswith("parse-") else []
-        peaks[command] = peak_mb([*igt, *argv, *lang], stderr_path)
+        peaks[command], message = peak_mb([*igt, *argv, *lang], stderr_path)
+        if message:
+            raise SystemExit(f"{command} warned at x{times}:\n{message}")
     if not filecmp.cmp(corpus, from_toolbox, shallow=False):
         raise SystemExit(f"parse-odin and parse-toolbox records differ at x{times}")
     n_records = count_lines(corpus)
@@ -121,6 +129,31 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
         raise SystemExit(f"x{times} wrote {n_records} records")
     print(f"x{times}: {n_records} records")
     return peaks
+
+
+def run_pivot(generated: str, work: str, times: int) -> tuple[float, tuple[int, int]]:
+    """``igt pivot``'s peak RSS in MB on the analyzer lines written ``times``
+    times over, and the OOV and unknown-label counts of its summary."""
+    analyzed = os.path.join(work, f"analyzed.x{times}.txt")
+    with open(analyzed, "w", encoding="utf-8", newline="\n") as out:
+        for _ in range(times):
+            with open(os.path.join(generated, "analyzed.txt"), encoding="utf-8",
+                      newline="\n") as source:
+                for line in source:
+                    out.write(line)
+    n_lines = count_lines(analyzed)
+    argv = [sys.executable, "-m", "igtpivot", "pivot", "--analyzer-out", analyzed,
+            "--dict", os.path.join(generated, "dict.tsv"), "--translator", "baseline",
+            "--report", os.path.join(work, f"report.x{times}.txt"),
+            "--out", os.path.join(work, f"pivot.x{times}.txt")]
+    peak, message = peak_mb(argv, os.path.join(work, "stderr.txt"))
+    summary = re.fullmatch(
+        rf"igt: pivoted {n_lines} sentence\(s\), oov=(\d+) unknown_labels=(\d+)\n", message
+    )
+    if summary is None:
+        raise SystemExit(f"pivot at x{times} wrote to stderr:\n{message}")
+    print(f"x{times}: {n_lines} analyzer lines")
+    return peak, (int(summary.group(1)), int(summary.group(2)))
 
 
 def main() -> int:
@@ -137,16 +170,28 @@ def main() -> int:
             check=True, stdout=subprocess.DEVNULL,
         )
         once, scaled = run_size(generated, work, 1), run_size(generated, work, TIMES)
+        pivot_generated = os.path.join(work, "gen-pivot")
+        subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "gen.py"), "--workload", "pivot",
+             "--seed", str(SEED), "--out", pivot_generated],
+            check=True, stdout=subprocess.DEVNULL,
+        )
+        pivot_once, counts_once = run_pivot(pivot_generated, work, 1)
+        pivot_scaled, counts_scaled = run_pivot(pivot_generated, work, PIVOT_TIMES)
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"this script peaked at {own:.1f} MB")
     failures = []
-    for command in once:
-        ratio = scaled[command] / once[command]
-        print(f"{command:14} x1 {once[command]:6.1f} MB   x{TIMES} {scaled[command]:6.1f} MB   "
-              f"ratio {ratio:.3f}")
+    if counts_scaled != tuple(PIVOT_TIMES * count for count in counts_once):
+        failures.append(f"pivot's oov and unknown_labels went from {counts_once} at x1 "
+                        f"to {counts_scaled} at x{PIVOT_TIMES}")
+    runs = [(command, once[command], scaled[command], TIMES) for command in once]
+    runs.append(("pivot", pivot_once, pivot_scaled, PIVOT_TIMES))
+    for command, small, large, times in runs:
+        ratio = large / small
+        print(f"{command:14} x1 {small:6.1f} MB   x{times} {large:6.1f} MB   ratio {ratio:.3f}")
         if ratio > BOUND:
-            failures.append(f"{command} grew {ratio:.3f}x from x1 to x{TIMES} (bound {BOUND}x)")
-        if min(once[command], scaled[command]) <= own:
+            failures.append(f"{command} grew {ratio:.3f}x from x1 to x{times} (bound {BOUND}x)")
+        if min(small, large) <= own:
             failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

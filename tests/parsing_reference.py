@@ -1,12 +1,22 @@
 """The ODIN and ToolBox parsers as they were before they became single-pass
 generators: each reads the whole text, builds every block or chunk first,
 and collects its warnings in a list.  Kept as the reference the streaming
-parsers are differential-tested against; built from public names only."""
+parsers are differential-tested against; built from public names only.  Also
+keeps ``parse_analyzer_line`` as it was before it split each token into a
+surface and a tag run string that ``iter_pipeline`` reads too."""
 
 import re
 
-from igtpivot import IgtRecord, ParseWarning, RawIgtBlock, TokenCountMismatchError, tokenize_gloss
-from igtpivot.model import as_language_tag, split_lines
+from igtpivot import (
+    AnalyzerToken,
+    IgtRecord,
+    MalformedTokenError,
+    ParseWarning,
+    RawIgtBlock,
+    TokenCountMismatchError,
+    tokenize_gloss,
+)
+from igtpivot.model import PUNCT_CHARS, as_language_tag, is_punct, split_lines
 
 TOOLBOX_ROLES = frozenset({"source", "gloss_src", "gloss_tgt", "target", "ignore"})
 DEFAULT_TOOLBOX_MAP = {"t": "source", "m": "ignore", "g": "gloss_tgt", "f": "target"}
@@ -121,3 +131,22 @@ def reference_parse_toolbox(
         except TokenCountMismatchError as exc:
             warnings.append(ParseWarning("TOKEN_COUNT_MISMATCH", str(exc), line=start_line))
     return records, warnings
+
+
+def reference_parse_analyzer_line(line):
+    tokens = []
+    for word in line.split():
+        if is_punct(word):
+            tokens.append(AnalyzerToken(word))
+            continue
+        core = word.rstrip(PUNCT_CHARS)
+        trailing = word[len(core) :]
+        parts = core.split("+")
+        if not parts[0]:
+            raise MalformedTokenError(f"analyzer token has empty surface: {word!r}")
+        if any(not part for part in parts[1:]):
+            raise MalformedTokenError(f"analyzer token has an empty tag: {word!r}")
+        tokens.append(AnalyzerToken(parts[0], tuple(parts[1:])))
+        if trailing:
+            tokens.append(AnalyzerToken(trailing))
+    return tokens

@@ -4,7 +4,9 @@ translator tokenizes it again, and OOV lemmas come from a second dictionary
 lookup.  Kept as the reference the one-pass pipeline is differential-tested
 against; it is built from the public stage functions only.  Also keeps the
 analyzer→gloss pass as it was before each tag's label morphs were built once
-per table."""
+per table, and ``iter_pipeline`` as it was before it assembled each sentence
+from pieces built once per distinct lemma and tag run: one ``GlossLine`` per
+stage, rendered and label-stripped whole."""
 
 from igtpivot import (
     GlossLine,
@@ -14,6 +16,7 @@ from igtpivot import (
     MorphKind,
     PipelineReport,
     SentenceTrace,
+    TranslatorKind,
     analyzer_to_gloss,
     parse_analyzer_line,
     substitute_lemmas,
@@ -100,3 +103,46 @@ def reference_run_pipeline(analyzer_text, table, dictionary, oov_policy):
         for t, target in zip(report.sentences, targets)
     ]
     return targets, report
+
+
+def reference_strip_labels(gloss):
+    """The baseline translator on a gloss whose morphs keep the kind the
+    stage that made them gave them: labels dropped, ``_`` made a space."""
+    words = []
+    for token in gloss.tokens:
+        if token.is_punctuation:
+            words.append(token.render())
+            continue
+        lemma_morphs = [m for m in token.morphs if m.kind is MorphKind.LEMMA]
+        if lemma_morphs:
+            rendered = "".join(
+                (m.joiner.value if i else "") + m.text for i, m in enumerate(lemma_morphs)
+            )
+            words.append(rendered.replace("_", " "))
+    sentence = " ".join(words)
+    return sentence[:1].upper() + sentence[1:]
+
+
+def reference_iter_pipeline(lines, table, dictionary, translator, oov_policy, split_morphs):
+    """``iter_pipeline``'s traces and report, one ``GlossLine`` per stage; an
+    external translator is taken to echo its input (``cat``)."""
+    report = PipelineReport()
+    traces = []
+    for line in lines:
+        if not line.strip():
+            continue
+        tokens = parse_analyzer_line(line)
+        gloss_src = analyzer_to_gloss(tokens, table)
+        gloss_tgt = substitute_lemmas(gloss_src, dictionary, oov_policy)
+        report.n_sentences += 1
+        report.analyzer_tokens += len(tokens)
+        report.gloss_src_tokens += len(gloss_src.tokens)
+        report.gloss_tgt_tokens += len(gloss_tgt.tokens)
+        report.unknown_labels += len(unknown_analyzer_tags(tokens, table))
+        report.oov_lemmas += len(reference_oov_lemmas(gloss_src, dictionary))
+        if translator.kind is TranslatorKind.BASELINE_DETOKENIZE:
+            target = reference_strip_labels(gloss_tgt)
+        else:
+            target = gloss_tgt.render_spaced(split_morphs)
+        traces.append(SentenceTrace(line, gloss_src.render(), gloss_tgt.render(), target))
+    return traces, report

@@ -152,6 +152,17 @@ def test_composite_expansion_person_first_and_number_first():
     assert person_first.lookup_label("2sing")[0] == ("2", "SG")
 
 
+def test_a_composite_capture_that_is_no_person_number_pair_is_no_composite():
+    # "X" is a variant of PL: read as a number, "3X" would become 3.X on one
+    # pass and 3.PL on the next
+    table = loads_table(
+        "[registry]\nPL\n[variants]\nX\tPL\n[composites]\n(?P<person>[123])(?P<number>X)\n"
+    )
+    assert table.lookup_label("3X") == (("3X",), False)
+    once = normalize_gloss_line(tokenize_gloss("w-3X", label_registry=table.label_registry()), table)
+    assert normalize_gloss_line(once, table) == once
+
+
 def test_registry_labels_are_fixed_points():
     table = default_table()
     for label in ["PST", "NOM", "SG", "3", "PROG"]:

@@ -32,7 +32,11 @@ from igtpivot.parsing import _odin_blocks, _split_segments
 
 from gen_helpers import random_gloss_line
 from golden_data import IGT_EXAMPLES
-from parsing_reference import reference_parse_odin_blocks, reference_parse_toolbox
+from parsing_reference import (
+    reference_parse_analyzer_line,
+    reference_parse_odin_blocks,
+    reference_parse_toolbox,
+)
 
 
 def kinds(token):
@@ -583,6 +587,23 @@ def test_analyzer_rejects_empty_surface():
 def test_analyzer_rejects_empty_tag():
     with pytest.raises(MalformedTokenError):
         parse_analyzer_line("kadi++Nom")
+
+
+def _parsed_or_error(parse, line):
+    try:
+        return parse(line)
+    except MalformedTokenError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("aB+.!,  "), max_size=14))
+def test_analyzer_line_equals_the_per_token_reference_on_any_line(line):
+    # empty surfaces and tags, punctuation surfaces with tags, and trailing
+    # punctuation runs, accepted or rejected with the same message
+    assert _parsed_or_error(parse_analyzer_line, line) == _parsed_or_error(
+        reference_parse_analyzer_line, line
+    )
 
 
 def test_analyzer_punctuation_token_must_not_carry_tags():

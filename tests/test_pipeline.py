@@ -12,11 +12,16 @@ from hypothesis import strategies as st
 from igtpivot import (
     BadEncodingError,
     BadTranslatorError,
+    GlossLine,
+    GlossMorph,
+    GlossToken,
     IgtRecord,
     LanguageTag,
     LemmaDictionary,
+    MalformedTokenError,
     MorphKind,
     OovPolicy,
+    PipelineReport,
     PipelineStageError,
     TranslatorCountMismatchError,
     TranslatorHandle,
@@ -27,6 +32,7 @@ from igtpivot import (
     default_table,
     iter_pipeline,
     load_dictionary,
+    loads_table,
     oov_lemmas,
     parse_analyzer_line,
     prepare_multilingual,
@@ -43,7 +49,7 @@ from golden_data import (
     SUBSTITUTION_GOLD,
     TURKISH_ANALYZER_FIXTURE,
 )
-from pipeline_reference import reference_run_pipeline
+from pipeline_reference import reference_iter_pipeline, reference_run_pipeline
 
 
 def pivot_dictionary():
@@ -446,15 +452,169 @@ def test_pipeline_looks_up_each_lemma_once(kind):
     _, report = run_pipeline(
         analyzer_text, default_table(), dictionary, TranslatorHandle(kind)
     )
+    restore = default_table().restore_map
     lemmas = [
-        token.surface
+        restore.get(token.surface, token.surface)
         for line in analyzer_text.split("\n")
         for token in parse_analyzer_line(line)
         if not token.is_punctuation
     ]
-    assert len(dictionary.looked_up) == len(lemmas)
-    missed = [lemma for lemma in dictionary.looked_up if lemma.lower() not in dictionary.entries]
-    assert report.oov_lemmas == len(missed) > 0
+    # one lookup per distinct lemma, and every missed occurrence still counted
+    assert len(dictionary.looked_up) == len(set(dictionary.looked_up))
+    assert set(dictionary.looked_up) == set(lemmas)
+    missed = [lemma for lemma in lemmas if lemma.lower() not in dictionary.entries]
+    assert report.oov_lemmas == len(missed) > len(set(missed))
+
+
+# --- pieces built once per distinct lemma and tag run -----------------------------------
+
+# a verbal tag, a tag that maps to no label ("-"), one whose label is
+# punctuation, restored roots (one title case, one to punctuation)
+PIECES_TABLE = loads_table(
+    "[registry]\n1 2 3 SG PL NOM ACC PST PROG !\n"
+    "[analyzer]\nA3sg\t3.SG\nA3pl\t3.PL\nNom\tNOM\nAcc\tACC\nPast\tPST\tverbal\n"
+    "Prog\tPROG\tverbal\nPnon\t-\nExcl\t!\n"
+    "[restore]\nKadi\tKadin\nkadi\tkadin\nstop\t.\n"
+)
+# targets that are punctuation, capitalized, or hold "_"
+PIECES_DICTIONARY = LemmaDictionary(
+    {
+        "kadin": ("woman", 1.0), "ev": ("house", 1.0), "new_york": ("new_york", 1.0),
+        "abd": ("USA", 1.0), "dot": (".", 1.0), "nom": ("name", 1.0), "3sg": ("three", 1.0),
+    }
+)
+# lemmas spelled like labels, with "_", title case, OOV, restored
+_SURFACES = ["kadi", "Kadi", "ev", "Ev", "new_york", "x_y", "NOM", "3SG", "abd", "ABD",
+             "dot", "zork", "Zork", "stop"]
+# known tags and unknown ones in both cases
+_TAGS = ["A3sg", "A3pl", "Nom", "Acc", "Past", "Prog", "Pnon", "Excl", "Zorp", "ZORP", "zorp"]
+_analyzer_word = st.one_of(
+    st.sampled_from([".", "!?", ",", "?"]),
+    st.builds(
+        lambda surface, tags, trailing: "+".join([surface, *tags]) + trailing,
+        st.sampled_from(_SURFACES),
+        st.lists(st.sampled_from(_TAGS), max_size=4),
+        st.sampled_from(["", "", ".", "!?", ","]),
+    ),
+)
+_analyzer_lines = st.lists(
+    st.one_of(st.just(""), st.lists(_analyzer_word, min_size=1, max_size=6).map(" ".join)),
+    max_size=4,
+)
+IDENTITY = TranslatorHandle(TranslatorKind.IDENTITY)
+TRANSLATIONS = [(BASELINE, False), (IDENTITY, False), (IDENTITY, True)]
+
+
+def _pivot(lines, table, dictionary, translator, policy, split_morphs):
+    report = PipelineReport()
+    traces = list(iter_pipeline(lines, table, dictionary, translator, policy, split_morphs, report))
+    return traces, report
+
+
+@settings(max_examples=150, deadline=None)
+@given(_analyzer_lines)
+def test_pipeline_pieces_equal_the_one_gloss_line_per_stage_reference(lines):
+    for policy in OovPolicy:
+        for translator, split_morphs in TRANSLATIONS:
+            args = (lines, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split_morphs)
+            assert _pivot(*args) == reference_iter_pipeline(*args)
+
+
+PIECES_TEXT = (
+    "Kadi+A3sg+Nom new_york+Excl x_y+Pnon !? . zork+Excl stop+Nom!?\n"
+    "\n"
+    "dot ABD+Zorp+Past. Zork+ZORP+A3pl , NOM+Acc+Prog 3SG stop zork+Pnon\n"
+)
+
+
+@pytest.mark.parametrize("policy", list(OovPolicy))
+def test_pipeline_pieces_equal_the_reference_through_an_echoing_translator(policy):
+    lines = PIECES_TEXT.split("\n")
+    for split_morphs in (False, True):
+        cat = TranslatorHandle(TranslatorKind.EXTERNAL, command="cat", timeout=30)
+        args = (lines, PIECES_TABLE, PIECES_DICTIONARY, cat, policy, split_morphs)
+        assert _pivot(*args) == reference_iter_pipeline(*args)
+
+
+def test_pipeline_builds_no_gloss_line_or_token_and_no_morph_per_occurrence(monkeypatch):
+    lines = PIECES_TEXT.split("\n")
+    cat = TranslatorHandle(TranslatorKind.EXTERNAL, command="cat", timeout=30)
+    runs = [(BASELINE, False), (IDENTITY, False), (IDENTITY, True), (cat, False)]
+    expected = [
+        reference_iter_pipeline(lines, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split)
+        for translator, split in runs
+        for policy in OovPolicy
+    ]
+    PIECES_TABLE._tag_morphs  # the table's own morphs, built once per table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gloss line or token was built")
+
+    built = []
+    check = GlossMorph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GlossLine, "__init__", refuse)
+    monkeypatch.setattr(GlossToken, "__post_init__", refuse)
+    monkeypatch.setattr(GlossMorph, "__post_init__", counting)
+    assert [
+        _pivot(lines, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split)
+        for translator, split in runs
+        for policy in OovPolicy
+    ] == expected
+    # a repeated line builds no morph
+    built.clear()
+    _pivot(lines, PIECES_TABLE, PIECES_DICTIONARY, BASELINE, OovPolicy.KEEP, False)
+    once = len(built)
+    built.clear()
+    _pivot(lines * 3, PIECES_TABLE, PIECES_DICTIONARY, BASELINE, OovPolicy.KEEP, False)
+    assert len(built) == once > 0
+
+
+def test_pipeline_outputs_do_not_depend_on_the_memo_bound(monkeypatch):
+    analyzer_text, dictionary_tsv = random_analyzer_corpus(random.Random(11), 40)
+    corpora = [
+        (analyzer_text.split("\n"), default_table(), load_dictionary(dictionary_tsv)),
+        (PIECES_TEXT.split("\n"), PIECES_TABLE, PIECES_DICTIONARY),
+    ]
+    runs = [
+        (lines, table, dictionary, translator, policy, split_morphs)
+        for lines, table, dictionary in corpora
+        for policy in OovPolicy
+        for translator, split_morphs in TRANSLATIONS
+    ]
+    expected = [_pivot(*args) for args in runs]
+    monkeypatch.setattr("igtpivot.pipeline._MEMO_SIZE", 1)
+    assert [_pivot(*args) for args in runs] == expected
+
+
+BAD_TARGET = LemmaDictionary({"kadin": ("old woman", 1.0), "ev": ("house", 1.0)})
+
+
+@pytest.mark.parametrize("word", ["a++B", "+Nom", "a+B+,", ".+Nom", "!?+X."])
+def test_pipeline_parse_error_after_a_bad_target_is_a_parse_error(word):
+    # the whole line is parsed before any of it is converted or looked up
+    with pytest.raises(MalformedTokenError) as parsed:
+        parse_analyzer_line(word)
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(f"ev\nKadi+Nom ev {word}\n", default_table(), BAD_TARGET, IDENTITY)
+    assert (info.value.stage, info.value.line) == ("parse-analyzer", 2)
+    assert str(info.value.cause) == str(parsed.value)
+
+
+def test_pipeline_recurring_bad_target_fails_on_its_first_line():
+    with pytest.raises(PipelineStageError) as alone:
+        run_pipeline("Kadi+Nom\n", default_table(), BAD_TARGET, IDENTITY)
+    with pytest.raises(PipelineStageError) as recurring:
+        run_pipeline(
+            "ev+Nom\n\nev Kadi+Acc Kadi\nKadi+Nom\n", default_table(), BAD_TARGET, IDENTITY
+        )
+    assert (recurring.value.stage, recurring.value.line) == ("substitute", 3)
+    assert str(recurring.value.cause) == str(alone.value.cause)
+    assert str(alone.value.cause) == "morph text contains whitespace: 'Old woman'"
 
 
 def test_pipeline_baseline_never_tokenizes_a_gloss(monkeypatch):

@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igtpivot import GlossMorph, tokenize_gloss
+from igtpivot import GlossMorph, Joiner, tokenize_gloss
 from igtpivot.parsing import _segment_morph, _word_to_tokens
 
 from gen_helpers import random_gloss_line
@@ -97,3 +97,21 @@ def test_morphs_are_built_at_most_once_per_distinct_segment(monkeypatch):
     assert [tokenize_gloss(line) for line in lines] == expected
     assert len(built) <= len(segments)
 
+
+
+def test_the_memos_never_hash_a_joiner(monkeypatch):
+    # Enum.__hash__ is a Python-level function, costly once per segment
+    hashed = []
+
+    def counting(self):
+        hashed.append(self)
+        return hash(self._name_)
+
+    rng = random.Random(607)
+    lines = [random_gloss_line(rng, rng.randint(1, 8)).render() for _ in range(50)]
+    clear_memos()
+    monkeypatch.setattr(Joiner, "__hash__", counting)
+    assert [tokenize_gloss(line) for line in lines] == [
+        reference_tokenize_gloss(line) for line in lines
+    ]
+    assert hashed == []
