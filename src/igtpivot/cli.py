@@ -188,11 +188,10 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
-    table = _load_norm_table(args.table, not args.number_first)
+    gloss = pipeline_mod._glosser(_load_norm_table(args.table, not args.number_first))
 
     def convert(line: str) -> str:
-        tokens = parsing_mod.parse_analyzer_line(line)
-        return normalize_mod.analyzer_to_gloss(tokens, table).render()
+        return pipeline_mod._source_text(gloss(parsing_mod._analyzer_words(line)))
 
     return _map_lines(args, convert)
 
@@ -255,11 +254,10 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 def _cmd_subst(args: argparse.Namespace) -> int:
     dictionary = align_mod.load_dictionary(_read(args.dict))
-    policy = _OOV_BY_NAME[args.oov]
+    substitute = pipeline_mod._substituter(dictionary, _OOV_BY_NAME[args.oov])
 
     def convert(line: str) -> str:
-        gloss = parsing_mod.tokenize_gloss(line)
-        return pipeline_mod.substitute_lemmas(gloss, dictionary, policy).render()
+        return substitute(parsing_mod.tokenize_gloss(line)).render()
 
     return _map_lines(args, convert)
 

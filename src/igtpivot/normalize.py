@@ -298,30 +298,21 @@ def analyzer_to_gloss(
     marked verbal in the table (tense/aspect) attach their first label with
     a hyphen instead.  Unknown tags pass through as labels unchanged.
     """
-    return _analyzer_to_gloss(tokens, table)[0]
-
-
-def _analyzer_to_gloss(
-    tokens: "list[AnalyzerToken] | tuple[AnalyzerToken, ...]",
-    table: NormalizationTable,
-) -> tuple[GlossLine, list[str]]:
-    """:func:`analyzer_to_gloss` and the tags the table lacked, from one
-    lookup per tag."""
-    unknown: list[str] = []
     gloss_tokens = []
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
         morphs = [GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)]
-        _label_tail(token.tags, table, morphs, unknown)
+        _label_tail(token.tags, table, morphs)
         gloss_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(gloss_tokens)), unknown
+    return GlossLine(tokens=tuple(gloss_tokens))
 
 
 def _label_tail(
-    tags: "Iterable[str]", table: NormalizationTable, morphs: list[GlossMorph], unknown: list[str]
-) -> None:
-    """Append the label morphs of analyzer ``tags`` to ``morphs`` and the
-    tags the table lacks to ``unknown``, from one lookup per tag."""
+    tags: "Iterable[str]", table: NormalizationTable, morphs: list[GlossMorph]
+) -> list[str]:
+    """Append the label morphs of analyzer ``tags`` to ``morphs`` and return
+    the tags the table lacks, from one lookup per tag."""
+    unknown: list[str] = []
     tag_morphs = table._tag_morphs
     for tag in tags:
         shared = tag_morphs.get(tag)
@@ -331,6 +322,7 @@ def _label_tail(
         unknown.append(tag)
         first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
         morphs.extend(_label_morphs((tag,), first))
+    return unknown
 
 
 def unknown_analyzer_tags(

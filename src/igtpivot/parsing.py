@@ -99,11 +99,6 @@ def _delimited_segments(core: str) -> list[tuple[str, str]]:
     return [("", parts[0]), *zip(parts[1::2], parts[2::2])]
 
 
-def _split_segments(core: str) -> list[tuple[Joiner, str]]:
-    """:func:`_delimited_segments` with each delimiter as its :class:`Joiner`."""
-    return [(_JOINER_BY_CHAR[delimiter], text) for delimiter, text in _delimited_segments(core)]
-
-
 _EDGE_RE = re.compile(r"^[^0-9A-Za-z]+|[^0-9A-Za-z]+$")
 
 

@@ -17,6 +17,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache, partial
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .align import LemmaDictionary
@@ -102,39 +103,21 @@ class PipelineReport:
     sentences: list[SentenceTrace] = field(default_factory=list)
 
 
-def _target_lemma(lemma: str, dictionary: LemmaDictionary) -> "str | None":
-    """The dictionary's translation of ``lemma``, title case re-applied, or
-    None when the dictionary lacks it."""
-    hit = dictionary.lookup(lemma)
-    if hit is None:
-        return None
-    target = hit[0]
-    return target[:1].upper() + target[1:] if lemma[:1].isupper() else target
-
-
-def _substitute_token(
-    token: GlossToken, dictionary: LemmaDictionary, policy: OovPolicy, missing: list[str]
-) -> GlossToken:
+def _substitute_token(token: GlossToken, target: "Callable[[str], _Target]") -> GlossToken:
+    """``token`` with each lemma made ``target(lemma).text``, or removed for ``None``."""
     morphs: list[GlossMorph] = []
     kept = 0  # morphs passed through as they are
     for morph in token.morphs:
-        if morph.kind is not MorphKind.LEMMA or is_punct(morph.text):
+        if morph.kind is not MorphKind.LEMMA:
             morphs.append(morph)
             kept += 1
             continue
-        target = _target_lemma(morph.text, dictionary)
-        if target is not None:
-            morphs.append(GlossMorph(MorphKind.LEMMA, target, morph.joiner))
-            continue
-        missing.append(morph.text)
-        if policy is OovPolicy.KEEP:
+        text = target(morph.text).text
+        if text == morph.text:
             morphs.append(morph)
             kept += 1
-        elif policy is OovPolicy.KEEP_MARKED:
-            marked = f"{OOV_OPEN}{morph.text}{OOV_CLOSE}"
-            morphs.append(GlossMorph(MorphKind.LEMMA, marked, morph.joiner))
-        else:  # DROP: keep the labels; keep the lemma only if nothing would remain
-            continue
+        elif text is not None:
+            morphs.append(GlossMorph(MorphKind.LEMMA, text, morph.joiner))
     if kept == len(token.morphs):
         return token  # nothing replaced, marked or dropped: the token is its own image
     if not morphs:
@@ -143,18 +126,6 @@ def _substitute_token(
         first = morphs[0]
         morphs[0] = GlossMorph(first.kind, first.text, Joiner.WORD_INITIAL)
     return GlossToken(tuple(morphs))
-
-
-def _substitute(
-    gloss: GlossLine, dictionary: LemmaDictionary, oov_policy: OovPolicy
-) -> tuple[GlossLine, list[str]]:
-    """The target-lemma gloss and the lemmas the dictionary lacked, from one
-    lookup per non-punctuation lemma."""
-    missing: list[str] = []
-    # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
-    # which fills CPython's free lists of the other tuple sizes over a long run
-    tokens = [_substitute_token(token, dictionary, oov_policy, missing) for token in gloss.tokens]
-    return GlossLine(tokens=tuple(tokens)), missing
 
 
 def substitute_lemmas(
@@ -167,14 +138,17 @@ def substitute_lemmas(
     Lookup is case-folded and title case is re-applied (``Kadin`` becomes
     ``Woman`` when the dictionary maps ``kadin`` to ``woman``).  Labels and
     punctuation are never touched and the token count is preserved.  Lemmas
-    missing from the dictionary follow ``oov_policy``.
+    missing from the dictionary follow ``oov_policy``.  Each distinct lemma
+    is looked up once per call.
     """
-    return _substitute(gloss, dictionary, oov_policy)[0]
+    return _substituter(dictionary, oov_policy)(gloss)
 
 
 def oov_lemmas(gloss: GlossLine, dictionary: LemmaDictionary) -> list[str]:
     """Non-punctuation lemmas with no dictionary entry."""
-    return _substitute(gloss, dictionary, OovPolicy.KEEP)[1]
+    target = _memoized(_target, dictionary, OovPolicy.KEEP)
+    lemmas = (m.text for token in gloss.tokens for m in token.morphs if m.kind is MorphKind.LEMMA)
+    return [lemma for lemma in lemmas if target(lemma).missed]
 
 
 def prepare_multilingual(
@@ -212,14 +186,8 @@ def _training_pairs(
 def baseline_detokenize(line: str) -> str:
     """Crude gloss-to-English baseline: strip all labels, turn underscores
     into spaces, capitalize the first character, keep punctuation tokens."""
-    return _strip_labels(tokenize_gloss(line))
-
-
-def _strip_labels(gloss: GlossLine) -> str:
-    """:func:`baseline_detokenize` of a gloss that is already tokenized, so
-    each morph keeps the kind the stage that made it gave it."""
     words: list[str] = []
-    for token in gloss.tokens:
+    for token in tokenize_gloss(line).tokens:
         if token.is_punctuation:
             words.append(token.render())
             continue
@@ -308,17 +276,15 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
 
 
 # A gloss corpus repeats a small set of lemmas and tag runs many times over,
-# so iter_pipeline converts, looks up and renders each distinct one once per
-# run.  Each of its memos is emptied when it reaches this many entries.
+# so a run converts, looks up and renders each distinct one once, in
+# least-recently-used memos of at most this many entries each.
 _MEMO_SIZE = 1 << 14
 
 
-def _memo(memo: dict, key: str, value):
-    """``value``, stored in ``memo`` under ``key`` after emptying a full memo."""
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[key] = value
-    return value
+def _memoized(build: Callable, *args) -> Callable:
+    """``build`` with ``args`` bound first, in a memo of :data:`_MEMO_SIZE`
+    entries; a call that raises stores nothing."""
+    return lru_cache(maxsize=_MEMO_SIZE)(partial(build, *args))
 
 
 class _Lemma(NamedTuple):
@@ -346,28 +312,35 @@ class _Target(NamedTuple):
     missed: bool  # the dictionary lacks the lemma
 
 
-def _source_lemma(surface: str, table: NormalizationTable) -> _Lemma:
+_Pieces = list[tuple[_Lemma, _Tail]]  # a line's words, each a source lemma and its tail
+
+
+def _source_lemma(table: NormalizationTable, surface: str) -> _Lemma:
     lemma = table.restore_map.get(surface, surface)
     GlossMorph(MorphKind.LEMMA, lemma, Joiner.WORD_INITIAL)  # the check a gloss morph gets
     return _Lemma(lemma, is_punct(lemma))
 
 
-def _tail(run: str, table: NormalizationTable) -> _Tail:
+def _tail(table: NormalizationTable, run: str) -> _Tail:
     morphs: list[GlossMorph] = []
-    unknown: list[str] = []
-    _label_tail(run.split("+")[1:], table, morphs, unknown)
+    unknown = _label_tail(run.split("+")[1:], table, morphs)
     pieces = [morph.joiner._value_ + morph.text for morph in morphs]
     text = "".join(pieces)
     dropped_punct = len(morphs) == 1 and is_punct(morphs[0].text)
     return _Tail(text, text[1:], dropped_punct, " ".join(pieces), tuple(unknown))
 
 
-def _target(lemma: str, dictionary: LemmaDictionary, oov_policy: OovPolicy) -> _Target:
-    """:func:`substitute_lemmas` of one lemma."""
+def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _Target:
+    """What ``lemma`` becomes: the dictionary's translation with title case
+    re-applied, else the OOV form ``oov_policy`` gives.  Punctuation is
+    never looked up."""
     if is_punct(lemma):
-        return _Target(lemma, True, False)  # never looked up
-    target = _target_lemma(lemma, dictionary)
-    if target is not None:
+        return _Target(lemma, True, False)
+    hit = dictionary.lookup(lemma)
+    if hit is not None:
+        target = hit[0]
+        if lemma[:1].isupper():
+            target = target[:1].upper() + target[1:]
         GlossMorph(MorphKind.LEMMA, target, Joiner.WORD_INITIAL)  # the check a gloss morph gets
         return _Target(target, is_punct(target), False)
     if oov_policy is OovPolicy.KEEP:
@@ -375,6 +348,35 @@ def _target(lemma: str, dictionary: LemmaDictionary, oov_policy: OovPolicy) -> _
     if oov_policy is OovPolicy.KEEP_MARKED:
         return _Target(f"{OOV_OPEN}{lemma}{OOV_CLOSE}", False, True)
     return _Target(None, False, True)
+
+
+def _glosser(table: NormalizationTable) -> Callable[[list[tuple[str, str]]], _Pieces]:
+    """A map from a line's ``(surface, tag run)`` analyzer words to their
+    pieces, each distinct surface and tag run converted once."""
+    lemma, tail = _memoized(_source_lemma, table), _memoized(_tail, table)
+    return lambda words: [(lemma(surface), tail(run)) for surface, run in words]
+
+
+def _source_text(pieces: _Pieces) -> str:
+    """The source gloss, as ``analyzer_to_gloss(...).render()`` writes it."""
+    return join_tokens(
+        [(lemma + tail.text, punct and not tail.text) for (lemma, punct), tail in pieces]
+    )
+
+
+def _substituter(
+    dictionary: LemmaDictionary, oov_policy: OovPolicy
+) -> Callable[[GlossLine], GlossLine]:
+    """:func:`substitute_lemmas` as a map of glosses, each distinct lemma looked up once."""
+    target = _memoized(_target, dictionary, oov_policy)
+
+    def substitute(gloss: GlossLine) -> GlossLine:
+        # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
+        # which fills CPython's free lists of the other tuple sizes over a long run
+        tokens = [_substitute_token(token, target) for token in gloss.tokens]
+        return GlossLine(tokens=tuple(tokens))
+
+    return substitute
 
 
 def _stages(
@@ -397,9 +399,8 @@ def _stages(
     per run: a surface's restored lemma, a tag run's label tail and a source
     lemma's target (so ``dictionary.lookup`` sees each distinct lemma once).
     """
-    lemmas: dict[str, _Lemma] = {}
-    tails: dict[str, _Tail] = {}
-    targets: dict[str, _Target] = {}
+    gloss = _glosser(table)
+    target_of = _memoized(_target, dictionary, oov_policy)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -407,31 +408,19 @@ def _stages(
         try:
             words = _analyzer_words(line)
             stage = "analyzer-to-gloss"
-            glossed = [
-                (
-                    lemmas.get(surface) or _memo(lemmas, surface, _source_lemma(surface, table)),
-                    tails.get(run) or _memo(tails, run, _tail(run, table)),
-                )
-                for surface, run in words
-            ]
+            glossed = gloss(words)
             stage = "substitute"
-            substituted = [
-                targets.get(lemma.text)
-                or _memo(targets, lemma.text, _target(lemma.text, dictionary, oov_policy))
-                for lemma, _ in glossed
-            ]
+            substituted = [target_of(lemma) for (lemma, _), _ in glossed]
         except (IgtError, ValueError) as exc:
             raise PipelineStageError(stage, exc, line=lineno) from exc
 
-        source: list[tuple[str, bool]] = []
         target: list[tuple[str, bool]] = []
         heads: list[tuple["str | None", _Tail]] = []
         unknown = oov = 0
-        for ((lemma, lemma_punct), tail), (head, head_punct, missed) in zip(glossed, substituted):
+        for ((lemma, _), tail), (head, head_punct, missed) in zip(glossed, substituted):
             unknown += len(tail.unknown)
             oov += missed
             text = tail.text
-            source.append((lemma + text, lemma_punct and not text))
             if head is None and not text:
                 head = lemma  # a bare OOV lemma stays: dropping it would empty the token
             if head is None:  # DROP left only the labels
@@ -440,7 +429,7 @@ def _stages(
                 target.append((head + text, head_punct and not text))
             heads.append((head, tail))
 
-        if baseline:  # _strip_labels: each token's lemma, or the one punctuation label DROP left
+        if baseline:  # baseline_detokenize: each lemma, or the one punctuation label DROP left
             sentence = " ".join(
                 tail.dropped if head is None else head.replace("_", " ")
                 for head, tail in heads
@@ -461,7 +450,7 @@ def _stages(
         report.gloss_tgt_tokens += len(words)
         report.unknown_labels += unknown
         report.oov_lemmas += oov
-        yield line, join_tokens(source), join_tokens(target), shaped
+        yield line, _source_text(glossed), join_tokens(target), shaped
 
 
 def _translate_externally(

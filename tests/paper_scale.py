@@ -7,11 +7,14 @@ as ODIN blocks and as a ToolBox file headed by ToolBox's ``\\_sh`` line.  It
 runs ``igt parse-odin``, ``igt parse-toolbox`` and ``igt prepare-multi`` on
 each size as its own children.  It also generates the seed-7 ``pivot``
 inputs (5,000 analyzer lines) and runs ``igt pivot --translator baseline
---report`` on them once (x1) and 14 times over (x14, 70,000 lines).  It
-fails unless each command's peak RSS at the larger size is within 1.10x of
-its figure at x1.  It also checks that both parsers write the same records,
-that no corpus command warns, and that ``pivot`` writes nothing to stderr
-but its one-line summary, whose counts grow 14-fold.
+--report``, ``igt parse-analyzer`` and ``igt subst`` (on what
+``parse-analyzer`` wrote) on them once (x1) and 14 times over (x14, 70,000
+lines).  It fails unless each command's peak RSS at the larger size is
+within 1.10x of its figure at x1.  It also checks that both parsers write
+the same records, that no corpus or stage command warns, that
+``parse-analyzer`` writes the ``gloss_src:`` lines of ``pivot``'s report,
+and that ``pivot`` writes nothing to stderr but its one-line summary, whose
+counts grow 14-fold.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import itertools
 import os
 import re
 import resource
@@ -131,9 +135,10 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
     return peaks
 
 
-def run_pivot(generated: str, work: str, times: int) -> tuple[float, tuple[int, int]]:
-    """``igt pivot``'s peak RSS in MB on the analyzer lines written ``times``
-    times over, and the OOV and unknown-label counts of its summary."""
+def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], tuple[int, int]]:
+    """The peak RSS in MB of ``igt pivot``, ``igt parse-analyzer`` and ``igt
+    subst`` on the analyzer lines written ``times`` times over, and the OOV
+    and unknown-label counts of ``pivot``'s summary."""
     analyzed = os.path.join(work, f"analyzed.x{times}.txt")
     with open(analyzed, "w", encoding="utf-8", newline="\n") as out:
         for _ in range(times):
@@ -142,18 +147,49 @@ def run_pivot(generated: str, work: str, times: int) -> tuple[float, tuple[int, 
                 for line in source:
                     out.write(line)
     n_lines = count_lines(analyzed)
-    argv = [sys.executable, "-m", "igtpivot", "pivot", "--analyzer-out", analyzed,
-            "--dict", os.path.join(generated, "dict.tsv"), "--translator", "baseline",
-            "--report", os.path.join(work, f"report.x{times}.txt"),
+    igt = [sys.executable, "-m", "igtpivot"]
+    dictionary = os.path.join(generated, "dict.tsv")
+    report = os.path.join(work, f"report.x{times}.txt")
+    gloss = os.path.join(work, f"gloss.x{times}.txt")
+    stderr_path = os.path.join(work, "stderr.txt")
+    peaks = {}
+    argv = [*igt, "pivot", "--analyzer-out", analyzed, "--dict", dictionary,
+            "--translator", "baseline", "--report", report,
             "--out", os.path.join(work, f"pivot.x{times}.txt")]
-    peak, message = peak_mb(argv, os.path.join(work, "stderr.txt"))
+    peaks["pivot"], message = peak_mb(argv, stderr_path)
     summary = re.fullmatch(
         rf"igt: pivoted {n_lines} sentence\(s\), oov=(\d+) unknown_labels=(\d+)\n", message
     )
     if summary is None:
         raise SystemExit(f"pivot at x{times} wrote to stderr:\n{message}")
+    stages = {
+        "parse-analyzer": ["parse-analyzer", "--in", analyzed, "--out", gloss],
+        "subst": ["subst", "--in", gloss, "--dict", dictionary,
+                  "--out", os.path.join(work, f"subst.x{times}.txt")],
+    }
+    for command, stage_argv in stages.items():
+        peaks[command], message = peak_mb([*igt, *stage_argv], stderr_path)
+        if message:
+            raise SystemExit(f"{command} warned at x{times}:\n{message}")
+    check_source_glosses(gloss, report, times)
     print(f"x{times}: {n_lines} analyzer lines")
-    return peak, (int(summary.group(1)), int(summary.group(2)))
+    return peaks, (int(summary.group(1)), int(summary.group(2)))
+
+
+def check_source_glosses(gloss: str, report: str, times: int) -> None:
+    """Fail unless the lines of ``gloss`` are the ``gloss_src:`` lines of
+    ``report``, in order; both files are read a line at a time."""
+    prefix = "gloss_src: "
+    with open(gloss, encoding="utf-8", newline="\n") as glosses, open(
+        report, encoding="utf-8", newline="\n"
+    ) as reported:
+        sources = (line[len(prefix):] for line in reported if line.startswith(prefix))
+        for n, (written, source) in enumerate(itertools.zip_longest(glosses, sources), start=1):
+            if written != source:
+                raise SystemExit(
+                    f"parse-analyzer line {n} at x{times} is {written!r}, "
+                    f"pivot's gloss_src is {source!r}"
+                )
 
 
 def main() -> int:
@@ -185,7 +221,8 @@ def main() -> int:
         failures.append(f"pivot's oov and unknown_labels went from {counts_once} at x1 "
                         f"to {counts_scaled} at x{PIVOT_TIMES}")
     runs = [(command, once[command], scaled[command], TIMES) for command in once]
-    runs.append(("pivot", pivot_once, pivot_scaled, PIVOT_TIMES))
+    runs += [(command, pivot_once[command], pivot_scaled[command], PIVOT_TIMES)
+             for command in pivot_once]
     for command, small, large, times in runs:
         ratio = large / small
         print(f"{command:14} x1 {small:6.1f} MB   x{times} {large:6.1f} MB   ratio {ratio:.3f}")

@@ -6,7 +6,9 @@ against; it is built from the public stage functions only.  Also keeps the
 analyzer→gloss pass as it was before each tag's label morphs were built once
 per table, and ``iter_pipeline`` as it was before it assembled each sentence
 from pieces built once per distinct lemma and tag run: one ``GlossLine`` per
-stage, rendered and label-stripped whole."""
+stage, rendered and label-stripped whole.  And lemma substitution as it was
+before one function made each lemma's target: a lookup per lemma
+occurrence, the OOV policy applied inside the token loop."""
 
 from igtpivot import (
     GlossLine,
@@ -14,6 +16,7 @@ from igtpivot import (
     GlossToken,
     Joiner,
     MorphKind,
+    OovPolicy,
     PipelineReport,
     SentenceTrace,
     TranslatorKind,
@@ -23,13 +26,16 @@ from igtpivot import (
     tokenize_gloss,
     unknown_analyzer_tags,
 )
+from igtpivot.model import is_punct
 from igtpivot.normalize import _label_morphs, _order_person_number
+from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN
 
 PUNCT_CHARS = ".,!?;:"
 
 
 def reference_analyzer_to_gloss(tokens, table):
-    """``_analyzer_to_gloss`` building every tag occurrence's label morphs anew."""
+    """``analyzer_to_gloss`` and ``unknown_analyzer_tags`` of ``tokens``, every
+    tag occurrence's label morphs built anew."""
     unknown = []
     gloss_tokens = []
     for token in tokens:
@@ -146,3 +152,47 @@ def reference_iter_pipeline(lines, table, dictionary, translator, oov_policy, sp
             target = gloss_tgt.render_spaced(split_morphs)
         traces.append(SentenceTrace(line, gloss_src.render(), gloss_tgt.render(), target))
     return traces, report
+
+
+def _reference_target_lemma(lemma, dictionary):
+    hit = dictionary.lookup(lemma)
+    if hit is None:
+        return None
+    target = hit[0]
+    return target[:1].upper() + target[1:] if lemma[:1].isupper() else target
+
+
+def reference_substitute_token(token, dictionary, policy, missing):
+    """``_substitute_token`` with the OOV policy written in its loop."""
+    morphs = []
+    kept = 0
+    for morph in token.morphs:
+        if morph.kind is not MorphKind.LEMMA or is_punct(morph.text):
+            morphs.append(morph)
+            kept += 1
+            continue
+        target = _reference_target_lemma(morph.text, dictionary)
+        if target is not None:
+            morphs.append(GlossMorph(MorphKind.LEMMA, target, morph.joiner))
+            continue
+        missing.append(morph.text)
+        if policy is OovPolicy.KEEP:
+            morphs.append(morph)
+            kept += 1
+        elif policy is OovPolicy.KEEP_MARKED:
+            marked = f"{OOV_OPEN}{morph.text}{OOV_CLOSE}"
+            morphs.append(GlossMorph(MorphKind.LEMMA, marked, morph.joiner))
+    if kept == len(token.morphs) or not morphs:
+        return token
+    if morphs[0].joiner is not Joiner.WORD_INITIAL:
+        first = morphs[0]
+        morphs[0] = GlossMorph(first.kind, first.text, Joiner.WORD_INITIAL)
+    return GlossToken(tuple(morphs))
+
+
+def reference_substitute(gloss, dictionary, policy):
+    """``substitute_lemmas`` and ``oov_lemmas`` of ``gloss`` from one lookup
+    per lemma occurrence: the target gloss and the lemmas the dictionary lacked."""
+    missing = []
+    tokens = [reference_substitute_token(t, dictionary, policy, missing) for t in gloss.tokens]
+    return GlossLine(tokens=tuple(tokens)), missing

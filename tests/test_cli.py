@@ -5,11 +5,14 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from igtpivot import default_table, loads_table
+from igtpivot import analyzer_to_gloss, default_table, loads_table, parse_analyzer_line
 from igtpivot.cli import build_parser, main
 from igtpivot.tables import DEFAULT_TABLE_TEXT
 
@@ -655,6 +658,58 @@ def test_line_mapping_commands_name_the_line_of_a_bad_input_line(tmp_path, capsy
     assert capsys.readouterr().err == (
         "igt: MALFORMED_TOKEN: line 3: analyzer token has an empty tag: 'a++B'\n"
     )
+    assert not outfile.exists()
+
+
+_ANALYZER_TAGS = sorted(default_table().analyzer_map) + ["Zorp", "Dim"]
+_analyzer_cli_word = st.one_of(
+    st.sampled_from([".", "!?", ","]),
+    st.builds(
+        lambda surface, tags, trailing: "+".join([surface, *tags]) + trailing,
+        st.sampled_from(["Kadi", "kadi", "ev", "gel", "ABD", "a-b", "x_y", "new_york"]),
+        st.lists(st.sampled_from(_ANALYZER_TAGS), max_size=4),
+        st.sampled_from(["", "", ".", "!?", ","]),
+    ),
+)
+_analyzer_cli_line = st.one_of(
+    st.sampled_from(["", "  "]), st.lists(_analyzer_cli_word, min_size=1, max_size=6).map(" ".join)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_analyzer_cli_line, min_size=1, max_size=5), st.booleans(), st.booleans())
+def test_parse_analyzer_writes_analyzer_to_gloss_of_each_line(lines, crlf, number_first):
+    table = default_table(not number_first)
+    expected = "".join(
+        (analyzer_to_gloss(parse_analyzer_line(line), table).render() if line.strip() else "")
+        + "\n"
+        for line in lines
+    )
+    with tempfile.TemporaryDirectory() as work:
+        infile = os.path.join(work, "analyzed.txt")
+        with open(infile, "w", encoding="utf-8", newline="") as handle:
+            handle.write("".join(line + ("\r\n" if crlf else "\n") for line in lines))
+        outfile = os.path.join(work, "gloss.txt")
+        argv = ["parse-analyzer", "--in", infile, "--out", outfile]
+        assert main(argv + ["--number-first"] * number_first) == 0
+        with open(outfile, encoding="utf-8", newline="") as handle:
+            assert handle.read() == expected
+
+
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("x+", "analyzer token has an empty tag: 'x+'"),
+        ("+Nom", "analyzer token has empty surface: '+Nom'"),
+        ("!+Nom", "punctuation token '!' must not carry tags"),
+        ("a++b", "analyzer token has an empty tag: 'a++b'"),
+    ],
+)
+def test_parse_analyzer_names_a_malformed_word(word, message, tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", f"gel+Past\n\r\nev {word} gel\n")
+    outfile = tmp_path / "gloss.txt"
+    assert main(["parse-analyzer", "--in", analyzer, "--out", str(outfile)]) == 1
+    assert capsys.readouterr().err == f"igt: MALFORMED_TOKEN: line 3: {message}\n"
     assert not outfile.exists()
 
 

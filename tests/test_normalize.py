@@ -21,7 +21,6 @@ from igtpivot import (
 )
 from igtpivot import normalize
 from igtpivot.cli import _load_norm_table
-from igtpivot.normalize import _analyzer_to_gloss
 from igtpivot.parsing import AnalyzerToken
 from igtpivot.tables import DEFAULT_TABLE_TEXT
 
@@ -348,7 +347,8 @@ _analyzer_tokens = st.lists(
 @given(st.sampled_from(sorted(_TABLES)), _analyzer_tokens)
 def test_analyzer_to_gloss_matches_the_per_occurrence_reference(name, tokens):
     table = _TABLES[name]
-    assert _analyzer_to_gloss(tokens, table) == reference_analyzer_to_gloss(tokens, table)
+    gloss_and_unknown = (analyzer_to_gloss(tokens, table), unknown_analyzer_tags(tokens, table))
+    assert gloss_and_unknown == reference_analyzer_to_gloss(tokens, table)
 
 
 def test_number_first_table_made_after_the_person_first_one_has_its_own_morphs():
@@ -371,9 +371,10 @@ def test_known_tags_build_their_label_morphs_once_per_table(monkeypatch):
     monkeypatch.setattr(normalize, "_label_morphs", counting)
     table = loads_table(DEFAULT_TABLE_TEXT)
     tokens = parse_analyzer_line("gel+Past+A3sg kitap+A3pl+P1sg+Acc+Zorp ev+Loc.") * 50
-    gloss, unknown = _analyzer_to_gloss(tokens, table)
+    gloss, unknown = analyzer_to_gloss(tokens, table), unknown_analyzer_tags(tokens, table)
     assert unknown == ["Zorp"] * 50
     assert len(calls) == len(table.analyzer_map) + 50
     calls.clear()
-    assert _analyzer_to_gloss(tokens, table) == (gloss, unknown)
+    assert analyzer_to_gloss(tokens, table) == gloss
+    assert unknown_analyzer_tags(tokens, table) == unknown
     assert calls == [("Zorp",)] * 50

@@ -28,7 +28,7 @@ from igtpivot import (
 )
 from igtpivot import cli
 from igtpivot.model import Joiner, is_punct, split_lines
-from igtpivot.parsing import _odin_blocks, _split_segments
+from igtpivot.parsing import _JOINER_BY_CHAR, _delimited_segments, _odin_blocks
 
 from gen_helpers import random_gloss_line
 from golden_data import IGT_EXAMPLES
@@ -140,6 +140,11 @@ def _reference_split_segments(core):
             buf.append(ch)
     segments.append((joiner, "".join(buf)))
     return segments
+
+
+def _split_segments(core):
+    """The splitter's segments with each delimiter as its ``Joiner``."""
+    return [(_JOINER_BY_CHAR[delimiter], text) for delimiter, text in _delimited_segments(core)]
 
 
 def test_split_segments_equals_per_character_reference_exhaustively():

@@ -16,6 +16,7 @@ from igtpivot import (
     GlossMorph,
     GlossToken,
     IgtRecord,
+    Joiner,
     LanguageTag,
     LemmaDictionary,
     MalformedTokenError,
@@ -41,7 +42,7 @@ from igtpivot import (
     tokenize_gloss,
     translate,
 )
-from igtpivot.pipeline import format_report
+from igtpivot.pipeline import _substituter, format_report
 
 from gen_helpers import random_analyzer_corpus, random_record
 from golden_data import (
@@ -49,7 +50,11 @@ from golden_data import (
     SUBSTITUTION_GOLD,
     TURKISH_ANALYZER_FIXTURE,
 )
-from pipeline_reference import reference_iter_pipeline, reference_run_pipeline
+from pipeline_reference import (
+    reference_iter_pipeline,
+    reference_run_pipeline,
+    reference_substitute,
+)
 
 
 def pivot_dictionary():
@@ -712,6 +717,60 @@ def test_substitution_returns_a_token_it_does_not_change_as_it_is():
     dropped = substitute_lemmas(gloss, dictionary, OovPolicy.DROP)
     assert [a is b for a, b in zip(dropped.tokens, gloss.tokens)] == [True, False, False, True]
     assert dropped.render() == "3SG PST house-LOC."
+
+
+# lemmas with "_", punctuation, title case, a target equal to its source (same,
+# new_york), a punctuation target (dot), an upper-case target (abd), OOV
+SUBST_DICTIONARY = LemmaDictionary(
+    {
+        "kadin": ("woman", 1.0), "ev": ("house", 1.0), "new_york": ("new_york", 1.0),
+        "same": ("same", 1.0), "dot": (".", 1.0), "abd": ("USA", 1.0), "_": ("nil", 1.0),
+    }
+)
+_subst_morph = st.one_of(
+    st.tuples(
+        st.just(MorphKind.LEMMA),
+        st.sampled_from(["kadin", "Kadin", "ev", "Ev", "new_york", "same", "Same", "dot",
+                         "abd", "_", "x_y", "zork", "Zork", ".", "!?", ","]),
+    ),
+    st.tuples(st.just(MorphKind.LABEL), st.sampled_from(["3", "SG", "NOM", "PST", "."])),
+)
+_subst_token = st.builds(
+    lambda first, rest: GlossToken(
+        (GlossMorph(*first, Joiner.WORD_INITIAL),
+         *(GlossMorph(kind, text, joiner) for (kind, text), joiner in rest))
+    ),
+    _subst_morph,
+    st.lists(
+        st.tuples(_subst_morph, st.sampled_from([Joiner.HYPHEN, Joiner.PERIOD, Joiner.EQUALS])),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_subst_token, min_size=1, max_size=6))
+def test_substitution_matches_the_per_occurrence_reference(tokens):
+    # labels before a lemma, two lemmas joined by "=", punctuation lemmas
+    gloss = GlossLine(tokens=tuple(tokens))
+    for policy in OovPolicy:
+        expected, missing = reference_substitute(gloss, SUBST_DICTIONARY, policy)
+        assert substitute_lemmas(gloss, SUBST_DICTIONARY, policy) == expected
+        assert oov_lemmas(gloss, SUBST_DICTIONARY) == missing
+
+
+@pytest.mark.parametrize("policy", list(OovPolicy))
+def test_substituter_looks_up_each_lemma_once_across_lines(policy):
+    glosses = [
+        tokenize_gloss(line)
+        for line in ("kadin-PST ev zork .", "Kadin=ev-3SG zork-NOM", "ev same x_y !?")
+    ] * 20
+    dictionary = CountingDictionary(entries=SUBST_DICTIONARY.entries)
+    substitute = _substituter(dictionary, policy)
+    assert [substitute(gloss) for gloss in glosses] == [
+        reference_substitute(gloss, SUBST_DICTIONARY, policy)[0] for gloss in glosses
+    ]
+    assert sorted(dictionary.looked_up) == ["Kadin", "ev", "kadin", "same", "x_y", "zork"]
 
 
 def test_translate_names_the_line_of_translator_output_that_is_not_utf8():

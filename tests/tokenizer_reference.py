@@ -4,7 +4,7 @@ every line is split, classified and built anew."""
 from igtpivot import GlossLine, GlossMorph, GlossToken, Joiner, MorphKind
 from igtpivot.model import PUNCT_CHARS, is_punct
 from igtpivot.normalize import default_label_registry
-from igtpivot.parsing import _looks_like_label, _split_segments
+from igtpivot.parsing import _JOINER_BY_CHAR, _delimited_segments, _looks_like_label
 
 
 def reference_word_to_tokens(word, registry):
@@ -14,9 +14,9 @@ def reference_word_to_tokens(word, registry):
     core = word.rstrip(PUNCT_CHARS)
     trailing = word[len(core) :]
     morphs = []
-    for joiner, text in _split_segments(core):
+    for delimiter, text in _delimited_segments(core):
         kind = MorphKind.LABEL if _looks_like_label(text, registry) else MorphKind.LEMMA
-        morphs.append(GlossMorph(kind, text, joiner))
+        morphs.append(GlossMorph(kind, text, _JOINER_BY_CHAR[delimiter]))
     tokens = [GlossToken(tuple(morphs))]
     if trailing:
         tokens.extend(reference_word_to_tokens(trailing, registry))
