@@ -13,6 +13,7 @@ import os
 import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from functools import partial
 from typing import IO, Callable, Iterable, Iterator
 
 from . import align as align_mod
@@ -188,23 +189,17 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
-    gloss = pipeline_mod._glosser(_load_norm_table(args.table, not args.number_first))
-
-    def convert(line: str) -> str:
-        return pipeline_mod._source_text(gloss(parsing_mod._analyzer_words(line)))
-
-    return _map_lines(args, convert)
+    table = _load_norm_table(args.table, not args.number_first)
+    return _map_lines(args, pipeline_mod._piecewise(
+        parsing_mod._analyzer_words,
+        partial(pipeline_mod._source_lemma, table),
+        partial(pipeline_mod._tail, table),
+    ))
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     table = _load_norm_table(args.table, not args.number_first)
-    registry = table.label_registry()
-
-    def convert(line: str) -> str:
-        gloss = parsing_mod.tokenize_gloss(line, label_registry=registry)
-        return normalize_mod.normalize_gloss_line(gloss, table).render()
-
-    return _map_lines(args, convert)
+    return _map_lines(args, pipeline_mod._normalized_lines(table))
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
@@ -254,12 +249,7 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 def _cmd_subst(args: argparse.Namespace) -> int:
     dictionary = align_mod.load_dictionary(_read(args.dict))
-    substitute = pipeline_mod._substituter(dictionary, _OOV_BY_NAME[args.oov])
-
-    def convert(line: str) -> str:
-        return substitute(parsing_mod.tokenize_gloss(line)).render()
-
-    return _map_lines(args, convert)
+    return _map_lines(args, pipeline_mod._substituted_lines(dictionary, _OOV_BY_NAME[args.oov]))
 
 
 def _cmd_prepare_multi(args: argparse.Namespace) -> int:

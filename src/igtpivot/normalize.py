@@ -274,17 +274,19 @@ def normalize_gloss_line(line: GlossLine, table: NormalizationTable) -> GlossLin
     labels attach with a period.  Lemma morphs are untouched, so the token
     count never changes and the operation is idempotent.
     """
-    new_tokens = []
-    for token in line.tokens:
-        morphs: list[GlossMorph] = []
-        for morph in token.morphs:
-            if morph.kind is MorphKind.LABEL:
-                labels, _ = table.lookup_label(morph.text)
-                morphs.extend(_label_morphs(labels, morph.joiner))
-            else:
-                morphs.append(morph)
-        new_tokens.append(GlossToken(tuple(morphs)))
-    return GlossLine(tokens=tuple(new_tokens))
+    tokens = [GlossToken(tuple(_normalized(token.morphs, table))) for token in line.tokens]
+    return GlossLine(tokens=tuple(tokens))
+
+
+def _normalized(morphs: "Iterable[GlossMorph]", table: NormalizationTable) -> list[GlossMorph]:
+    """``morphs`` with every label replaced by its canonical sequence."""
+    normalized: list[GlossMorph] = []
+    for morph in morphs:
+        if morph.kind is MorphKind.LABEL:
+            normalized.extend(_label_morphs(table.lookup_label(morph.text)[0], morph.joiner))
+        else:
+            normalized.append(morph)
+    return normalized
 
 
 def analyzer_to_gloss(

@@ -99,6 +99,19 @@ def _delimited_segments(core: str) -> list[tuple[str, str]]:
     return [("", parts[0]), *zip(parts[1::2], parts[2::2])]
 
 
+def _gloss_words(line: str) -> Iterator[tuple[str, "str | None"]]:
+    """Each token of a gloss line as ``(head, tail)``: a word's first
+    segment and the rest (``.3.SG``, or ``""``), or ``(punctuation, None)``
+    for the sentence punctuation that ends a word, a token of its own."""
+    for word in line.split():
+        core = word.rstrip(PUNCT_CHARS)
+        if core:
+            head = _SPLIT_RE.split(core, 1)[0]
+            yield head, core[len(head) :]
+        if len(core) < len(word):
+            yield word[len(core) :], None
+
+
 _EDGE_RE = re.compile(r"^[^0-9A-Za-z]+|[^0-9A-Za-z]+$")
 
 
@@ -113,12 +126,11 @@ def _looks_like_label(text: str, registry: frozenset[str]) -> bool:
     return all(ch.isdigit() or (ch.isalpha() and ch.isupper()) for ch in core)
 
 
-# Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``) and words
-# many times over, so the tokenizer builds and checks each distinct one once
-# per registry and shares the frozen value.  Both memos are bounded; past the
-# bound the least recently used entry is dropped and rebuilt when next seen.
+# Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``) and word
+# tails (``.3.SG.NOM``) many times over, so the tokenizer builds and checks
+# each distinct one once per registry and shares the frozen value.  The memos
+# are bounded; past the bound the least recently used entry is dropped.
 _SEGMENT_MEMO_SIZE = 1 << 14
-_WORD_MEMO_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
@@ -129,20 +141,17 @@ def _segment_morph(delimiter: str, text: str, registry: frozenset[str]) -> Gloss
     return GlossMorph(kind, text, _JOINER_BY_CHAR[delimiter])
 
 
-@lru_cache(maxsize=_WORD_MEMO_SIZE)
-def _word_to_tokens(word: str, registry: frozenset[str]) -> tuple[GlossToken, ...]:
-    if is_punct(word):
-        morph = GlossMorph(MorphKind.LEMMA, word, Joiner.WORD_INITIAL)
-        return (GlossToken((morph,)),)
-    core = word.rstrip(PUNCT_CHARS)
-    trailing = word[len(core) :]
-    token = GlossToken(
-        tuple(
-            _segment_morph(delimiter, text, registry)
-            for delimiter, text in _delimited_segments(core)
-        )
-    )
-    return (token, *_word_to_tokens(trailing, registry)) if trailing else (token,)
+@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+def _tail_morphs(tail: str, registry: frozenset[str]) -> tuple[GlossMorph, ...]:
+    if not tail:
+        return ()
+    (_, first), *rest = _delimited_segments(tail[1:])  # tail[0] is the first joiner
+    return tuple(_segment_morph(d, text, registry) for d, text in [(tail[0], first), *rest])
+
+
+@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+def _punct_token(text: str) -> GlossToken:
+    return GlossToken((GlossMorph(MorphKind.LEMMA, text, Joiner.WORD_INITIAL),))
 
 
 def _tokenize_optional(
@@ -164,11 +173,11 @@ def tokenize_gloss(
     is a known label (canonical or variant); otherwise it is a lemma.
     Trailing sentence punctuation becomes its own token.
 
-    The tokens and morphs of the result may be objects shared with earlier
-    results: each distinct word and segment is built once per registry and
-    kept in a bounded LRU memo (65,536 words, 16,384 segments) keyed by the
-    registry's contents.  They are immutable values; compare them with
-    ``==``, not ``is``.
+    The morphs of the result, and its punctuation tokens, may be objects
+    shared with earlier results: each distinct segment, word tail and
+    punctuation run is built once per registry and kept in a bounded LRU
+    memo (16,384 entries each) keyed by the registry's contents.  They are
+    immutable values; compare them with ``==``, not ``is``.
     """
     if not line.strip():
         raise EmptyLineError("cannot tokenize an empty gloss line")
@@ -178,7 +187,12 @@ def tokenize_gloss(
         label_registry = default_label_registry()
     elif not isinstance(label_registry, frozenset):
         label_registry = frozenset(label_registry)  # a memo key must be hashable
-    tokens = [token for word in line.split() for token in _word_to_tokens(word, label_registry)]
+    tokens = [
+        _punct_token(head) if tail is None else GlossToken(
+            (_segment_morph("", head, label_registry), *_tail_morphs(tail, label_registry))
+        )
+        for head, tail in _gloss_words(line)
+    ]
     return GlossLine(tokens=tuple(tokens))
 
 

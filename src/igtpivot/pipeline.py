@@ -17,8 +17,8 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .align import LemmaDictionary
 from .errors import (
@@ -43,8 +43,8 @@ from .model import (
     join_tokens,
     split_lines,
 )
-from .normalize import NormalizationTable, _label_tail
-from .parsing import _analyzer_words, tokenize_gloss
+from .normalize import NormalizationTable, _label_tail, _normalized, default_label_registry
+from .parsing import _analyzer_words, _gloss_words, _segment_morph, _tail_morphs, tokenize_gloss
 
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
 OOV_CLOSE = "⟧"
@@ -103,8 +103,8 @@ class PipelineReport:
     sentences: list[SentenceTrace] = field(default_factory=list)
 
 
-def _substitute_token(token: GlossToken, target: "Callable[[str], _Target]") -> GlossToken:
-    """``token`` with each lemma made ``target(lemma).text``, or removed for ``None``."""
+def _substitute_token(token: GlossToken, target: "_Memo") -> GlossToken:
+    """``token`` with each lemma made ``target[lemma].head``, or removed for ``None``."""
     morphs: list[GlossMorph] = []
     kept = 0  # morphs passed through as they are
     for morph in token.morphs:
@@ -112,12 +112,12 @@ def _substitute_token(token: GlossToken, target: "Callable[[str], _Target]") -> 
             morphs.append(morph)
             kept += 1
             continue
-        text = target(morph.text).text
-        if text == morph.text:
+        head = target[morph.text].head
+        if head and head.text == morph.text:
             morphs.append(morph)
             kept += 1
-        elif text is not None:
-            morphs.append(GlossMorph(MorphKind.LEMMA, text, morph.joiner))
+        elif head:
+            morphs.append(GlossMorph(MorphKind.LEMMA, head.text, morph.joiner))
     if kept == len(token.morphs):
         return token  # nothing replaced, marked or dropped: the token is its own image
     if not morphs:
@@ -141,14 +141,17 @@ def substitute_lemmas(
     missing from the dictionary follow ``oov_policy``.  Each distinct lemma
     is looked up once per call.
     """
-    return _substituter(dictionary, oov_policy)(gloss)
+    target = _Memo(_target, dictionary, oov_policy)
+    # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
+    # which fills CPython's free lists of the other tuple sizes over a long run
+    return GlossLine(tokens=tuple([_substitute_token(token, target) for token in gloss.tokens]))
 
 
 def oov_lemmas(gloss: GlossLine, dictionary: LemmaDictionary) -> list[str]:
     """Non-punctuation lemmas with no dictionary entry."""
-    target = _memoized(_target, dictionary, OovPolicy.KEEP)
+    target = _Memo(_target, dictionary, OovPolicy.KEEP)
     lemmas = (m.text for token in gloss.tokens for m in token.morphs if m.kind is MorphKind.LEMMA)
-    return [lemma for lemma in lemmas if target(lemma).missed]
+    return [lemma for lemma in lemmas if target[lemma].missed]
 
 
 def prepare_multilingual(
@@ -185,7 +188,14 @@ def _training_pairs(
 
 def baseline_detokenize(line: str) -> str:
     """Crude gloss-to-English baseline: strip all labels, turn underscores
-    into spaces, capitalize the first character, keep punctuation tokens."""
+    into spaces, capitalize the first character, keep punctuation tokens.
+
+    ``line`` is text, so each morph's kind is read from its spelling, as
+    :func:`tokenize_gloss` reads it: an upper-case lemma such as ``ABD`` is
+    stripped as a label.  ``igt pivot`` keeps the kind each stage gave a
+    morph instead, so where this gives ``Come .`` for ``ABD.3.SG
+    come-PST.3.SG.``, the pivot of ``ABD+Prop+A3sg gel+Past+A3sg.`` gives
+    ``ABD come .``."""
     words: list[str] = []
     for token in tokenize_gloss(line).tokens:
         if token.is_punctuation:
@@ -262,6 +272,10 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
     """Translate rendered gloss lines, one output line per input line.
 
     The operation is atomic: on any failure no partial results are returned.
+    The lines are text, so the baseline reads each morph's kind from its
+    spelling (:func:`baseline_detokenize`): ``translate(["ABD.3.SG
+    come-PST.3.SG."], baseline)`` gives ``["Come ."]``, while ``igt pivot``
+    gives ``ABD come .`` for the analyzer line that gloss came from.
     """
     lines = list(lines)
     if translator.kind is TranslatorKind.IDENTITY:
@@ -275,59 +289,62 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
             return list(decode_lines(outputs, _OUTPUT))
 
 
-# A gloss corpus repeats a small set of lemmas and tag runs many times over,
-# so a run converts, looks up and renders each distinct one once, in
-# least-recently-used memos of at most this many entries each.
+# A gloss corpus repeats a small set of word heads (lemmas) and tails (tag
+# runs, label tails) many times over, so a run converts, looks up and
+# renders each distinct one once, in memos of at most this many entries each.
 _MEMO_SIZE = 1 << 14
 
 
-def _memoized(build: Callable, *args) -> Callable:
-    """``build`` with ``args`` bound first, in a memo of :data:`_MEMO_SIZE`
-    entries; a call that raises stores nothing."""
-    return lru_cache(maxsize=_MEMO_SIZE)(partial(build, *args))
+class _Memo(dict):
+    """``build(*args, key)`` of each key looked up (``memo[key]``), built on
+    its first lookup and kept; emptied when it holds :data:`_MEMO_SIZE`
+    entries.  A build that raises stores nothing."""
+
+    def __init__(self, build: Callable, *args) -> None:
+        super().__init__()
+        self.build = partial(build, *args)
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
 
 
-class _Lemma(NamedTuple):
-    """A source lemma: an analyzer surface, restored."""
+class _Piece(NamedTuple):
+    """A gloss word's head (its first morph, or that morph's image) or its
+    tail (the other morphs: the label morphs of a tag run such as
+    ``+A3sg+Nom``), rendered."""
 
-    text: str
-    punct: bool  # sentence punctuation only
-
-
-class _Tail(NamedTuple):
-    """The label morphs a tag run (``+A3sg+Nom``, or ``""``) adds to its lemma."""
-
-    text: str  # rendered: ``.3.SG.NOM``, or "" for no label
-    dropped: str  # rendered without the first joiner, as when DROP removes the lemma
-    dropped_punct: bool  # that form is one punctuation morph
-    split: str  # one whitespace word per morph: ``.3 .SG .NOM``
-    unknown: tuple[str, ...]  # the tags the table lacks
+    text: str  # "" for no morph; a tail's starts with its first joiner: ``.3.SG.NOM``
+    punct: bool  # one punctuation morph
+    split: str = ""  # one whitespace word per morph: ``.3 .SG .NOM``
+    unknown: tuple[str, ...] = ()  # the tags of a tag run the table lacks
 
 
 class _Target(NamedTuple):
     """What a source lemma becomes in the target gloss."""
 
-    text: "str | None"  # None for an OOV lemma that DROP removes
-    punct: bool
+    head: "_Piece | None"  # None for an OOV lemma that DROP removes
     missed: bool  # the dictionary lacks the lemma
 
 
-_Pieces = list[tuple[_Lemma, _Tail]]  # a line's words, each a source lemma and its tail
+def _piece(morphs: "Sequence[GlossMorph]", unknown: Iterable[str] = ()) -> _Piece:
+    texts = [morph.joiner._value_ + morph.text for morph in morphs]
+    punct = len(morphs) == 1 and is_punct(morphs[0].text)
+    return _Piece("".join(texts), punct, " ".join(texts), tuple(unknown))
 
 
-def _source_lemma(table: NormalizationTable, surface: str) -> _Lemma:
+def _source_lemma(table: NormalizationTable, surface: str) -> _Piece:
     lemma = table.restore_map.get(surface, surface)
     GlossMorph(MorphKind.LEMMA, lemma, Joiner.WORD_INITIAL)  # the check a gloss morph gets
-    return _Lemma(lemma, is_punct(lemma))
+    return _Piece(lemma, is_punct(lemma))
 
 
-def _tail(table: NormalizationTable, run: str) -> _Tail:
+def _tail(table: NormalizationTable, run: str) -> _Piece:
     morphs: list[GlossMorph] = []
     unknown = _label_tail(run.split("+")[1:], table, morphs)
-    pieces = [morph.joiner._value_ + morph.text for morph in morphs]
-    text = "".join(pieces)
-    dropped_punct = len(morphs) == 1 and is_punct(morphs[0].text)
-    return _Tail(text, text[1:], dropped_punct, " ".join(pieces), tuple(unknown))
+    return _piece(morphs, unknown)
 
 
 def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _Target:
@@ -335,48 +352,80 @@ def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _
     re-applied, else the OOV form ``oov_policy`` gives.  Punctuation is
     never looked up."""
     if is_punct(lemma):
-        return _Target(lemma, True, False)
+        return _Target(_Piece(lemma, True), False)
     hit = dictionary.lookup(lemma)
     if hit is not None:
         target = hit[0]
         if lemma[:1].isupper():
             target = target[:1].upper() + target[1:]
         GlossMorph(MorphKind.LEMMA, target, Joiner.WORD_INITIAL)  # the check a gloss morph gets
-        return _Target(target, is_punct(target), False)
+        return _Target(_Piece(target, is_punct(target)), False)
     if oov_policy is OovPolicy.KEEP:
-        return _Target(lemma, False, True)
+        return _Target(_Piece(lemma, False), True)
     if oov_policy is OovPolicy.KEEP_MARKED:
-        return _Target(f"{OOV_OPEN}{lemma}{OOV_CLOSE}", False, True)
-    return _Target(None, False, True)
+        return _Target(_Piece(f"{OOV_OPEN}{lemma}{OOV_CLOSE}", False), True)
+    return _Target(None, True)
 
 
-def _glosser(table: NormalizationTable) -> Callable[[list[tuple[str, str]]], _Pieces]:
-    """A map from a line's ``(surface, tag run)`` analyzer words to their
-    pieces, each distinct surface and tag run converted once."""
-    lemma, tail = _memoized(_source_lemma, table), _memoized(_tail, table)
-    return lambda words: [(lemma(surface), tail(run)) for surface, run in words]
+def _word(head: "_Piece | None", tail: _Piece, first: str, rest: str = "") -> tuple[str, bool]:
+    """A rendered word, as :func:`join_tokens` takes it, from its head's
+    image (``None`` when dropped) and its tail's: the first morph left
+    becomes word-initial, and a word whose every morph is dropped stays as
+    it was, ``first + rest``.  It is punctuation when it is one punctuation
+    morph."""
+    text = tail.text
+    if head is not None:
+        return head.text + text, head.punct and not text
+    if text:
+        return text[1:], tail.punct
+    return first + rest, False
 
 
-def _source_text(pieces: _Pieces) -> str:
-    """The source gloss, as ``analyzer_to_gloss(...).render()`` writes it."""
-    return join_tokens(
-        [(lemma + tail.text, punct and not tail.text) for (lemma, punct), tail in pieces]
+def _piecewise(
+    words: Callable[[str], Iterable[tuple[str, "str | None"]]],
+    head: Callable[[str], "_Piece | None"],
+    tail: Callable[[str], _Piece],
+) -> Callable[[str], str]:
+    """A map of lines, each split by ``words`` into ``(head, tail)`` texts,
+    to the words that ``head`` and ``tail`` make of them, each distinct head
+    and tail mapped once per run.  A word whose tail is ``None`` is
+    punctuation, kept as it is."""
+    head, tail = _Memo(head), _Memo(tail)
+    return lambda line: join_tokens([
+        (first, True) if rest is None else _word(head[first], tail[rest], first, rest)
+        for first, rest in words(line)
+    ])
+
+
+def _normalized_lines(table: NormalizationTable) -> Callable[[str], str]:
+    """``normalize_gloss_line(tokenize_gloss(line, label_registry=...),
+    table).render()`` as a map of lines."""
+    registry = table.label_registry()
+    return _piecewise(
+        _gloss_words,
+        lambda head: _piece(_normalized([_segment_morph("", head, registry)], table)),
+        lambda tail: _piece(_normalized(_tail_morphs(tail, registry), table)),
     )
 
 
-def _substituter(
-    dictionary: LemmaDictionary, oov_policy: OovPolicy
-) -> Callable[[GlossLine], GlossLine]:
-    """:func:`substitute_lemmas` as a map of glosses, each distinct lemma looked up once."""
-    target = _memoized(_target, dictionary, oov_policy)
+_PLACEHOLDER = GlossMorph(MorphKind.LABEL, "_", Joiner.WORD_INITIAL)  # heads a tail's token
 
-    def substitute(gloss: GlossLine) -> GlossLine:
-        # a list, not a generator: tuple(generator) starts at 10 slots and resizes,
-        # which fills CPython's free lists of the other tuple sizes over a long run
-        tokens = [_substitute_token(token, target) for token in gloss.tokens]
-        return GlossLine(tokens=tuple(tokens))
 
-    return substitute
+def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Callable[[str], str]:
+    """``substitute_lemmas(tokenize_gloss(line), ...).render()`` as a map of
+    lines, each distinct lemma looked up once.  A head lemma is mapped by
+    its target, a tail by :func:`_substitute_token`'s token rules."""
+    target, registry = _Memo(_target, dictionary, oov_policy), default_label_registry()
+
+    def head(text: str) -> "_Piece | None":
+        morph = _segment_morph("", text, registry)
+        return target[text].head if morph.kind is MorphKind.LEMMA else _piece((morph,))
+
+    def tail(text: str) -> _Piece:
+        token = GlossToken((_PLACEHOLDER, *_tail_morphs(text, registry)))
+        return _piece(_substitute_token(token, target).morphs[1:])
+
+    return _piecewise(_gloss_words, head, tail)
 
 
 def _stages(
@@ -399,8 +448,8 @@ def _stages(
     per run: a surface's restored lemma, a tag run's label tail and a source
     lemma's target (so ``dictionary.lookup`` sees each distinct lemma once).
     """
-    gloss = _glosser(table)
-    target_of = _memoized(_target, dictionary, oov_policy)
+    lemma_of, tail_of = _Memo(_source_lemma, table), _Memo(_tail, table)
+    target_of = _Memo(_target, dictionary, oov_policy)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -408,38 +457,35 @@ def _stages(
         try:
             words = _analyzer_words(line)
             stage = "analyzer-to-gloss"
-            glossed = gloss(words)
+            glossed = [(lemma_of[surface], tail_of[run]) for surface, run in words]
             stage = "substitute"
-            substituted = [target_of(lemma) for (lemma, _), _ in glossed]
+            substituted = [target_of[lemma.text] for lemma, _ in glossed]
         except (IgtError, ValueError) as exc:
             raise PipelineStageError(stage, exc, line=lineno) from exc
 
+        source: list[tuple[str, bool]] = []
         target: list[tuple[str, bool]] = []
-        heads: list[tuple["str | None", _Tail]] = []
         unknown = oov = 0
-        for ((lemma, _), tail), (head, head_punct, missed) in zip(glossed, substituted):
+        for (lemma, tail), (head, missed) in zip(glossed, substituted):
             unknown += len(tail.unknown)
             oov += missed
-            text = tail.text
-            if head is None and not text:
-                head = lemma  # a bare OOV lemma stays: dropping it would empty the token
-            if head is None:  # DROP left only the labels
-                target.append((tail.dropped, tail.dropped_punct))
-            else:
-                target.append((head + text, head_punct and not text))
-            heads.append((head, tail))
+            source.append(_word(lemma, tail, lemma.text))
+            target.append(_word(head, tail, lemma.text))
 
-        if baseline:  # baseline_detokenize: each lemma, or the one punctuation label DROP left
+        rows = zip(target, glossed, substituted)
+        if baseline:  # baseline_detokenize: each word's lemma, or the word if it is punctuation
             sentence = " ".join(
-                tail.dropped if head is None else head.replace("_", " ")
-                for head, tail in heads
-                if head is not None or tail.dropped_punct
+                (text if head is None else head.text).replace("_", " ")
+                for (text, punct), (_, tail), (head, _) in rows
+                if head is not None or punct or not tail.text
             )
             shaped = sentence[:1].upper() + sentence[1:]
         elif split_morphs:  # render_spaced(True): one word per morph
             shaped = " ".join(
-                tail.split[1:] if head is None else f"{head} {tail.split}" if tail.text else head
-                for head, tail in heads
+                text if not tail.text
+                else tail.split[1:] if head is None
+                else f"{head.text} {tail.split}"
+                for (text, _), (_, tail), (head, _) in rows
             )
         else:
             shaped = " ".join(text for text, _ in target)
@@ -450,7 +496,7 @@ def _stages(
         report.gloss_tgt_tokens += len(words)
         report.unknown_labels += unknown
         report.oov_lemmas += oov
-        yield line, _source_text(glossed), join_tokens(target), shaped
+        yield line, join_tokens(source), join_tokens(target), shaped
 
 
 def _translate_externally(

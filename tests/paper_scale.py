@@ -7,9 +7,9 @@ as ODIN blocks and as a ToolBox file headed by ToolBox's ``\\_sh`` line.  It
 runs ``igt parse-odin``, ``igt parse-toolbox`` and ``igt prepare-multi`` on
 each size as its own children.  It also generates the seed-7 ``pivot``
 inputs (5,000 analyzer lines) and runs ``igt pivot --translator baseline
---report``, ``igt parse-analyzer`` and ``igt subst`` (on what
-``parse-analyzer`` wrote) on them once (x1) and 14 times over (x14, 70,000
-lines).  It fails unless each command's peak RSS at the larger size is
+--report``, ``igt parse-analyzer``, and ``igt subst`` and ``igt normalize``
+(on what ``parse-analyzer`` wrote) on them once (x1) and 14 times over
+(x14, 70,000 lines).  It fails unless each command's peak RSS at the larger size is
 within 1.10x of its figure at x1.  It also checks that both parsers write
 the same records, that no corpus or stage command warns, that
 ``parse-analyzer`` writes the ``gloss_src:`` lines of ``pivot``'s report,
@@ -136,9 +136,9 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
 
 
 def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], tuple[int, int]]:
-    """The peak RSS in MB of ``igt pivot``, ``igt parse-analyzer`` and ``igt
-    subst`` on the analyzer lines written ``times`` times over, and the OOV
-    and unknown-label counts of ``pivot``'s summary."""
+    """The peak RSS in MB of ``igt pivot``, ``igt parse-analyzer``, ``igt
+    subst`` and ``igt normalize`` on the analyzer lines written ``times``
+    times over, and the OOV and unknown-label counts of ``pivot``'s summary."""
     analyzed = os.path.join(work, f"analyzed.x{times}.txt")
     with open(analyzed, "w", encoding="utf-8", newline="\n") as out:
         for _ in range(times):
@@ -166,6 +166,8 @@ def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], 
         "parse-analyzer": ["parse-analyzer", "--in", analyzed, "--out", gloss],
         "subst": ["subst", "--in", gloss, "--dict", dictionary,
                   "--out", os.path.join(work, f"subst.x{times}.txt")],
+        "normalize": ["normalize", "--in", gloss,
+                      "--out", os.path.join(work, f"normalize.x{times}.txt")],
     }
     for command, stage_argv in stages.items():
         peaks[command], message = peak_mb([*igt, *stage_argv], stderr_path)

@@ -42,7 +42,7 @@ from igtpivot import (
     tokenize_gloss,
     translate,
 )
-from igtpivot.pipeline import _substituter, format_report
+from igtpivot.pipeline import _substituted_lines, format_report
 
 from gen_helpers import random_analyzer_corpus, random_record
 from golden_data import (
@@ -425,6 +425,19 @@ def test_baseline_keeps_the_kind_each_stage_gave_a_morph(analyzer, expected):
     assert report.sentences[0].target == expected
 
 
+def test_translate_reads_each_kind_from_the_spelling():
+    # igt pivot keeps the kind each stage gave a morph: ABD stays a lemma.
+    # translate gets the target gloss as text, so the baseline reads ABD by
+    # its spelling, as a label, and so does igt subst
+    dictionary = load_dictionary(SMALL_DICTIONARY_TSV)
+    analyzer = "ABD+Prop+A3sg gel+Past+A3sg."
+    targets, report = run_pipeline(analyzer, default_table(), dictionary, BASELINE)
+    assert (targets, report.sentences[0].gloss_tgt) == (["ABD come ."], "ABD.3.SG come-PST.3.SG.")
+    assert translate(["ABD.3.SG come-PST.3.SG."], BASELINE) == ["Come ."]
+    substitute = _substituted_lines(load_dictionary("abd\tUSA\n"), OovPolicy.KEEP)
+    assert substitute("ABD.3.SG come-PST.3.SG.") == "ABD.3.SG come-PST.3.SG."
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("policy", list(OovPolicy))
 def test_pipeline_matches_render_and_retokenize_reference(seed, policy):
@@ -761,16 +774,22 @@ def test_substitution_matches_the_per_occurrence_reference(tokens):
 
 @pytest.mark.parametrize("policy", list(OovPolicy))
 def test_substituter_looks_up_each_lemma_once_across_lines(policy):
-    glosses = [
-        tokenize_gloss(line)
-        for line in ("kadin-PST ev zork .", "Kadin=ev-3SG zork-NOM", "ev same x_y !?")
-    ] * 20
+    lines = ["kadin-PST ev zork .", "Kadin=ev-3SG zork-NOM", "ev same x_y !?"] * 20
+    looked_up = ["Kadin", "ev", "kadin", "same", "x_y", "zork"]
     dictionary = CountingDictionary(entries=SUBST_DICTIONARY.entries)
-    substitute = _substituter(dictionary, policy)
-    assert [substitute(gloss) for gloss in glosses] == [
-        reference_substitute(gloss, SUBST_DICTIONARY, policy)[0] for gloss in glosses
+    substitute = _substituted_lines(dictionary, policy)  # what igt subst maps each line by
+    assert [substitute(line) for line in lines] == [
+        reference_substitute(tokenize_gloss(line), SUBST_DICTIONARY, policy)[0].render()
+        for line in lines
     ]
-    assert sorted(dictionary.looked_up) == ["Kadin", "ev", "kadin", "same", "x_y", "zork"]
+    assert sorted(dictionary.looked_up) == looked_up
+    # substitute_lemmas looks up each distinct lemma once per call
+    gloss = GlossLine(tokens=tuple(t for line in lines for t in tokenize_gloss(line).tokens))
+    dictionary.looked_up.clear()
+    assert substitute_lemmas(gloss, dictionary, policy) == reference_substitute(
+        gloss, SUBST_DICTIONARY, policy
+    )[0]
+    assert sorted(dictionary.looked_up) == looked_up
 
 
 def test_translate_names_the_line_of_translator_output_that_is_not_utf8():

@@ -7,15 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from igtpivot import GlossMorph, Joiner, tokenize_gloss
-from igtpivot.parsing import _segment_morph, _word_to_tokens
+from igtpivot.parsing import _punct_token, _segment_morph, _tail_morphs
 
 from gen_helpers import random_gloss_line
 from tokenizer_reference import reference_tokenize_gloss
 
 
 def clear_memos():
-    _word_to_tokens.cache_clear()
     _segment_morph.cache_clear()
+    _tail_morphs.cache_clear()
+    _punct_token.cache_clear()
 
 
 # lower and upper case, digits, the three delimiters, sentence punctuation and
