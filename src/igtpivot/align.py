@@ -19,7 +19,6 @@ or later can differ in the last digits of their probabilities.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,6 @@ from typing import Iterator
 from .errors import EmptyCorpusError, LengthMismatchError, TableParseError
 from .model import is_word, split_lines
 
-log = logging.getLogger(__name__)
 
 NULL_TOKEN = "<NULL>"
 
@@ -128,6 +126,11 @@ def train_model1(
         raise EmptyCorpusError("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    # imported by its only user, so that the commands that only read a
+    # dictionary do not pay for it
+    import logging
+
+    log = logging.getLogger(__name__)
 
     source_ids: dict[str, int] = {}
     target_ids: dict[str, int] = {NULL_TOKEN: 0} if null_word else {}

@@ -14,18 +14,18 @@ import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from functools import partial
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
-from . import align as align_mod
-from . import metrics as metrics_mod
 from . import model as model_mod
-from . import normalize as normalize_mod
-from . import parsing as parsing_mod
-from . import pipeline as pipeline_mod
 from .errors import IgtError, ParseWarning
-from .inflect import load_lexicon
-from .model import decode_lines, decode_utf8, split_lines
-from .tables import DEFAULT_TABLE_TEXT
+from .model import OovPolicy, _spool, decode_lines, decode_utf8, split_lines
+
+if TYPE_CHECKING:
+    from .normalize import NormalizationTable
+    from .pipeline import TranslatorHandle
+
+# Each handler imports the modules it runs when it is called, so that a
+# command starts without compiling and importing the others.
 
 
 class _CliError(IgtError):
@@ -88,12 +88,12 @@ def _write(path: "str | None", text: str) -> None:
 
 @contextmanager
 def _spooled(path: "str | None", head: "Callable[[], str] | None" = None) -> Iterator[IO[str]]:
-    """Collect output in a :func:`~igtpivot.pipeline._spool`.  Only when the
+    """Collect output in a :func:`~igtpivot.model._spool`.  Only when the
     block succeeds is ``path`` opened, by :func:`_destination` as for
     :func:`_write`, and given ``head()`` and then the spool, copied in
     chunks no larger than io's own buffers; on failure ``path`` is never
     touched and nothing reaches stdout."""
-    with pipeline_mod._spool() as spool:
+    with _spool() as spool:
         yield spool
         spool.seek(0)
         with _destination(path) as handle:
@@ -129,35 +129,51 @@ def _write_corpus(path: "str | None", records: Iterable[model_mod.IgtRecord]) ->
             out.write(model_mod.serialize_record(record) + "\n")
 
 
-def _load_norm_table(spec: str, person_first: bool) -> normalize_mod.NormalizationTable:
+def _load_norm_table(spec: str, person_first: bool) -> NormalizationTable:
+    from . import normalize as normalize_mod
+
     if spec == "default":
         return normalize_mod.default_table(person_first=person_first)
     return normalize_mod.loads_table(_read(spec), person_first=person_first)
 
 
-def _translator_from_spec(spec: str, timeout: float) -> pipeline_mod.TranslatorHandle:
-    if spec == "baseline":
-        return pipeline_mod.TranslatorHandle(pipeline_mod.TranslatorKind.BASELINE_DETOKENIZE)
-    if spec == "identity":
-        return pipeline_mod.TranslatorHandle(pipeline_mod.TranslatorKind.IDENTITY)
+def _translator_from_spec(spec: str, timeout: "float | None") -> TranslatorHandle:
+    """The translator ``spec`` names; ``timeout``, which bounds a ``cmd:``
+    translator's run (the handle's default, 60 s, when ``None``), is
+    refused for the others."""
+    from .pipeline import TranslatorHandle, TranslatorKind
+
+    kinds = {"baseline": TranslatorKind.BASELINE_DETOKENIZE, "identity": TranslatorKind.IDENTITY}
+    if spec in kinds:
+        if timeout is not None:
+            raise _CliError(
+                f"--timeout bounds a cmd: translator's run; the {spec} translator does not use it"
+            )
+        return TranslatorHandle(kinds[spec])
     if spec.startswith("cmd:"):
         if not spec[4:].strip():
             raise _CliError("--translator cmd: needs a command")
+        timeout = TranslatorHandle.timeout if timeout is None else timeout
         if not timeout > 0:
             raise _CliError(f"--timeout must be a positive number of seconds, got {timeout}")
-        return pipeline_mod.TranslatorHandle(
-            pipeline_mod.TranslatorKind.EXTERNAL, command=spec[4:], timeout=timeout
-        )
+        return TranslatorHandle(TranslatorKind.EXTERNAL, command=spec[4:], timeout=timeout)
     raise _CliError(f"unknown translator {spec!r} (use baseline, identity, or cmd:\"...\")")
 
 
-_OOV_BY_NAME = {p.value: p for p in pipeline_mod.OovPolicy}
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # nan too, which no probability would reach
+        raise _CliError(f"--threshold must be a probability in [0, 1], got {threshold}")
+
+
+_OOV_BY_NAME = {p.value: p for p in OovPolicy}
 
 
 # --- subcommand handlers --------------------------------------------------------
 
 
 def _cmd_parse_odin(args: argparse.Namespace) -> int:
+    from . import parsing as parsing_mod
+
     lang = model_mod.as_language_tag(args.lang)
     blocks = parsing_mod._odin_blocks(_iter_lines(args.infile), _warn)
     _write_corpus(args.outfile, (
@@ -168,6 +184,8 @@ def _cmd_parse_odin(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
+    from . import parsing as parsing_mod
+
     lang = model_mod.as_language_tag(args.lang)
     field_map = {}  # empty: the default map
     for entry in args.map.split(",") if args.map else ():
@@ -189,6 +207,9 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
+    from . import parsing as parsing_mod
+    from . import pipeline as pipeline_mod
+
     table = _load_norm_table(args.table, not args.number_first)
     return _map_lines(args, pipeline_mod._piecewise(
         parsing_mod._analyzer_words,
@@ -198,8 +219,10 @@ def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from .pipeline import _normalized_lines
+
     table = _load_norm_table(args.table, not args.number_first)
-    return _map_lines(args, pipeline_mod._normalized_lines(table))
+    return _map_lines(args, _normalized_lines(table))
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
@@ -225,6 +248,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     if args.iters < 1:
         raise _CliError(f"--iters must be at least 1, got {args.iters}")
+    _check_threshold(args.threshold)
+    from . import align as align_mod
+
     corpus = align_mod.ParallelCorpus.from_texts(_read(args.src), _read(args.tgt))
     table = align_mod.train_model1(corpus, iterations=args.iters, null_word=args.null)
     if args.ttable_out:
@@ -241,6 +267,9 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict(args: argparse.Namespace) -> int:
+    _check_threshold(args.threshold)
+    from . import align as align_mod
+
     table = align_mod.load_translation_table(_read(args.ttable))
     dictionary = align_mod.extract_dictionary(table, threshold=args.threshold)
     _write(args.outfile, align_mod.dump_dictionary(dictionary))
@@ -248,20 +277,28 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 
 def _cmd_subst(args: argparse.Namespace) -> int:
-    dictionary = align_mod.load_dictionary(_read(args.dict))
-    return _map_lines(args, pipeline_mod._substituted_lines(dictionary, _OOV_BY_NAME[args.oov]))
+    from .align import load_dictionary
+    from .pipeline import _substituted_lines
+
+    dictionary = load_dictionary(_read(args.dict))
+    return _map_lines(args, _substituted_lines(dictionary, _OOV_BY_NAME[args.oov]))
 
 
 def _cmd_prepare_multi(args: argparse.Namespace) -> int:
+    from .pipeline import _training_pairs
+
     records = model_mod.iter_corpus(_iter_lines(args.infile))
     with _spooled(args.tgt_out) as tgt_out, _spooled(args.src_out) as src_out:
-        for src, tgt in pipeline_mod._training_pairs(records, args.split_morphs, _warn):
+        for src, tgt in _training_pairs(records, args.split_morphs, _warn):
             src_out.write(src + "\n")
             tgt_out.write(tgt + "\n")
     return 0
 
 
 def _cmd_pivot(args: argparse.Namespace) -> int:
+    from . import pipeline as pipeline_mod
+    from .align import load_dictionary
+
     translator = _translator_from_spec(args.translator, args.timeout)
     if args.split_morphs and translator.kind is pipeline_mod.TranslatorKind.BASELINE_DETOKENIZE:
         raise _CliError(
@@ -269,7 +306,7 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
             "the baseline translator does not use it"
         )
     table = _load_norm_table(args.table, not args.number_first)
-    dictionary = align_mod.load_dictionary(_read(args.dict))
+    dictionary = load_dictionary(_read(args.dict))
     report = pipeline_mod.PipelineReport()
     traces = pipeline_mod.iter_pipeline(
         _iter_lines(args.analyzer_out),
@@ -300,6 +337,9 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics as metrics_mod
+    from .inflect import load_lexicon
+
     hyps = [line.split() for line in split_lines(_read(args.hyp))]
     refs = [line.split() for line in split_lines(_read(args.ref))]
     annotations = None
@@ -319,6 +359,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_table(args: argparse.Namespace) -> int:
+    from .tables import DEFAULT_TABLE_TEXT
+
     _write(args.outfile, DEFAULT_TABLE_TEXT)
     return 0
 
@@ -408,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", default="default", help="normalization table path or 'default'")
     p.add_argument("--dict", required=True, help="lemma dictionary TSV")
     p.add_argument("--translator", default="baseline", help="baseline | identity | cmd:\"...\"")
-    p.add_argument("--timeout", type=float, default=60.0, help="external translator timeout (s)")
+    p.add_argument("--timeout", type=float, default=None, help="cmd: translator timeout (s, default 60)")
     p.add_argument("--split-morphs", action="store_true")
     p.add_argument("--oov", choices=sorted(_OOV_BY_NAME), default="keep")
     p.add_argument("--number-first", action="store_true")

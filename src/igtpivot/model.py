@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import random
 import re
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import (
     BadEncodingError,
@@ -88,6 +89,12 @@ def split_lines(text: str) -> list[str]:
     return [strip_eol(line) for line in lines]
 
 
+def _spool() -> IO[str]:
+    r"""An anonymous temporary file of UTF-8 text that keeps ``\r`` as it is
+    and splits lines at ``\n`` only."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
 def join_tokens(tokens: "list[tuple[str, bool]]") -> str:
     """Rendered tokens, each given as ``(text, is punctuation)``, joined by
     spaces, except that a punctuation token attaches to a word right before
@@ -116,6 +123,14 @@ class Joiner(Enum):
 class MorphKind(Enum):
     LEMMA = "lemma"
     LABEL = "label"
+
+
+class OovPolicy(Enum):
+    """What to do with a source lemma absent from the dictionary."""
+
+    KEEP = "keep"
+    KEEP_MARKED = "mark"
+    DROP = "drop"
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import marshal
 import os
-import shlex
-import signal
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .align import LemmaDictionary
 from .errors import (
     SKIPPED_RECORD,
     BadTranslatorError,
@@ -38,6 +34,8 @@ from .model import (
     IgtRecord,
     Joiner,
     MorphKind,
+    OovPolicy,
+    _spool,
     decode_lines,
     is_punct,
     join_tokens,
@@ -46,17 +44,12 @@ from .model import (
 from .normalize import NormalizationTable, _label_tail, _normalized, default_label_registry
 from .parsing import _analyzer_words, _gloss_words, _segment_morph, _tail_morphs, tokenize_gloss
 
+if TYPE_CHECKING:  # a dictionary is only passed in: prepare-multi need not load align
+    from .align import LemmaDictionary
+
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
 OOV_CLOSE = "⟧"
 _OUTPUT = "translator output"  # how a BAD_ENCODING error names it
-
-
-class OovPolicy(Enum):
-    """What to do with a source lemma absent from the dictionary."""
-
-    KEEP = "keep"
-    KEEP_MARKED = "mark"
-    DROP = "drop"
 
 
 class TranslatorKind(Enum):
@@ -209,12 +202,6 @@ def baseline_detokenize(line: str) -> str:
     return sentence[:1].upper() + sentence[1:]
 
 
-def _spool() -> IO[str]:
-    r"""An anonymous temporary file of UTF-8 text that keeps ``\r`` as it is
-    and splits lines at ``\n`` only."""
-    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-
-
 def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) -> IO[bytes]:
     r"""Run the translator once with ``payload``, a spool of ``n_lines``
     ``\n``-ended lines, as its stdin.  Return its stdout, checked to hold as
@@ -223,6 +210,11 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
     stdin, stdout and stderr are temporary files, so the data never sits in
     memory, and the output is read as every input is (``decode_lines``).
     """
+    # imported by their only user, so that no other command pays for them
+    import shlex
+    import signal
+    import subprocess
+
     payload.seek(0)
     stdout = tempfile.TemporaryFile()
     try:

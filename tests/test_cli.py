@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtpivot import analyzer_to_gloss, default_table, loads_table, parse_analyzer_line
-from igtpivot.cli import build_parser, main
+from igtpivot.cli import _translator_from_spec, build_parser, main
 from igtpivot.tables import DEFAULT_TABLE_TEXT
 
 from golden_data import (
@@ -813,11 +813,33 @@ def test_pivot_drops_a_bom_that_leads_the_translator_output(tmp_path):
         (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}",
           "--translator", "cmd:cat", "--timeout", "-1"],
          "--timeout must be a positive number of seconds, got -1.0"),
+        (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}", "--timeout", "-5"],
+         "--timeout bounds a cmd: translator's run; the baseline translator does not use it"),
+        (["pivot", "--analyzer-out", "{missing}", "--dict", "{missing}",
+          "--translator", "identity", "--timeout", "5"],
+         "--timeout bounds a cmd: translator's run; the identity translator does not use it"),
+        (["align", "--src", "{missing}", "--tgt", "{missing}", "--threshold", "nan"],
+         "--threshold must be a probability in [0, 1], got nan"),
+        (["align", "--src", "{missing}", "--tgt", "{missing}", "--threshold", "1.5"],
+         "--threshold must be a probability in [0, 1], got 1.5"),
+        (["dict", "--ttable", "{missing}", "--threshold", "nan"],
+         "--threshold must be a probability in [0, 1], got nan"),
+        (["dict", "--ttable", "{missing}", "--threshold", "-0.1"],
+         "--threshold must be a probability in [0, 1], got -0.1"),
     ],
-    ids=["map-role", "iters", "empty-command", "zero-timeout", "negative-timeout"],
+    ids=[
+        "map-role", "iters", "empty-command", "zero-timeout", "negative-timeout",
+        "baseline-timeout", "identity-timeout", "align-nan-threshold", "align-threshold-above-1",
+        "dict-nan-threshold", "dict-negative-threshold",
+    ],
 )
 def test_bad_flag_values_are_cli_errors_before_any_input_is_read(argv, message, tmp_path, capsys):
     # every input is missing, so reading one would fail with FILE_NOT_FOUND instead
     missing = str(tmp_path / "nope.txt")
     assert main([arg.format(missing=missing) for arg in argv]) == 1
     assert capsys.readouterr().err == f"igt: CLI_ERROR: {message}\n"
+
+
+def test_a_cmd_translator_times_out_after_60_seconds_unless_told_otherwise():
+    assert _translator_from_spec("cmd:cat", None).timeout == 60.0
+    assert _translator_from_spec("cmd:cat", 5.0).timeout == 5.0
