@@ -122,11 +122,11 @@ def _warn(warning: ParseWarning) -> None:
     print(f"igt: warning: {warning}", file=sys.stderr)
 
 
-def _write_corpus(path: "str | None", records: Iterable[model_mod.IgtRecord]) -> None:
-    """One corpus line per record, serialized as it comes, through :func:`_spooled`."""
+def _write_lines(path: "str | None", lines: Iterable[str]) -> None:
+    """Each of ``lines``, as it comes, through :func:`_spooled`."""
     with _spooled(path) as out:
-        for record in records:
-            out.write(model_mod.serialize_record(record) + "\n")
+        for line in lines:
+            out.write(line + "\n")
 
 
 def _load_norm_table(spec: str, person_first: bool) -> NormalizationTable:
@@ -176,10 +176,7 @@ def _cmd_parse_odin(args: argparse.Namespace) -> int:
 
     lang = model_mod.as_language_tag(args.lang)
     blocks = parsing_mod._odin_blocks(_iter_lines(args.infile), _warn)
-    _write_corpus(args.outfile, (
-        parsing_mod.block_to_record(block, lang, record_id=f"{args.id_prefix}-{i:04d}")
-        for i, block in enumerate(blocks, start=1)
-    ))
+    _write_lines(args.outfile, parsing_mod._corpus_lines(blocks, lang, args.id_prefix))
     return 0
 
 
@@ -202,7 +199,7 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
     fmap = parsing_mod._normalize_field_map(field_map)
     lines = _iter_lines(args.infile)
     records = parsing_mod._toolbox_records(lines, fmap, lang, args.id_prefix, _warn)
-    _write_corpus(args.outfile, records)
+    _write_lines(args.outfile, map(model_mod.serialize_record, records))
     return 0
 
 
@@ -285,11 +282,11 @@ def _cmd_subst(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepare_multi(args: argparse.Namespace) -> int:
-    from .pipeline import _training_pairs
+    from .parsing import _corpus_pairs
 
-    records = model_mod.iter_corpus(_iter_lines(args.infile))
+    pairs = _corpus_pairs(_iter_lines(args.infile), args.split_morphs, _warn)
     with _spooled(args.tgt_out) as tgt_out, _spooled(args.src_out) as src_out:
-        for src, tgt in _training_pairs(records, args.split_morphs, _warn):
+        for src, tgt in pairs:
             src_out.write(src + "\n")
             tgt_out.write(tgt + "\n")
     return 0

@@ -18,7 +18,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (
     BadEncodingError,
@@ -243,22 +243,23 @@ class IgtRecord:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        if (
-            self.source_text is None
-            and self.gloss_src is None
-            and self.gloss_tgt is None
-            and self.target_text is None
-        ):
-            raise MalformedRecordError(
-                "record has none of the four content lines", field="record"
-            )
+        _require_content(self.source_text, self.gloss_src, self.gloss_tgt, self.target_text)
         if self.gloss_src is not None and self.gloss_tgt is not None:
-            n_src = len(self.gloss_src.tokens)
-            n_tgt = len(self.gloss_tgt.tokens)
-            if n_src != n_tgt:
-                raise TokenCountMismatchError(
-                    f"gloss token counts differ: {n_src} source-lemma vs {n_tgt} target-lemma"
-                )
+            _check_token_counts(len(self.gloss_src.tokens), len(self.gloss_tgt.tokens))
+
+
+def _require_content(*lines: object) -> None:
+    """Raise unless one of a record's four content lines is present (not ``None``)."""
+    if lines.count(None) == len(lines):
+        raise MalformedRecordError("record has none of the four content lines", field="record")
+
+
+def _check_token_counts(n_src: int, n_tgt: int, line: int = 0) -> None:
+    """Raise unless a record's two glosses have as many tokens."""
+    if n_src != n_tgt:
+        raise TokenCountMismatchError(
+            f"gloss token counts differ: {n_src} source-lemma vs {n_tgt} target-lemma", line=line
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,10 +278,12 @@ _KNOWN_KEYS = frozenset(_FIELD_ORDER)
 
 
 def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return (
+        value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
+    )
 
 
-_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 _escape_re = re.compile(r"\\.?", re.DOTALL)
 
 
@@ -298,23 +301,70 @@ def _unescape(value: str, *, offset: int, fieldname: str) -> str:
     return _escape_re.sub(unescape, value)
 
 
+def _record_line(texts: "Iterable[str | None]") -> str:
+    """The corpus line of a record's texts in :data:`_FIELD_ORDER`, each
+    ``None`` when absent: :func:`serialize_record`'s field writer."""
+    return "\t".join(
+        f"{key}={_escape(text)}" for key, text in zip(_FIELD_ORDER, texts) if text is not None
+    )
+
+
 def serialize_record(record: IgtRecord) -> str:
     """Render one record as a single interchange line.
 
     Field order is fixed, so equal records produce byte-identical lines.
     """
-    pairs = [("id", record.id), ("lang", record.lang.code)]
-    if record.source_text is not None:
-        pairs.append(("src", record.source_text))
-    if record.gloss_src is not None:
-        pairs.append(("gloss_src", record.gloss_src.render()))
-    if record.gloss_tgt is not None:
-        pairs.append(("gloss_tgt", record.gloss_tgt.render()))
-    if record.target_text is not None:
-        pairs.append(("tgt", record.target_text))
-    if record.provenance:
-        pairs.append(("prov", record.provenance))
-    return "\t".join(f"{key}={_escape(value)}" for key, value in pairs)
+    gloss_src, gloss_tgt = record.gloss_src, record.gloss_tgt
+    return _record_line((
+        record.id, record.lang.code, record.source_text, gloss_src and gloss_src.render(),
+        gloss_tgt and gloss_tgt.render(), record.target_text, record.provenance or None,
+    ))
+
+
+def _read_record(line: str, tokenize: Callable, count: Callable) -> tuple:
+    """:func:`parse_record`'s reading of ``line``: its fields' unescaped
+    values by key, its language tag, and its two glosses as ``tokenize``
+    makes them (``None`` when absent), checked as :class:`IgtRecord` checks
+    them, with ``count`` of a gloss its token count."""
+    if not line.strip():
+        raise MalformedRecordError("blank line is not a record", field="record")
+    values: dict[str, str] = {}
+    char_pos = 0
+    for chunk in line.rstrip("\n").split("\t"):
+        key, sep, raw = chunk.partition("=")
+        try:
+            if not sep:
+                raise MalformedRecordError(f"field without '=': {chunk!r}", field=key)
+            if key not in _KNOWN_KEYS:
+                raise MalformedRecordError(f"unknown field {key!r}", field=key)
+            if key in values:
+                raise MalformedRecordError(f"duplicate field {key!r}", field=key)
+            values[key] = _unescape(raw, offset=0, fieldname=key)
+        except MalformedRecordError as exc:
+            exc.offset = len(line[:char_pos].encode("utf-8"))  # counted only for a bad field
+            raise
+        char_pos += len(chunk) + 1
+    for required in ("id", "lang"):
+        if required not in values:
+            raise MalformedRecordError(f"missing field {required!r}", field=required)
+    try:
+        lang = LanguageTag(values["lang"])
+    except ValueError as exc:
+        raise MalformedRecordError(str(exc), field="lang") from exc
+    glosses = []
+    for key in ("gloss_src", "gloss_tgt"):
+        try:
+            glosses.append(tokenize(values[key]) if key in values else None)
+        except Exception as exc:  # noqa: BLE001 - surface as record error
+            raise MalformedRecordError(f"bad gloss in field {key!r}: {exc}", field=key) from exc
+    gloss_src, gloss_tgt = glosses
+    _require_content(values.get("src"), gloss_src, gloss_tgt, values.get("tgt"))
+    if gloss_src is not None and gloss_tgt is not None:
+        try:
+            _check_token_counts(count(gloss_src), count(gloss_tgt))
+        except TokenCountMismatchError as exc:
+            raise MalformedRecordError(str(exc), field="gloss_tgt") from exc
+    return values, lang, gloss_src, gloss_tgt
 
 
 def parse_record(line: str) -> IgtRecord:
@@ -325,67 +375,38 @@ def parse_record(line: str) -> IgtRecord:
     """
     from .parsing import tokenize_gloss  # local import: parsing builds on model
 
-    if not line.strip():
-        raise MalformedRecordError("blank line is not a record", field="record")
-    values: dict[str, str] = {}
-    char_pos = 0
-    for chunk in line.rstrip("\n").split("\t"):
-        offset = len(line[:char_pos].encode("utf-8"))
-        key, sep, raw = chunk.partition("=")
-        if not sep:
-            raise MalformedRecordError(
-                f"field without '=': {chunk!r}", offset=offset, field=key
-            )
-        if key not in _KNOWN_KEYS:
-            raise MalformedRecordError(f"unknown field {key!r}", offset=offset, field=key)
-        if key in values:
-            raise MalformedRecordError(f"duplicate field {key!r}", offset=offset, field=key)
-        values[key] = _unescape(raw, offset=offset, fieldname=key)
-        char_pos += len(chunk) + 1
-    for required in ("id", "lang"):
-        if required not in values:
-            raise MalformedRecordError(f"missing field {required!r}", field=required)
-    try:
-        lang = LanguageTag(values["lang"])
-    except ValueError as exc:
-        raise MalformedRecordError(str(exc), field="lang") from exc
+    values, lang, gloss_src, gloss_tgt = _read_record(
+        line, tokenize_gloss, lambda gloss: len(gloss.tokens)
+    )
+    return IgtRecord(
+        id=values["id"],
+        lang=lang,
+        source_text=values.get("src"),
+        gloss_src=gloss_src,
+        gloss_tgt=gloss_tgt,
+        target_text=values.get("tgt"),
+        provenance=values.get("prov", ""),
+    )
 
-    def _gloss(key: str) -> GlossLine | None:
-        if key not in values:
-            return None
+
+def _read_corpus(lines: Iterable[str], read: Callable) -> Iterator:
+    """``read`` of each non-blank corpus line, one at a time; a
+    :class:`MalformedRecordError` it raises is given the line's number."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            return tokenize_gloss(values[key])
-        except Exception as exc:  # noqa: BLE001 - surface as record error
-            raise MalformedRecordError(
-                f"bad gloss in field {key!r}: {exc}", field=key
-            ) from exc
-
-    try:
-        return IgtRecord(
-            id=values["id"],
-            lang=lang,
-            source_text=values.get("src"),
-            gloss_src=_gloss("gloss_src"),
-            gloss_tgt=_gloss("gloss_tgt"),
-            target_text=values.get("tgt"),
-            provenance=values.get("prov", ""),
-        )
-    except TokenCountMismatchError as exc:
-        raise MalformedRecordError(str(exc), field="gloss_tgt") from exc
+            row = read(line)
+        except MalformedRecordError as exc:
+            exc.line = exc.line or lineno
+            raise
+        yield row
 
 
 def iter_corpus(lines: Iterable[str]) -> Iterator[IgtRecord]:
     """Parse corpus lines one at a time; blank lines are ignored, and a
     malformed record's error names its line."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = parse_record(line)
-        except MalformedRecordError as exc:
-            exc.line = exc.line or lineno
-            raise
-        yield record
+    yield from _read_corpus(lines, parse_record)
 
 
 def load_corpus(text: str) -> list[IgtRecord]:

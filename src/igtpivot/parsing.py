@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -14,11 +14,13 @@ from .errors import (
     BLOCK_SHAPE,
     EMPTY_RECORD,
     ORPHAN_LINE,
+    SKIPPED_RECORD,
     TOKEN_COUNT_MISMATCH,
     UNKNOWN_MARKER,
     BadFieldRoleError,
     BlockShapeError,
     EmptyLineError,
+    MalformedRecordError,
     MalformedTokenError,
     ParseWarning,
     TokenCountMismatchError,
@@ -33,8 +35,13 @@ from .model import (
     Joiner,
     LanguageTag,
     MorphKind,
+    _check_token_counts,
+    _read_corpus,
+    _read_record,
+    _record_line,
     as_language_tag,
     is_punct,
+    join_tokens,
     split_lines,
 )
 
@@ -112,6 +119,22 @@ def _gloss_words(line: str) -> Iterator[tuple[str, "str | None"]]:
             yield word[len(core) :], None
 
 
+def _gloss_word_list(line: str) -> list[tuple[str, "str | None"]]:
+    """:func:`_gloss_words` of a gloss line, which must have a token."""
+    words = list(_gloss_words(line))
+    if not words:
+        raise EmptyLineError("cannot tokenize an empty gloss line")
+    return words
+
+
+def _joined(words: "list[tuple[str, str | None]]") -> str:
+    """:meth:`GlossLine.render` of the gloss of ``words``: a word renders as
+    its head and tail and is never punctuation; a ``(punct, None)`` token is."""
+    return join_tokens(
+        [(head, True) if tail is None else (head + tail, False) for head, tail in words]
+    )
+
+
 _EDGE_RE = re.compile(r"^[^0-9A-Za-z]+|[^0-9A-Za-z]+$")
 
 
@@ -128,9 +151,25 @@ def _looks_like_label(text: str, registry: frozenset[str]) -> bool:
 
 # Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``) and word
 # tails (``.3.SG.NOM``) many times over, so the tokenizer builds and checks
-# each distinct one once per registry and shares the frozen value.  The memos
-# are bounded; past the bound the least recently used entry is dropped.
-_SEGMENT_MEMO_SIZE = 1 << 14
+# each distinct one once per registry and shares the frozen value, and a run
+# maps each distinct word head and tail once.  The memos are bounded.
+_SEGMENT_MEMO_SIZE = _MEMO_SIZE = 1 << 14
+
+
+class _Memo(dict):
+    """``build(*args, key)`` of each key looked up (``memo[key]``), built on
+    its first lookup and kept; emptied when it holds :data:`_MEMO_SIZE`
+    entries.  A build that raises stores nothing."""
+
+    def __init__(self, build: Callable, *args) -> None:
+        super().__init__()
+        self.build = partial(build, *args)
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
 
 
 @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
@@ -147,6 +186,12 @@ def _tail_morphs(tail: str, registry: frozenset[str]) -> tuple[GlossMorph, ...]:
         return ()
     (_, first), *rest = _delimited_segments(tail[1:])  # tail[0] is the first joiner
     return tuple(_segment_morph(d, text, registry) for d, text in [(tail[0], first), *rest])
+
+
+def _split_tail(tail: str) -> str:
+    """A word tail one morph per whitespace word, as :func:`_tail_morphs`
+    splits it: ``.3 .SG`` for ``.3.SG``."""
+    return tail[0] + _SPLIT_RE.sub(r" \1", tail[1:])
 
 
 @lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
@@ -179,8 +224,7 @@ def tokenize_gloss(
     memo (16,384 entries each) keyed by the registry's contents.  They are
     immutable values; compare them with ``==``, not ``is``.
     """
-    if not line.strip():
-        raise EmptyLineError("cannot tokenize an empty gloss line")
+    words = _gloss_word_list(line)
     if label_registry is None:
         from .normalize import default_label_registry  # lazy import, avoids cycle
 
@@ -191,7 +235,7 @@ def tokenize_gloss(
         _punct_token(head) if tail is None else GlossToken(
             (_segment_morph("", head, label_registry), *_tail_morphs(tail, label_registry))
         )
-        for head, tail in _gloss_words(line)
+        for head, tail in words
     ]
     return GlossLine(tokens=tuple(tokens))
 
@@ -244,23 +288,34 @@ def block_to_record(
     has its ``start_line``, when that is set, as ``line``.
     """
     tag = as_language_tag(lang)
-    if len(block.lines) == 3:
-        source, gloss_tgt_text, target = block.lines
-        gloss_src_text = None
-    else:
-        source, gloss_src_text, gloss_tgt_text, target = block.lines
-    try:
-        return IgtRecord(
-            id=record_id,
-            lang=tag,
-            source_text=source,
-            gloss_src=_tokenize_optional(gloss_src_text, label_registry),
-            gloss_tgt=_tokenize_optional(gloss_tgt_text, label_registry),
-            target_text=target,
+    source, *texts, target = block.lines
+    glosses = [tokenize_gloss(text, label_registry=label_registry) for text in texts]
+    # a 3-line block's one gloss is checked against itself
+    _check_token_counts(len(glosses[0].tokens), len(glosses[-1].tokens), line=block.start_line)
+    return IgtRecord(
+        id=record_id,
+        lang=tag,
+        source_text=source,
+        gloss_src=glosses[0] if len(glosses) == 2 else None,
+        gloss_tgt=glosses[-1],
+        target_text=target,
+    )
+
+
+def _corpus_lines(
+    blocks: Iterable[RawIgtBlock], lang: LanguageTag, id_prefix: str
+) -> Iterator[str]:
+    """``serialize_record(block_to_record(block, lang, f"{id_prefix}-{i:04d}"))``
+    of the ``i``-th block, counted from 1, made from gloss words."""
+    for index, block in enumerate(blocks, start=1):
+        source, *texts, target = block.lines
+        words = [_gloss_word_list(text) for text in texts]
+        _check_token_counts(len(words[0]), len(words[-1]), line=block.start_line)  # as above
+        gloss_src = _joined(words[0]) if len(words) == 2 else None
+        gloss_tgt = _joined(words[-1])
+        yield _record_line(
+            (f"{id_prefix}-{index:04d}", lang.code, source, gloss_src, gloss_tgt, target, None)
         )
-    except TokenCountMismatchError as exc:
-        exc.line = exc.line or block.start_line
-        raise
 
 
 # --- ToolBox backslash-coded files -------------------------------------------
@@ -421,3 +476,40 @@ def _analyzer_words(line: str) -> list[tuple[str, str]]:
         if len(core) < len(word):
             words.append((word[len(core) :], ""))
     return words
+
+
+# --- multilingual training pairs ---------------------------------------------
+
+
+def _skipped(record_id: str) -> ParseWarning:
+    """The warning for a record that lacks a side of its training pair."""
+    return ParseWarning(
+        SKIPPED_RECORD, f"record {record_id or '<unnamed>'} lacks gloss_tgt or target_text"
+    )
+
+
+def _corpus_pairs(
+    lines: Iterable[str], split_morphs: bool, warn: _Warn
+) -> Iterator[tuple[str, str]]:
+    r"""``_training_pairs(iter_corpus(lines), split_morphs, warn)`` made from
+    gloss words, each distinct tail split once per run; but a target that
+    its file would not read back as one line (it holds ``\n`` or ends in
+    ``\r``) is a :class:`MalformedRecordError`."""
+    split = _Memo(_split_tail)
+
+    def pair(line: str) -> "tuple[str, str] | None":
+        values, lang, _, words = _read_record(line, _gloss_word_list, len)
+        target = values.get("tgt")
+        if words is None or target is None:
+            warn(_skipped(values["id"]))
+            return None
+        if split_lines(target + "\n") != [target]:
+            message = f"tgt {target!r} would not read back as one line of the target file"
+            raise MalformedRecordError(message, field="tgt")
+        gloss = " ".join(
+            head if not tail else f"{head} {split[tail]}" if split_morphs else head + tail
+            for head, tail in words
+        )
+        return f"{lang.code} {gloss}", target
+
+    return filter(None, _read_corpus(lines, pair))

@@ -14,11 +14,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
-    SKIPPED_RECORD,
     BadTranslatorError,
     IgtError,
     ParseWarning,
@@ -42,9 +40,11 @@ from .model import (
     split_lines,
 )
 from .normalize import NormalizationTable, _label_tail, _normalized, default_label_registry
-from .parsing import _analyzer_words, _gloss_words, _segment_morph, _tail_morphs, tokenize_gloss
+from .parsing import (
+    _analyzer_words, _gloss_words, _Memo, _segment_morph, _skipped, _tail_morphs, tokenize_gloss,
+)
 
-if TYPE_CHECKING:  # a dictionary is only passed in: prepare-multi need not load align
+if TYPE_CHECKING:  # a dictionary is only passed in: parse-analyzer need not load align
     from .align import LemmaDictionary
 
 OOV_OPEN = "⟦"   # white square bracket used by KEEP_MARKED
@@ -169,12 +169,7 @@ def _training_pairs(
     skipped record's warning passed to ``warn`` as it is met."""
     for record in records:
         if record.gloss_tgt is None or record.target_text is None:
-            warn(
-                ParseWarning(
-                    SKIPPED_RECORD,
-                    f"record {record.id or '<unnamed>'} lacks gloss_tgt or target_text",
-                )
-            )
+            warn(_skipped(record.id))
             continue
         yield f"{record.lang.code} {record.gloss_tgt.render_spaced(split_morphs)}", record.target_text
 
@@ -279,28 +274,6 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
             payload.write(line + "\n")
         with _run_external(payload, len(lines), translator) as outputs:
             return list(decode_lines(outputs, _OUTPUT))
-
-
-# A gloss corpus repeats a small set of word heads (lemmas) and tails (tag
-# runs, label tails) many times over, so a run converts, looks up and
-# renders each distinct one once, in memos of at most this many entries each.
-_MEMO_SIZE = 1 << 14
-
-
-class _Memo(dict):
-    """``build(*args, key)`` of each key looked up (``memo[key]``), built on
-    its first lookup and kept; emptied when it holds :data:`_MEMO_SIZE`
-    entries.  A build that raises stores nothing."""
-
-    def __init__(self, build: Callable, *args) -> None:
-        super().__init__()
-        self.build = partial(build, *args)
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_SIZE:
-            self.clear()
-        value = self[key] = self.build(key)
-        return value
 
 
 class _Piece(NamedTuple):

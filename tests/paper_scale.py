@@ -11,7 +11,8 @@ inputs (5,000 analyzer lines) and runs ``igt pivot --translator baseline
 (on what ``parse-analyzer`` wrote) on them once (x1) and 14 times over
 (x14, 70,000 lines).  It fails unless each command's peak RSS at the larger size is
 within 1.10x of its figure at x1.  It also checks that both parsers write
-the same records, that no corpus or stage command warns, that
+the same records, that ``prepare-multi``'s two files have as many lines,
+that no corpus or stage command warns, that
 ``parse-analyzer`` writes the ``gloss_src:`` lines of ``pivot``'s report,
 and that ``pivot`` writes nothing to stderr but its one-line summary, whose
 counts grow 14-fold.
@@ -131,6 +132,9 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
     n_records = count_lines(corpus)
     if n_records != times * count_lines(os.path.join(generated, "ref.txt")):
         raise SystemExit(f"x{times} wrote {n_records} records")
+    n_src, n_tgt = (count_lines(os.path.join(work, f"multi.x{times}.{side}")) for side in ("src", "tgt"))
+    if n_src != n_tgt:
+        raise SystemExit(f"prepare-multi wrote {n_src} source and {n_tgt} target lines at x{times}")
     print(f"x{times}: {n_records} records")
     return peaks
 

@@ -203,7 +203,7 @@ def _unescape_outcome(unescape, value, offset, fieldname):
 
 # escapes, good, unknown and dangling, among any other characters
 _escaped = st.text(
-    st.one_of(st.sampled_from("\\tnq\n\t"), st.characters(exclude_categories=["Cs"])),
+    st.one_of(st.sampled_from("\\tnrq\n\t\r"), st.characters(exclude_categories=["Cs"])),
     max_size=16,
 )
 

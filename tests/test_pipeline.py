@@ -605,7 +605,7 @@ def test_pipeline_outputs_do_not_depend_on_the_memo_bound(monkeypatch):
         for translator, split_morphs in TRANSLATIONS
     ]
     expected = [_pivot(*args) for args in runs]
-    monkeypatch.setattr("igtpivot.pipeline._MEMO_SIZE", 1)
+    monkeypatch.setattr("igtpivot.parsing._MEMO_SIZE", 1)
     assert [_pivot(*args) for args in runs] == expected
 
 

@@ -78,14 +78,16 @@ INPUTS = {
     "dict.tsv": "gel\tcome\n",
 }
 
-# the parsers and the corpus reader tokenize glosses with the default labels
+# the parsers and the corpus reader tokenize glosses with the default labels;
+# parse-odin and prepare-multi read gloss words, which need no labels
 TOKENIZE = ("parsing", "normalize", "tables")
 PIPELINE = ("pipeline", *TOKENIZE)
+WORDS = ("parsing",)
 
 # each command: its arguments, the submodules it loads beyond CLI's, and
 # the watched modules it loads; output goes to stdout unless a flag is required
 COMMANDS = {
-    "parse-odin": (["--in", "igt.txt", "--lang", "tur"], TOKENIZE, set()),
+    "parse-odin": (["--in", "igt.txt", "--lang", "tur"], WORDS, set()),
     "parse-toolbox": (["--in", "toolbox.txt", "--lang", "tur"], TOKENIZE, set()),
     "parse-analyzer": (["--in", "analyzer.txt"], PIPELINE, set()),
     "normalize": (["--in", "gloss.txt"], PIPELINE, set()),
@@ -98,7 +100,7 @@ COMMANDS = {
     ),
     "dict": (["--ttable", "ttable.tsv"], ("align",), set()),
     "subst": (["--in", "gloss.txt", "--dict", "dict.tsv"], ("align", *PIPELINE), set()),
-    "prepare-multi": (["--in", "corpus.txt", "--src-out", "s", "--tgt-out", "t"], PIPELINE, set()),
+    "prepare-multi": (["--in", "corpus.txt", "--src-out", "s", "--tgt-out", "t"], WORDS, set()),
     "pivot": (
         ["--analyzer-out", "analyzer.txt", "--dict", "dict.tsv", "--translator", "baseline",
          "--report", "report.txt"],

@@ -1,5 +1,6 @@
 """The character loop ``model._unescape`` was before it became one regex
-substitution, kept as the reference for the differential test."""
+substitution, kept as the reference for the differential test; it reads
+the ``\\r`` escape too."""
 
 from igtpivot.errors import MalformedRecordError
 
@@ -23,6 +24,8 @@ def reference_unescape(value: str, *, offset: int, fieldname: str) -> str:
                 out.append("\t")
             elif nxt == "n":
                 out.append("\n")
+            elif nxt == "r":
+                out.append("\r")
             else:
                 raise MalformedRecordError(
                     f"unknown escape \\{nxt}", offset=offset, field=fieldname
