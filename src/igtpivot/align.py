@@ -20,11 +20,19 @@ or later can differ in the last digits of their probabilities.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from operator import itemgetter, truediv
+from typing import Callable, Iterator
 
-from .errors import EmptyCorpusError, LengthMismatchError, TableParseError
+from .errors import (
+    SKIPPED_PAIR,
+    EmptyCorpusError,
+    LengthMismatchError,
+    ParseWarning,
+    TableParseError,
+)
 from .model import is_word, split_lines
 
 
@@ -51,18 +59,36 @@ class ParallelCorpus:
     @classmethod
     def from_texts(cls, source_text: str, target_text: str) -> "ParallelCorpus":
         """Build from two parallel files (one sentence per line).  Lines that
-        are blank on either side are dropped as a pair."""
-        src_lines = split_lines(source_text)
-        tgt_lines = split_lines(target_text)
-        if len(src_lines) != len(tgt_lines):
-            raise LengthMismatchError(
-                f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
-            )
-        pairs = []
-        for src_words, tgt_words in zip(map(str.split, src_lines), map(str.split, tgt_lines)):
-            if src_words and tgt_words:
-                pairs.append((tuple(src_words), tuple(tgt_words)))
-        return cls(pairs=tuple(pairs))
+        are blank on either side are dropped as a pair.  Equal words share
+        one ``str``."""
+        return cls(pairs=_sentence_pairs(source_text, target_text, lambda warning: None))
+
+
+def _sentence_pairs(
+    source_text: str, target_text: str, warn: Callable[[ParseWarning], None]
+) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+    """The pairs of :meth:`ParallelCorpus.from_texts`; a line blank on one
+    side only is passed to ``warn`` as a ``SKIPPED_PAIR`` warning."""
+    src_lines = split_lines(source_text)
+    tgt_lines = split_lines(target_text)
+    if len(src_lines) != len(tgt_lines):
+        raise LengthMismatchError(
+            f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
+        )
+    share = {}.setdefault  # the first str of each word
+    pairs = []
+    for lineno, (src_words, tgt_words) in enumerate(
+        zip(map(str.split, src_lines), map(str.split, tgt_lines)), start=1
+    ):
+        if src_words and tgt_words:
+            pairs.append((tuple(map(share, src_words, src_words)),
+                          tuple(map(share, tgt_words, tgt_words))))
+        elif src_words or tgt_words:
+            blank, dropped = ("target", "source") if src_words else ("source", "target")
+            warn(ParseWarning(
+                SKIPPED_PAIR, f"blank {blank} line; its {dropped} line is dropped", line=lineno
+            ))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -117,69 +143,88 @@ def train_model1(
     set, a synthetic NULL token is prepended to every target sentence so
     source words without a counterpart can align to it.
 
-    Words are lowercased and interned to ids once; t(f|e) is one ``{e: p}``
-    row per source id.  Perplexity (exp of the mean -log(sum_e t(f|e) / m)
-    per source token, non-increasing) is summed from the E-step denominators,
-    so only the final table needs a pass of its own.
+    Words are lowercased, and target words interned to ids.  A link is a
+    distinct co-occurring (source word, target id) pair, numbered once:
+    t(f|e), the expected counts and each link's target id are flat lists
+    indexed by link, and each sentence pair is one ``array`` of link ids,
+    a row per source token of one link per target token (NULL included).
+    The E-step adds every share in the order of the textbook loops (pairs,
+    source tokens, target tokens), so each float operation is the
+    reference's, in its order.
+    Perplexity (exp of the mean -log(sum_e t(f|e) / m) per source token,
+    non-increasing) is summed from the E-step denominators, so only the
+    final table needs a pass of its own.
     """
     if not corpus.pairs:
         raise EmptyCorpusError("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    # imported by its only user, so that the commands that only read a
-    # dictionary do not pay for it
+    # imported by their only user, so that the commands that only read a
+    # dictionary do not pay for them
     import logging
+    from array import array
 
     log = logging.getLogger(__name__)
 
-    source_ids: dict[str, int] = {}
     target_ids: dict[str, int] = {NULL_TOKEN: 0} if null_word else {}
     null = (0,) if null_word else ()
-    pairs = [
-        (tuple(source_ids.setdefault(f.lower(), len(source_ids)) for f in src),
-         null + tuple(target_ids.setdefault(e.lower(), len(target_ids)) for e in tgt))
-        for src, tgt in corpus.pairs
-    ]
-    cooc: list[set[int]] = [set() for _ in target_ids]  # target id -> source ids
-    for src_ids, tgt_ids in pairs:
-        for e in tgt_ids:
-            cooc[e].update(src_ids)
-    rows: list[dict[int, float]] = [{} for _ in source_ids]  # rows[f][e] = t(f|e)
-    for e, sources in enumerate(cooc):
-        uniform = 1.0 / len(sources)
-        for f in sources:
-            rows[f][e] = uniform
+    # links are numbered as first met; row_links[f][e] is the link of (f, e)
+    row_links: defaultdict[str, dict[int, int]] = defaultdict(dict)
+    link_source: list[str] = []
+    link_target: list[int] = []
+    pair_links: list[array] = []  # each pair's links, a row of len(tgt_ids) per source token
+    widths: list[int] = []
+    for src, tgt in corpus.pairs:
+        tgt_ids = null + tuple(target_ids.setdefault(e.lower(), len(target_ids)) for e in tgt)
+        tgt_set = set(tgt_ids)
+        links = array("I")
+        for f in map(str.lower, src):
+            row = row_links[f]
+            for e in tgt_set.difference(row):
+                row[e] = len(link_target)
+                link_source.append(f)
+                link_target.append(e)
+            links.extend(map(row.__getitem__, tgt_ids))
+        pair_links.append(links)
+        widths.append(len(tgt_ids))
+    del row_links
 
-    n_tokens = sum(len(src_ids) for src_ids, _ in pairs)
+    n_sources = [0] * len(target_ids)
+    for e in link_target:
+        n_sources[e] += 1
+    t = list(map([1.0 / n for n in n_sources].__getitem__, link_target))  # t[link] = t(f|e)
+
+    n_tokens = sum(len(src) for src, _ in corpus.pairs)
     history: list[float] = []
     for iteration in range(iterations + 1):
         # the pass after the last M-step only measures the final table
-        counts = [dict.fromkeys(row, 0.0) for row in rows] if iteration < iterations else None
+        counts = [0.0] * len(t) if iteration < iterations else None
         totals = [0.0] * len(target_ids)
         log_total = 0.0
-        for src_ids, tgt_ids in pairs:
-            for f in src_ids:
-                row = rows[f]
-                masses = [row[e] for e in tgt_ids]
-                denom = sum(masses)
-                log_total += math.log(denom / len(tgt_ids))
+        for links, width in zip(pair_links, widths):
+            masses = itemgetter(*links)(t)
+            if len(links) == 1:  # an itemgetter of one index returns the item itself
+                masses = (masses,)
+            link_iter = iter(links)
+            for start in range(0, len(masses), width):
+                row = masses[start:start + width]
+                denom = sum(row)
+                log_total += math.log(denom / width)
                 if counts is not None:
-                    count = counts[f]
-                    for e, p in zip(tgt_ids, masses):
+                    # row first: zip stops at its end before taking a link
+                    for p, link in zip(row, link_iter):
                         share = p / denom
-                        count[e] += share
-                        totals[e] += share
+                        counts[link] += share
+                        totals[link_target[link]] += share
         history.append(math.exp(-log_total / n_tokens))
         if iteration:
             log.debug("model1 iteration %d perplexity %.6f", iteration, history[-1])
         if counts is not None:
-            rows = [{e: c / totals[e] for e, c in count.items()} for count in counts]
+            t = list(map(truediv, counts, map(totals.__getitem__, link_target)))
 
-    source_words, target_words = list(source_ids), list(target_ids)
+    target_words = list(target_ids)
     return TranslationTable(
-        probs={
-            (source_words[f], target_words[e]): p for f, row in enumerate(rows) for e, p in row.items()
-        },
+        probs={(f, target_words[e]): p for f, e, p in zip(link_source, link_target, t)},
         iterations_run=iterations,
         final_perplexity=history[-1],
         null_word=null_word,

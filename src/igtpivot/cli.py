@@ -248,7 +248,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     from . import align as align_mod
 
-    corpus = align_mod.ParallelCorpus.from_texts(_read(args.src), _read(args.tgt))
+    pairs = align_mod._sentence_pairs(_read(args.src), _read(args.tgt), _warn)
+    corpus = align_mod.ParallelCorpus(pairs)
     table = align_mod.train_model1(corpus, iterations=args.iters, null_word=args.null)
     if args.ttable_out:
         _write(args.ttable_out, align_mod.dump_translation_table(table))

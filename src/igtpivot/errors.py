@@ -180,4 +180,5 @@ UNKNOWN_MARKER = "UNKNOWN_MARKER"
 ORPHAN_LINE = "ORPHAN_LINE"
 EMPTY_RECORD = "EMPTY_RECORD"
 SKIPPED_RECORD = "SKIPPED_RECORD"
+SKIPPED_PAIR = "SKIPPED_PAIR"
 TOKEN_COUNT_MISMATCH = "TOKEN_COUNT_MISMATCH"

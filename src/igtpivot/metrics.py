@@ -70,7 +70,9 @@ def _content_tokens(tokens: TokenList) -> list[str]:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """The count of each n-gram of ``tokens``, for ``n >= 1``; none when
+    ``n > len(tokens)``."""
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def bleu(

@@ -119,9 +119,23 @@ def _gloss_words(line: str) -> Iterator[tuple[str, "str | None"]]:
             yield word[len(core) :], None
 
 
-def _gloss_word_list(line: str) -> list[tuple[str, "str | None"]]:
-    """:func:`_gloss_words` of a gloss line, which must have a token."""
-    words = list(_gloss_words(line))
+def _word_cores(line: str) -> Iterator[tuple[str, "str | None"]]:
+    """:func:`_gloss_words` with each word's head and tail left joined, as
+    ``(head + tail, "")``: for the commands that write the word whole."""
+    for word in line.split():
+        core = word.rstrip(PUNCT_CHARS)
+        if core:
+            yield core, ""
+        if len(core) < len(word):
+            yield word[len(core) :], None
+
+
+def _gloss_word_list(
+    line: str, reader: Callable[[str], Iterator[tuple[str, "str | None"]]] = _gloss_words
+) -> list[tuple[str, "str | None"]]:
+    """``reader`` of a gloss line (:func:`_gloss_words` or :func:`_word_cores`),
+    which must have a token."""
+    words = list(reader(line))
     if not words:
         raise EmptyLineError("cannot tokenize an empty gloss line")
     return words
@@ -309,7 +323,7 @@ def _corpus_lines(
     of the ``i``-th block, counted from 1, made from gloss words."""
     for index, block in enumerate(blocks, start=1):
         source, *texts, target = block.lines
-        words = [_gloss_word_list(text) for text in texts]
+        words = [_gloss_word_list(text, _word_cores) for text in texts]
         _check_token_counts(len(words[0]), len(words[-1]), line=block.start_line)  # as above
         gloss_src = _joined(words[0]) if len(words) == 2 else None
         gloss_tgt = _joined(words[-1])
@@ -496,9 +510,10 @@ def _corpus_pairs(
     its file would not read back as one line (it holds ``\n`` or ends in
     ``\r``) is a :class:`MalformedRecordError`."""
     split = _Memo(_split_tail)
+    words_of = _gloss_word_list if split_morphs else partial(_gloss_word_list, reader=_word_cores)
 
     def pair(line: str) -> "tuple[str, str] | None":
-        values, lang, _, words = _read_record(line, _gloss_word_list, len)
+        values, lang, _, words = _read_record(line, words_of, len)
         target = values.get("tgt")
         if words is None or target is None:
             warn(_skipped(values["id"]))

@@ -15,7 +15,11 @@ the same records, that ``prepare-multi``'s two files have as many lines,
 that no corpus or stage command warns, that
 ``parse-analyzer`` writes the ``gloss_src:`` lines of ``pivot``'s report,
 and that ``pivot`` writes nothing to stderr but its one-line summary, whose
-counts grow 14-fold.
+counts grow 14-fold.  Model 1 training revisits the corpus, so ``igt align
+--iters 5`` on the seed-7 sentence pairs cannot be flat: it runs on the
+pairs once (x1, 3,000 pairs) and 10 times over (x10, 30,000 pairs), and
+fails if its cost per pair, the growth of its peak over the 27,000 added
+pairs, is above a bound.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -44,6 +48,12 @@ SEED = 7
 TIMES = 23
 PIVOT_TIMES = 14
 BOUND = 1.10
+ALIGN_TIMES = 10
+# align's peak RSS growth per added sentence pair (4-16 tokens a side):
+# 0.88, 0.70, 0.78 and 0.79 KB measured under CPython 3.10 to 3.13, and
+# 1.41 to 1.66 KB while EM kept one dict per source word and the corpus a
+# str per token
+ALIGN_BOUND_KB = 1.1
 CHILD_TIMEOUT = 300.0  # seconds for one command
 TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
 TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
@@ -101,6 +111,17 @@ def write_inputs(blocks_path: str, work: str, times: int) -> tuple[str, str]:
     return odin, toolbox
 
 
+def repeated(source: str, path: str, times: int) -> str:
+    """Write the lines of ``source`` ``times`` times over to ``path``, a line
+    at a time; return ``path``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        for _ in range(times):
+            with open(source, encoding="utf-8", newline="\n") as lines:
+                for line in lines:
+                    out.write(line)
+    return path
+
+
 def count_lines(path: str) -> int:
     with open(path, "rb") as handle:
         return sum(1 for _ in handle)
@@ -143,13 +164,8 @@ def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], 
     """The peak RSS in MB of ``igt pivot``, ``igt parse-analyzer``, ``igt
     subst`` and ``igt normalize`` on the analyzer lines written ``times``
     times over, and the OOV and unknown-label counts of ``pivot``'s summary."""
-    analyzed = os.path.join(work, f"analyzed.x{times}.txt")
-    with open(analyzed, "w", encoding="utf-8", newline="\n") as out:
-        for _ in range(times):
-            with open(os.path.join(generated, "analyzed.txt"), encoding="utf-8",
-                      newline="\n") as source:
-                for line in source:
-                    out.write(line)
+    analyzed = repeated(os.path.join(generated, "analyzed.txt"),
+                        os.path.join(work, f"analyzed.x{times}.txt"), times)
     n_lines = count_lines(analyzed)
     igt = [sys.executable, "-m", "igtpivot"]
     dictionary = os.path.join(generated, "dict.tsv")
@@ -180,6 +196,27 @@ def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], 
     check_source_glosses(gloss, report, times)
     print(f"x{times}: {n_lines} analyzer lines")
     return peaks, (int(summary.group(1)), int(summary.group(2)))
+
+
+def run_align(generated: str, work: str, times: int) -> tuple[int, float]:
+    """The number of sentence pairs of the seed's ``src.txt`` and ``tgt.txt``
+    written ``times`` times over, and the peak RSS in MB of ``igt align
+    --iters 5`` on them."""
+    paths = [
+        repeated(os.path.join(generated, f"{side}.txt"), os.path.join(work, f"pairs.x{times}.{side}"),
+                 times)
+        for side in ("src", "tgt")
+    ]
+    argv = [sys.executable, "-m", "igtpivot", "align", "--src", paths[0], "--tgt", paths[1],
+            "--iters", "5", "--ttable-out", os.path.join(work, f"ttable.x{times}.tsv"),
+            "--out", os.path.join(work, f"dict.x{times}.tsv")]
+    peak, message = peak_mb(argv, os.path.join(work, "stderr.txt"))
+    if not re.fullmatch(r"igt: trained 5 iteration\(s\), final perplexity \S+, "
+                        r"\d+ dictionary entries\n", message):
+        raise SystemExit(f"align at x{times} wrote to stderr:\n{message}")
+    n_pairs = count_lines(paths[0])
+    print(f"x{times}: {n_pairs} sentence pairs")
+    return n_pairs, peak
 
 
 def check_source_glosses(gloss: str, report: str, times: int) -> None:
@@ -220,6 +257,7 @@ def main() -> int:
         )
         pivot_once, counts_once = run_pivot(pivot_generated, work, 1)
         pivot_scaled, counts_scaled = run_pivot(pivot_generated, work, PIVOT_TIMES)
+        align_once, align_scaled = run_align(generated, work, 1), run_align(generated, work, ALIGN_TIMES)
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"this script peaked at {own:.1f} MB")
     failures = []
@@ -236,6 +274,15 @@ def main() -> int:
             failures.append(f"{command} grew {ratio:.3f}x from x1 to x{times} (bound {BOUND}x)")
         if min(small, large) <= own:
             failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
+    (pairs_once, small), (pairs_scaled, large) = align_once, align_scaled
+    per_pair_kb = (large - small) * 1024.0 / (pairs_scaled - pairs_once)
+    print(f"{'align':14} x1 {small:6.1f} MB   x{ALIGN_TIMES} {large:6.1f} MB   "
+          f"{per_pair_kb:.2f} KB per pair")
+    if per_pair_kb > ALIGN_BOUND_KB:
+        failures.append(f"align grew {per_pair_kb:.2f} KB per pair from x1 to x{ALIGN_TIMES} "
+                        f"(bound {ALIGN_BOUND_KB} KB)")
+    if small <= own:
+        failures.append(f"align's figure may be this script's own peak, {own:.1f} MB")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igtpivot import (
@@ -21,6 +21,7 @@ from igtpivot import (
     load_translation_table,
     train_model1,
 )
+from igtpivot.model import split_lines
 
 import model1_oracle
 import model1_reference
@@ -257,6 +258,31 @@ def test_from_texts_builds_pairs_and_drops_blank_pairs():
         ParallelCorpus.from_texts("a\nb\n", "x\n")
 
 
+_parallel_line = st.text(st.sampled_from("ab B\t \r"), max_size=8)
+
+
+@given(st.lists(st.tuples(_parallel_line, _parallel_line), max_size=6))
+def test_from_texts_equals_one_tuple_per_split_line(lines):
+    source_text = "".join(src + "\n" for src, _ in lines)
+    target_text = "".join(tgt + "\n" for _, tgt in lines)
+    pairs = tuple(
+        (tuple(src), tuple(tgt))
+        for src, tgt in zip(map(str.split, split_lines(source_text)),
+                            map(str.split, split_lines(target_text)))
+        if src and tgt
+    )
+    assert ParallelCorpus.from_texts(source_text, target_text).pairs == pairs
+
+
+def test_from_texts_shares_one_str_per_word():
+    corpus = ParallelCorpus.from_texts("ev ev-ler ev\nkedi ev\n", "house ev\nev house\n")
+    words = [word for pair in corpus.pairs for side in pair for word in side]
+    first = {}
+    for word in words:
+        assert first.setdefault(word, word) is word
+    assert len(first) == 4 and len(words) == 9
+
+
 def test_translation_table_round_trips_through_text():
     table = train_model1(toy_corpus(), iterations=4, null_word=True)
     text = dump_translation_table(table)
@@ -375,6 +401,29 @@ def test_interned_trainer_is_bit_identical_to_reference(iterations, null_word):
         repeated += sum(len(set(src)) < len(src) or len(set(tgt)) < len(tgt) for src, tgt in pairs)
         assert_same_training(ParallelCorpus(pairs), iterations, null_word)
     assert repeated  # the corpora repeat tokens within a sentence
+
+
+_cased_source = st.sampled_from(["ka", "KA", "lu", "Lu", "mo", "pe"])  # four words lowercased
+_cased_target = st.sampled_from(["x", "X", "y", "z", "Z"])  # three
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(_cased_source, min_size=1, max_size=5).map(tuple),
+            st.lists(_cased_target, min_size=1, max_size=5).map(tuple),
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+)
+@example([(("ka",), ("x",)), (("ka", "lu"), ("X",)), (("Lu",), ("y", "x"))], 3, False)
+@settings(max_examples=150, deadline=None)
+def test_trainer_is_bit_identical_to_reference_on_small_vocabularies(pairs, iterations, null_word):
+    # words repeat within sentences on both sides; a one-word pair without
+    # the NULL token is a pair of one link
+    assert_same_training(ParallelCorpus(tuple(pairs)), iterations, null_word)
 
 
 @pytest.mark.parametrize("null_word", [False, True])

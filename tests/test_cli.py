@@ -609,6 +609,34 @@ def test_align_reports_parallel_files_of_different_length(tmp_path, capsys):
     )
 
 
+def test_align_warns_of_each_line_blank_on_one_side_only(tmp_path, capsys):
+    src = write(tmp_path / "src.txt", "a b\nc d\ne\n\nf\n")
+    tgt = write(tmp_path / "tgt.txt", "x y\n\nz\n\n\n")
+    out = tmp_path / "dict.tsv"
+    assert main(["align", "--src", src, "--tgt", tgt, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    # line 4, blank on both sides, passes silently
+    assert err[:2] == [
+        "igt: warning: SKIPPED_PAIR: blank target line; its source line is dropped (line 2)",
+        "igt: warning: SKIPPED_PAIR: blank target line; its source line is dropped (line 5)",
+    ]
+    assert err[2].startswith("igt: trained 5 iteration(s)") and len(err) == 3
+    kept = tmp_path / "kept.tsv"
+    write(tmp_path / "src1.txt", "a b\ne\n")
+    write(tmp_path / "tgt1.txt", "x y\nz\n")
+    argv = ["align", "--src", str(tmp_path / "src1.txt"), "--tgt", str(tmp_path / "tgt1.txt")]
+    assert main([*argv, "--out", str(kept)]) == 0
+    assert read(out) == read(kept)  # the warnings change no output
+    capsys.readouterr()
+    write(tmp_path / "src2.txt", "a b\n\n")
+    write(tmp_path / "tgt2.txt", "x y\nw\n")
+    argv = ["align", "--src", str(tmp_path / "src2.txt"), "--tgt", str(tmp_path / "tgt2.txt")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "igt: warning: SKIPPED_PAIR: blank source line; its target line is dropped (line 2)"
+    )
+
+
 def test_parse_odin_names_the_line_of_a_bad_block(tmp_path, capsys):
     blocks = write(tmp_path / "blocks.txt", "s\ng\nt\n\nsrc\nkadin-NOM gel\nwoman come now\nthe end\n")
     assert main(["parse-odin", "--in", blocks, "--lang", "tur"]) == 1

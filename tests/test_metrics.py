@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -118,6 +119,13 @@ def test_evaluate_scores_both_bleus_as_bleu_does(pairs, smooth):
     report = evaluate(hyps, refs, smooth=smooth)
     assert report.bleu4 == bleu(hyps, refs, max_n=4, smooth=smooth)
     assert report.bleu1 == bleu(hyps, refs, max_n=1, smooth=smooth)
+
+
+@given(_sentence, st.integers(min_value=1, max_value=9))
+def test_ngrams_match_one_slice_per_index(tokens, n):
+    # n runs past the 7-token maximum, so some orders have no n-gram
+    expected = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    assert metrics._ngrams(tokens, n) == expected
 
 
 def test_evaluate_counts_each_sentences_ngrams_once(monkeypatch):
