@@ -13,7 +13,6 @@ import os
 import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from functools import partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import model as model_mod
@@ -204,15 +203,10 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_analyzer(args: argparse.Namespace) -> int:
-    from . import parsing as parsing_mod
-    from . import pipeline as pipeline_mod
+    from .pipeline import _glossed_lines
 
     table = _load_norm_table(args.table, not args.number_first)
-    return _map_lines(args, pipeline_mod._piecewise(
-        parsing_mod._analyzer_words,
-        partial(pipeline_mod._source_lemma, table),
-        partial(pipeline_mod._tail, table),
-    ))
+    return _map_lines(args, _glossed_lines(table))
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LexiconParseError
-from .model import split_lines
+from .model import is_word, split_lines
 
 # lemma: (simple past, past participle)
 _IRREGULAR_VERBS = {
@@ -192,24 +192,45 @@ def default_lexicon() -> InflectionLexicon:
 
 def load_lexicon(text: str) -> InflectionLexicon:
     """Parse ``lemma<TAB>past[<TAB>participle[<TAB>3sg]]`` rows and merge
-    them over the built-in irregular tables."""
+    them over the built-in irregular tables.  Fields are stripped and
+    lowercased, and an empty participle or 3sg field means none.  A row of
+    more than four fields, an empty lemma or past form, a form that holds
+    whitespace, or a lemma an earlier row gave is rejected with its line."""
     base = default_lexicon()
     past = dict(base.irregular_past)
     third = dict(base.irregular_3sg)
     participle = dict(base.irregular_participle)
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split("\t")
+        fields = [field.strip() for field in raw.rstrip().split("\t")]
         if len(fields) < 2:
             raise LexiconParseError("expected lemma<TAB>past", line=lineno)
-        lemma = fields[0].strip().lower()
-        past[lemma] = fields[1].strip().lower()
-        if len(fields) > 2 and fields[2].strip():
-            participle[lemma] = fields[2].strip().lower()
-        if len(fields) > 3 and fields[3].strip():
-            third[lemma] = fields[3].strip().lower()
+        if len(fields) > 4:
+            raise LexiconParseError(
+                f"expected lemma<TAB>past[<TAB>participle[<TAB>3sg]], got {len(fields)} fields",
+                line=lineno,
+            )
+        for name, form in (("lemma", fields[0]), ("past form", fields[1])):
+            if not form:
+                raise LexiconParseError(f"empty {name}", line=lineno)
+        for form in fields:
+            if form and not is_word(form):
+                raise LexiconParseError(f"form {form!r} contains whitespace", line=lineno)
+        lemma = fields[0].lower()
+        if lemma in first_line:
+            raise LexiconParseError(
+                f"lemma {fields[0]!r} (lowercased) already given on line {first_line[lemma]}",
+                line=lineno,
+            )
+        first_line[lemma] = lineno
+        past[lemma] = fields[1].lower()
+        if len(fields) > 2 and fields[2]:
+            participle[lemma] = fields[2].lower()
+        if len(fields) > 3 and fields[3]:
+            third[lemma] = fields[3].lower()
     return InflectionLexicon(
         irregular_past=past, irregular_3sg=third, irregular_participle=participle
     )

@@ -334,8 +334,8 @@ def summary_line(report: EvalReport) -> str:
 def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
     """Parse annotation TSV rows:
     ``id<TAB>nouns=a,b<TAB>verbs=c<TAB>subj=3.SG<TAB>tense=PST``
-    (all fields after the id are optional).  Row order aligns with the test
-    set's line order."""
+    (all fields after the id are optional, and none may come twice).  Row
+    order aligns with the test set's line order."""
     rows: list[tuple[str, EvalAnnotation]] = []
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -346,6 +346,7 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
         verbs: frozenset[str] = frozenset()
         subject = None
         tense = None
+        seen: set[str] = set()
         for chunk in fields[1:]:
             chunk = chunk.strip()
             if not chunk:
@@ -354,6 +355,9 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
             if not sep:
                 raise AnnotationParseError(f"field without '=': {chunk!r}", line=lineno)
             key = key.strip().lower()
+            if key in seen:
+                raise AnnotationParseError(f"duplicate field {key!r}", line=lineno)
+            seen.add(key)
             value = value.strip()
             if key == "nouns":
                 nouns = frozenset(v.strip().lower() for v in value.split(",") if v.strip())

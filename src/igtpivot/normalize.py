@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import CycleDetectedError, TableParseError
 from .model import (
@@ -28,8 +28,10 @@ from .model import (
     is_word,
     split_lines,
 )
-from .parsing import AnalyzerToken
 from .tables import DEFAULT_TABLE_TEXT
+
+if TYPE_CHECKING:  # only annotated: the tokenizer imports this module
+    from .parsing import AnalyzerToken
 
 _NUMBER_ALIASES = {"S": "SG", "SING": "SG", "SINGULAR": "SG", "P": "PL", "PLUR": "PL"}
 _PERSONS = frozenset({"1", "2", "3"})
@@ -303,17 +305,17 @@ def analyzer_to_gloss(
     gloss_tokens = []
     for token in tokens:
         lemma_text = table.restore_map.get(token.surface, token.surface)
-        morphs = [GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)]
-        _label_tail(token.tags, table, morphs)
-        gloss_tokens.append(GlossToken(tuple(morphs)))
+        lemma = GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)
+        gloss_tokens.append(GlossToken((lemma, *_label_tail(token.tags, table)[0])))
     return GlossLine(tokens=tuple(gloss_tokens))
 
 
 def _label_tail(
-    tags: "Iterable[str]", table: NormalizationTable, morphs: list[GlossMorph]
-) -> list[str]:
-    """Append the label morphs of analyzer ``tags`` to ``morphs`` and return
-    the tags the table lacks, from one lookup per tag."""
+    tags: "Iterable[str]", table: NormalizationTable
+) -> tuple[list[GlossMorph], list[str]]:
+    """The label morphs of analyzer ``tags`` and the tags the table lacks,
+    from one lookup per tag."""
+    morphs: list[GlossMorph] = []
     unknown: list[str] = []
     tag_morphs = table._tag_morphs
     for tag in tags:
@@ -324,7 +326,7 @@ def _label_tail(
         unknown.append(tag)
         first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
         morphs.extend(_label_morphs((tag,), first))
-    return unknown
+    return morphs, unknown
 
 
 def unknown_analyzer_tags(

@@ -167,7 +167,7 @@ def _looks_like_label(text: str, registry: frozenset[str]) -> bool:
 # tails (``.3.SG.NOM``) many times over, so the tokenizer builds and checks
 # each distinct one once per registry and shares the frozen value, and a run
 # maps each distinct word head and tail once.  The memos are bounded.
-_SEGMENT_MEMO_SIZE = _MEMO_SIZE = 1 << 14
+_MEMO_SIZE = 1 << 14
 
 
 class _Memo(dict):
@@ -186,7 +186,7 @@ class _Memo(dict):
         return value
 
 
-@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _segment_morph(delimiter: str, text: str, registry: frozenset[str]) -> GlossMorph:
     # keyed on the delimiter character, not on the Joiner, whose hash is a
     # Python-level function
@@ -194,7 +194,7 @@ def _segment_morph(delimiter: str, text: str, registry: frozenset[str]) -> Gloss
     return GlossMorph(kind, text, _JOINER_BY_CHAR[delimiter])
 
 
-@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _tail_morphs(tail: str, registry: frozenset[str]) -> tuple[GlossMorph, ...]:
     if not tail:
         return ()
@@ -208,15 +208,9 @@ def _split_tail(tail: str) -> str:
     return tail[0] + _SPLIT_RE.sub(r" \1", tail[1:])
 
 
-@lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _punct_token(text: str) -> GlossToken:
     return GlossToken((GlossMorph(MorphKind.LEMMA, text, Joiner.WORD_INITIAL),))
-
-
-def _tokenize_optional(
-    text: "str | None", registry: "frozenset[str] | set[str] | None"
-) -> "GlossLine | None":
-    return None if text is None else tokenize_gloss(text, label_registry=registry)
 
 
 def tokenize_gloss(
@@ -435,13 +429,17 @@ def _toolbox_records(
         if not fields:
             warn(ParseWarning(EMPTY_RECORD, "record has no mapped content", line=start_line))
             continue
+        gloss_src, gloss_tgt = [
+            None if text is None else tokenize_gloss(text, label_registry=label_registry)
+            for text in (fields.get("gloss_src"), fields.get("gloss_tgt"))
+        ]
         try:
             record = IgtRecord(
                 id=f"{id_prefix}-{index:04d}",
                 lang=tag,
                 source_text=fields.get("source"),
-                gloss_src=_tokenize_optional(fields.get("gloss_src"), label_registry),
-                gloss_tgt=_tokenize_optional(fields.get("gloss_tgt"), label_registry),
+                gloss_src=gloss_src,
+                gloss_tgt=gloss_tgt,
                 target_text=fields.get("target"),
             )
         except TokenCountMismatchError as exc:

@@ -96,27 +96,29 @@ class PipelineReport:
     sentences: list[SentenceTrace] = field(default_factory=list)
 
 
+def _substituted(morphs: "Iterable[GlossMorph]", target: "_Memo") -> list[GlossMorph]:
+    """``morphs`` with each lemma made ``target[lemma].head``, or removed for ``None``."""
+    substituted: list[GlossMorph] = []
+    for morph in morphs:
+        if morph.kind is MorphKind.LEMMA:
+            head = target[morph.text].head
+            if head is None:
+                continue
+            if head.text != morph.text:
+                morph = GlossMorph(MorphKind.LEMMA, head.text, morph.joiner)
+        substituted.append(morph)
+    return substituted
+
+
 def _substitute_token(token: GlossToken, target: "_Memo") -> GlossToken:
-    """``token`` with each lemma made ``target[lemma].head``, or removed for ``None``."""
-    morphs: list[GlossMorph] = []
-    kept = 0  # morphs passed through as they are
-    for morph in token.morphs:
-        if morph.kind is not MorphKind.LEMMA:
-            morphs.append(morph)
-            kept += 1
-            continue
-        head = target[morph.text].head
-        if head and head.text == morph.text:
-            morphs.append(morph)
-            kept += 1
-        elif head:
-            morphs.append(GlossMorph(MorphKind.LEMMA, head.text, morph.joiner))
-    if kept == len(token.morphs):
-        return token  # nothing replaced, marked or dropped: the token is its own image
-    if not morphs:
-        return token  # bare OOV lemma under DROP: dropping it would empty the token
-    if morphs[0].joiner is not Joiner.WORD_INITIAL:
-        first = morphs[0]
+    """``token`` with its morphs :func:`_substituted`, the first one left
+    made word-initial; ``token`` itself when nothing changed or every morph
+    was dropped (a bare OOV lemma under DROP would leave no token)."""
+    morphs = _substituted(token.morphs, target)
+    if not morphs or tuple(morphs) == token.morphs:
+        return token
+    first = morphs[0]
+    if first.joiner is not Joiner.WORD_INITIAL:
         morphs[0] = GlossMorph(first.kind, first.text, Joiner.WORD_INITIAL)
     return GlossToken(tuple(morphs))
 
@@ -307,9 +309,7 @@ def _source_lemma(table: NormalizationTable, surface: str) -> _Piece:
 
 
 def _tail(table: NormalizationTable, run: str) -> _Piece:
-    morphs: list[GlossMorph] = []
-    unknown = _label_tail(run.split("+")[1:], table, morphs)
-    return _piece(morphs, unknown)
+    return _piece(*_label_tail(run.split("+")[1:], table))
 
 
 def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _Target:
@@ -362,35 +362,39 @@ def _piecewise(
     ])
 
 
-def _normalized_lines(table: NormalizationTable) -> Callable[[str], str]:
-    """``normalize_gloss_line(tokenize_gloss(line, label_registry=...),
-    table).render()`` as a map of lines."""
-    registry = table.label_registry()
+def _stage_lines(
+    stage: Callable[[Sequence[GlossMorph]], list[GlossMorph]], registry: frozenset[str]
+) -> Callable[[str], str]:
+    """A map of gloss lines, tokenized with ``registry``, through ``stage``:
+    each distinct head's morph and tail's morphs pass through it once per
+    run, and a head whose morphs all go is dropped."""
+
+    def head(text: str) -> "_Piece | None":
+        morphs = stage([_segment_morph("", text, registry)])
+        return _piece(morphs) if morphs else None
+
+    return _piecewise(_gloss_words, head, lambda tail: _piece(stage(_tail_morphs(tail, registry))))
+
+
+def _glossed_lines(table: NormalizationTable) -> Callable[[str], str]:
+    """``analyzer_to_gloss(parse_analyzer_line(line), table).render()`` as a
+    map of lines."""
     return _piecewise(
-        _gloss_words,
-        lambda head: _piece(_normalized([_segment_morph("", head, registry)], table)),
-        lambda tail: _piece(_normalized(_tail_morphs(tail, registry), table)),
+        _analyzer_words, lambda surface: _source_lemma(table, surface), lambda run: _tail(table, run)
     )
 
 
-_PLACEHOLDER = GlossMorph(MorphKind.LABEL, "_", Joiner.WORD_INITIAL)  # heads a tail's token
+def _normalized_lines(table: NormalizationTable) -> Callable[[str], str]:
+    """``normalize_gloss_line(tokenize_gloss(line, label_registry=...),
+    table).render()`` as a map of lines."""
+    return _stage_lines(lambda morphs: _normalized(morphs, table), table.label_registry())
 
 
 def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Callable[[str], str]:
     """``substitute_lemmas(tokenize_gloss(line), ...).render()`` as a map of
-    lines, each distinct lemma looked up once.  A head lemma is mapped by
-    its target, a tail by :func:`_substitute_token`'s token rules."""
-    target, registry = _Memo(_target, dictionary, oov_policy), default_label_registry()
-
-    def head(text: str) -> "_Piece | None":
-        morph = _segment_morph("", text, registry)
-        return target[text].head if morph.kind is MorphKind.LEMMA else _piece((morph,))
-
-    def tail(text: str) -> _Piece:
-        token = GlossToken((_PLACEHOLDER, *_tail_morphs(text, registry)))
-        return _piece(_substitute_token(token, target).morphs[1:])
-
-    return _piecewise(_gloss_words, head, tail)
+    lines, each distinct lemma looked up once."""
+    target = _Memo(_target, dictionary, oov_policy)
+    return _stage_lines(lambda morphs: _substituted(morphs, target), default_label_registry())
 
 
 def _stages(

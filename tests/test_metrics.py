@@ -457,6 +457,8 @@ def test_custom_lexicon_merges_over_defaults():
         ("s1\ttense=PLUPERFECT", "annotation line 1: bad tense 'PLUPERFECT'"),
         ("s1\tmystery=1", "annotation line 1: unknown field 'mystery'"),
         ("# c\ns1\tnoequals", "annotation line 2: field without '=': 'noequals'"),
+        ("s1\tnouns=a\ns2\tnouns=a\tverbs=b\tNouns=b",
+         "annotation line 2: duplicate field 'nouns'"),
     ],
 )
 def test_annotation_errors_carry_a_code_and_the_line(text, message):
@@ -475,6 +477,35 @@ def test_lexicon_errors_carry_a_code_and_the_line():
     assert info.value.code == "LEXICON_PARSE_ERROR"
     assert info.value.line == 2
     assert str(info.value) == "lexicon line 2: expected lemma<TAB>past"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("go\twent\ngo\twent\tgone\tgoes\tx\n",
+         "lexicon line 2: expected lemma<TAB>past[<TAB>participle[<TAB>3sg]], got 5 fields"),
+        ("go\twent\n \twalked\n", "lexicon line 2: empty lemma"),
+        ("# c\nwalk\t \tx\n", "lexicon line 2: empty past form"),
+        ("run\tra n\n", "lexicon line 1: form 'ra n' contains whitespace"),
+        ("run\tran\trun\tru ns\n", "lexicon line 1: form 'ru ns' contains whitespace"),
+        ("frob\tfrobbed\n\nFrob\tfrobt\n",
+         "lexicon line 3: lemma 'Frob' (lowercased) already given on line 1"),
+    ],
+    ids=["five-fields", "empty-lemma", "empty-past", "spaced-past", "spaced-3sg", "repeated-lemma"],
+)
+def test_lexicon_rejects_a_bad_row_with_its_line(text, message):
+    with pytest.raises(LexiconParseError) as info:
+        load_lexicon(text)
+    assert info.value.code == "LEXICON_PARSE_ERROR"
+    assert info.value.line == int(message.split()[2].rstrip(":"))
+    assert str(info.value) == message
+
+
+def test_lexicon_empty_participle_or_3sg_field_means_none():
+    lexicon = load_lexicon("frob\tfrobbed\t\tfrobz\nkwob\tkwobbed\t \t\n")
+    assert lexicon.past_forms("frob") == {"frobbed"}
+    assert lexicon.past_forms("kwob") == {"kwobbed"}
+    assert (lexicon.third_sg("frob"), lexicon.third_sg("kwob")) == ("frobz", "kwobs")
 
 
 def test_summary_line_lists_the_report_rows_in_order():

@@ -29,11 +29,13 @@ from igtpivot import (
     TranslatorKind,
     TranslatorSpawnFailureError,
     TranslatorTimeoutError,
+    analyzer_to_gloss,
     baseline_detokenize,
     default_table,
     iter_pipeline,
     load_dictionary,
     loads_table,
+    normalize_gloss_line,
     oov_lemmas,
     parse_analyzer_line,
     prepare_multilingual,
@@ -42,7 +44,7 @@ from igtpivot import (
     tokenize_gloss,
     translate,
 )
-from igtpivot.pipeline import _substituted_lines, format_report
+from igtpivot.pipeline import _glossed_lines, _normalized_lines, _substituted_lines, format_report
 
 from gen_helpers import random_analyzer_corpus, random_record
 from golden_data import (
@@ -590,6 +592,34 @@ def test_pipeline_builds_no_gloss_line_or_token_and_no_morph_per_occurrence(monk
     built.clear()
     _pivot(lines * 3, PIECES_TABLE, PIECES_DICTIONARY, BASELINE, OovPolicy.KEEP, False)
     assert len(built) == once > 0
+
+
+def test_line_maps_build_no_gloss_line_or_token(monkeypatch):
+    # heads and tails that substitution replaces, keeps, marks or drops
+    glosses = ["Kadin-PST ev=ev 3SG-see x!?. , dot-Past.3sg", "zork=kadin-NOM ev-zork zork ."]
+    analyzer = [line for line in PIECES_TEXT.split("\n") if line.strip()]
+    registry = PIECES_TABLE.label_registry()
+    expected = [
+        [analyzer_to_gloss(parse_analyzer_line(line), PIECES_TABLE).render() for line in analyzer],
+        [
+            normalize_gloss_line(tokenize_gloss(line, label_registry=registry), PIECES_TABLE).render()
+            for line in glosses
+        ],
+        *(
+            [substitute_lemmas(tokenize_gloss(line), PIECES_DICTIONARY, policy).render()
+             for line in glosses]
+            for policy in OovPolicy
+        ),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gloss line or token was built")
+
+    monkeypatch.setattr(GlossLine, "__init__", refuse)
+    monkeypatch.setattr(GlossToken, "__post_init__", refuse)
+    maps = [(_glossed_lines(PIECES_TABLE), analyzer), (_normalized_lines(PIECES_TABLE), glosses)]
+    maps += [(_substituted_lines(PIECES_DICTIONARY, policy), glosses) for policy in OovPolicy]
+    assert [[convert(line) for line in lines] for convert, lines in maps] == expected
 
 
 def test_pipeline_outputs_do_not_depend_on_the_memo_bound(monkeypatch):

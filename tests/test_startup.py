@@ -65,6 +65,12 @@ def test_building_the_parser_loads_only_the_cli_errors_and_model(preloaded):
     assert _loaded(code) - preloaded == _package(*CLI)
 
 
+def test_importing_normalize_loads_no_parsing():
+    # normalize names the analyzer token only in annotations; the tokenizer
+    # imports normalize for the default labels, not the other way round
+    assert "igtpivot.parsing" not in _loaded("import igtpivot.normalize\n")
+
+
 INPUTS = {
     "igt.txt": "ev-ler\nhouse-PL\nhouses\n",
     "toolbox.txt": "\\t ev-ler\n\\g house-PL\n\\f houses\n",
