@@ -164,6 +164,15 @@ def _check_threshold(threshold: float) -> None:
         raise _CliError(f"--threshold must be a probability in [0, 1], got {threshold}")
 
 
+def _check_id_prefix(prefix: str) -> None:
+    # every record id a parser writes starts with it, and a command-line byte
+    # that is not UTF-8 reaches Python as a lone surrogate no output can hold
+    try:
+        prefix.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _CliError(f"--id-prefix {prefix!r} is not UTF-8 text") from exc
+
+
 _OOV_BY_NAME = {p.value: p for p in OovPolicy}
 
 
@@ -174,6 +183,7 @@ def _cmd_parse_odin(args: argparse.Namespace) -> int:
     from . import parsing as parsing_mod
 
     lang = model_mod.as_language_tag(args.lang)
+    _check_id_prefix(args.id_prefix)
     blocks = parsing_mod._odin_blocks(_iter_lines(args.infile), _warn)
     _write_lines(args.outfile, parsing_mod._corpus_lines(blocks, lang, args.id_prefix))
     return 0
@@ -183,12 +193,15 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
     from . import parsing as parsing_mod
 
     lang = model_mod.as_language_tag(args.lang)
+    _check_id_prefix(args.id_prefix)
     field_map = {}  # empty: the default map
     for entry in args.map.split(",") if args.map else ():
         marker, sep, role = entry.partition("=")
         if not sep:
             raise _CliError(f"bad --map entry {entry!r} (expected marker=role)")
         marker, role = marker.strip().lstrip("\\"), role.strip()
+        if not marker:
+            raise _CliError(f"bad --map entry {entry!r} (empty marker)")
         if role not in parsing_mod._TOOLBOX_ROLES:
             roles = ", ".join(sorted(parsing_mod._TOOLBOX_ROLES))
             raise _CliError(f"bad --map entry {entry!r} (role {role!r} is not one of {roles})")
@@ -197,8 +210,7 @@ def _cmd_parse_toolbox(args: argparse.Namespace) -> int:
         field_map[marker] = role
     fmap = parsing_mod._normalize_field_map(field_map)
     lines = _iter_lines(args.infile)
-    records = parsing_mod._toolbox_records(lines, fmap, lang, args.id_prefix, _warn)
-    _write_lines(args.outfile, map(model_mod.serialize_record, records))
+    _write_lines(args.outfile, parsing_mod._toolbox_lines(lines, fmap, lang, args.id_prefix, _warn))
     return 0
 
 
@@ -223,13 +235,15 @@ def _cmd_split(args: argparse.Namespace) -> int:
         raise _CliError(f"bad --ratios {args.ratios!r}") from exc
     if len(parts) != 3:
         raise _CliError("--ratios needs exactly three comma-separated numbers")
-    records = model_mod.load_corpus(_read(args.infile))
-    split = model_mod.split_corpus(records, parts, seed=args.seed)
-    _write(args.train_out, model_mod.dump_corpus(split.train))
-    _write(args.valid_out, model_mod.dump_corpus(split.validation))
-    _write(args.test_out, model_mod.dump_corpus(split.test))
+    from .parsing import _canonical_line
+
+    lines = list(model_mod._read_corpus(_iter_lines(args.infile), _canonical_line))
+    split = model_mod.split_corpus(lines, parts, seed=args.seed)
+    _write_lines(args.train_out, split.train)
+    _write_lines(args.valid_out, split.validation)
+    _write_lines(args.test_out, split.test)
     print(
-        f"igt: split {len(records)} records into "
+        f"igt: split {len(lines)} records into "
         f"{len(split.train)}/{len(split.validation)}/{len(split.test)}",
         file=sys.stderr,
     )

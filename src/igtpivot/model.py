@@ -18,6 +18,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import (
@@ -373,10 +374,15 @@ def parse_record(line: str) -> IgtRecord:
     Raises :class:`MalformedRecordError` carrying the byte offset of the
     offending field and its name.
     """
+    return _parse_record(line, None)
+
+
+def _parse_record(line: str, label_registry: "frozenset[str] | set[str] | None") -> IgtRecord:
+    """:func:`parse_record`, its glosses tokenized with ``label_registry``."""
     from .parsing import tokenize_gloss  # local import: parsing builds on model
 
     values, lang, gloss_src, gloss_tgt = _read_record(
-        line, tokenize_gloss, lambda gloss: len(gloss.tokens)
+        line, partial(tokenize_gloss, label_registry=label_registry), lambda g: len(g.tokens)
     )
     return IgtRecord(
         id=values["id"],

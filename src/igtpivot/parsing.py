@@ -36,6 +36,7 @@ from .model import (
     LanguageTag,
     MorphKind,
     _check_token_counts,
+    _parse_record,
     _read_corpus,
     _read_record,
     _record_line,
@@ -295,35 +296,25 @@ def block_to_record(
     line may tokenize differently (clitics, merged words).  A block's error
     has its ``start_line``, when that is set, as ``line``.
     """
-    tag = as_language_tag(lang)
+    return _parse_record(_block_line(block, as_language_tag(lang), record_id), label_registry)
+
+
+def _block_line(block: RawIgtBlock, lang: LanguageTag, record_id: str) -> str:
+    """:func:`block_to_record`'s corpus line, made from gloss words."""
     source, *texts, target = block.lines
-    glosses = [tokenize_gloss(text, label_registry=label_registry) for text in texts]
+    words = [_gloss_word_list(text, _word_cores) for text in texts]
     # a 3-line block's one gloss is checked against itself
-    _check_token_counts(len(glosses[0].tokens), len(glosses[-1].tokens), line=block.start_line)
-    return IgtRecord(
-        id=record_id,
-        lang=tag,
-        source_text=source,
-        gloss_src=glosses[0] if len(glosses) == 2 else None,
-        gloss_tgt=glosses[-1],
-        target_text=target,
-    )
+    _check_token_counts(len(words[0]), len(words[-1]), line=block.start_line)
+    gloss_src = _joined(words[0]) if len(words) == 2 else None
+    return _record_line((record_id, lang.code, source, gloss_src, _joined(words[-1]), target, None))
 
 
 def _corpus_lines(
     blocks: Iterable[RawIgtBlock], lang: LanguageTag, id_prefix: str
 ) -> Iterator[str]:
-    """``serialize_record(block_to_record(block, lang, f"{id_prefix}-{i:04d}"))``
-    of the ``i``-th block, counted from 1, made from gloss words."""
+    """Each block's corpus line, the ``i``-th's id ``f"{id_prefix}-{i:04d}"``."""
     for index, block in enumerate(blocks, start=1):
-        source, *texts, target = block.lines
-        words = [_gloss_word_list(text, _word_cores) for text in texts]
-        _check_token_counts(len(words[0]), len(words[-1]), line=block.start_line)  # as above
-        gloss_src = _joined(words[0]) if len(words) == 2 else None
-        gloss_tgt = _joined(words[-1])
-        yield _record_line(
-            (f"{id_prefix}-{index:04d}", lang.code, source, gloss_src, gloss_tgt, target, None)
-        )
+        yield _block_line(block, lang, f"{id_prefix}-{index:04d}")
 
 
 # --- ToolBox backslash-coded files -------------------------------------------
@@ -337,13 +328,16 @@ _MARKER_RE = re.compile(r"^\\(\S+)\s*(.*)$")
 
 def _normalize_field_map(field_map: "dict[str, str] | None") -> dict[str, str]:
     """``field_map`` (the default map if empty) keyed by markers without
-    their backslash; an unknown role or a marker given twice (``\\t`` and
-    ``t``) raises :class:`BadFieldRoleError`."""
+    their backslash; an unknown role, an empty marker, which no line can
+    have, or a marker given twice (``\\t`` and ``t``) raises
+    :class:`BadFieldRoleError`."""
     normalized = {}
     for marker, role in (field_map or DEFAULT_TOOLBOX_MAP).items():
         if role not in _TOOLBOX_ROLES:
             raise BadFieldRoleError(f"unknown ToolBox field role {role!r} for marker {marker!r}")
         key = marker.lstrip("\\")
+        if not key:
+            raise BadFieldRoleError(f"empty ToolBox marker {marker!r} for role {role!r}")
         if key in normalized:
             raise BadFieldRoleError(f"ToolBox marker \\{key} is mapped twice")
         normalized[key] = role
@@ -376,9 +370,8 @@ def parse_toolbox(
     fmap = _normalize_field_map(field_map)
     tag = as_language_tag(lang)
     warnings: list[ParseWarning] = []
-    lines = split_lines(text)
-    records = _toolbox_records(lines, fmap, tag, id_prefix, warnings.append, label_registry)
-    return list(records), warnings
+    lines = _toolbox_lines(split_lines(text), fmap, tag, id_prefix, warnings.append)
+    return [_parse_record(line, label_registry) for line in lines], warnings
 
 
 def _toolbox_chunks(lines: Iterable[str], warn: _Warn) -> Iterator[list[tuple[str, str, int]]]:
@@ -409,12 +402,11 @@ def _toolbox_chunks(lines: Iterable[str], warn: _Warn) -> Iterator[list[tuple[st
         yield current
 
 
-def _toolbox_records(
-    lines: Iterable[str], fmap: dict[str, str], tag: LanguageTag, id_prefix: str,
-    warn: _Warn, label_registry: "frozenset[str] | set[str] | None" = None,
-) -> Iterator[IgtRecord]:
-    """:func:`parse_toolbox`'s records one at a time, each warning passed to
-    ``warn`` as it is met.  A skipped record still uses up its id number."""
+def _toolbox_lines(
+    lines: Iterable[str], fmap: dict[str, str], tag: LanguageTag, id_prefix: str, warn: _Warn
+) -> Iterator[str]:
+    """:func:`parse_toolbox`'s records one at a time as corpus lines, each warning
+    passed to ``warn`` as it is met.  A skipped record still uses up its id number."""
     for index, chunk in enumerate(_toolbox_chunks(lines, warn), start=1):
         fields: dict[str, str] = {}
         start_line = chunk[0][2]
@@ -429,23 +421,17 @@ def _toolbox_records(
         if not fields:
             warn(ParseWarning(EMPTY_RECORD, "record has no mapped content", line=start_line))
             continue
-        gloss_src, gloss_tgt = [
-            None if text is None else tokenize_gloss(text, label_registry=label_registry)
-            for text in (fields.get("gloss_src"), fields.get("gloss_tgt"))
-        ]
-        try:
-            record = IgtRecord(
-                id=f"{id_prefix}-{index:04d}",
-                lang=tag,
-                source_text=fields.get("source"),
-                gloss_src=gloss_src,
-                gloss_tgt=gloss_tgt,
-                target_text=fields.get("target"),
-            )
+        glosses = fields.get("gloss_src"), fields.get("gloss_tgt")
+        src, tgt = [text and _gloss_word_list(text, _word_cores) for text in glosses]
+        try:  # a lone gloss is checked against itself
+            _check_token_counts(len(src or tgt or ()), len(tgt or src or ()))
         except TokenCountMismatchError as exc:
             warn(ParseWarning(TOKEN_COUNT_MISMATCH, str(exc), line=start_line))
             continue
-        yield record
+        yield _record_line((
+            f"{id_prefix}-{index:04d}", tag.code, fields.get("source"), src and _joined(src),
+            tgt and _joined(tgt), fields.get("target"), None,
+        ))
 
 
 # --- morphological analyzer output -------------------------------------------
@@ -490,7 +476,16 @@ def _analyzer_words(line: str) -> list[tuple[str, str]]:
     return words
 
 
-# --- multilingual training pairs ---------------------------------------------
+# --- corpus lines and multilingual training pairs ----------------------------
+
+
+def _canonical_line(line: str) -> str:
+    """``serialize_record(parse_record(line))``, made from gloss words."""
+    values, lang, src, tgt = _read_record(line, partial(_gloss_word_list, reader=_word_cores), len)
+    return _record_line((
+        values["id"], lang.code, values.get("src"), src and _joined(src), tgt and _joined(tgt),
+        values.get("tgt"), values.get("prov") or None,
+    ))
 
 
 def _skipped(record_id: str) -> ParseWarning:

@@ -67,10 +67,13 @@ class TranslatorHandle:
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.kind is TranslatorKind.EXTERNAL and not (self.command or "").strip():
-            raise BadTranslatorError("EXTERNAL translator requires a non-empty command")
         if not self.timeout > 0:  # nan too, which would wait forever
             raise BadTranslatorError(f"timeout must be positive seconds, got {self.timeout}")
+        if self.kind is TranslatorKind.EXTERNAL and not (self.command or "").strip():
+            raise BadTranslatorError("EXTERNAL translator requires a non-empty command")
+        if self.kind is not TranslatorKind.EXTERNAL and self.command is not None:
+            message = f"the {self.kind.value} translator runs no command, got {self.command!r}"
+            raise BadTranslatorError(message)
 
 
 @dataclass(frozen=True)

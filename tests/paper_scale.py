@@ -5,7 +5,8 @@ generates the seed-7 ``corpus`` inputs of ``perfbench/gen.py`` (3,000 IGT
 records) and writes them once (x1) and 23 times over (x23, 69,000 records),
 as ODIN blocks and as a ToolBox file headed by ToolBox's ``\\_sh`` line.  It
 runs ``igt parse-odin``, ``igt parse-toolbox`` and ``igt prepare-multi`` on
-each size as its own children.  It also generates the seed-7 ``pivot``
+each size as its own children, and ``igt split`` on the corpus lines that
+``parse-odin`` wrote.  It also generates the seed-7 ``pivot``
 inputs (5,000 analyzer lines) and runs ``igt pivot --translator baseline
 --report``, ``igt parse-analyzer``, and ``igt subst`` and ``igt normalize``
 (on what ``parse-analyzer`` wrote) on them once (x1) and 14 times over
@@ -15,11 +16,13 @@ the same records, that ``prepare-multi``'s two files have as many lines,
 that no corpus or stage command warns, that
 ``parse-analyzer`` writes the ``gloss_src:`` lines of ``pivot``'s report,
 and that ``pivot`` writes nothing to stderr but its one-line summary, whose
-counts grow 14-fold.  Model 1 training revisits the corpus, so ``igt align
---iters 5`` on the seed-7 sentence pairs cannot be flat: it runs on the
-pairs once (x1, 3,000 pairs) and 10 times over (x10, 30,000 pairs), and
-fails if its cost per pair, the growth of its peak over the 27,000 added
-pairs, is above a bound.
+counts grow 14-fold.  Two commands hold their whole input, so they cannot be
+flat, and each fails if its cost per item, the growth of its peak over the
+items added, is above a bound: ``split`` shuffles every record, and is
+checked over the 66,000 records added from x1 to x23, and Model 1 training
+revisits the corpus, so ``igt align --iters 5`` runs on the seed-7 sentence
+pairs once (x1, 3,000 pairs) and 10 times over (x10, 30,000 pairs).
+``split`` must also write every record once and say so on stderr.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -54,6 +57,10 @@ ALIGN_TIMES = 10
 # 1.41 to 1.66 KB while EM kept one dict per source word and the corpus a
 # str per token
 ALIGN_BOUND_KB = 1.1
+# split's peak RSS growth per added record, each a corpus line of about
+# 0.37 KB that split holds as one str: 0.44 KB measured under CPython 3.11,
+# and 3.1 KB while split parsed every line into an IgtRecord
+SPLIT_BOUND_KB = 0.6
 CHILD_TIMEOUT = 300.0  # seconds for one command
 TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
 TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
@@ -127,8 +134,11 @@ def count_lines(path: str) -> int:
         return sum(1 for _ in handle)
 
 
-def run_size(generated: str, work: str, times: int) -> dict[str, float]:
-    """Each command's peak RSS in MB on the inputs written ``times`` times over."""
+def run_size(
+    generated: str, work: str, times: int
+) -> tuple[dict[str, float], tuple[int, float]]:
+    """Each streaming command's peak RSS in MB on the inputs written ``times``
+    times over, and the number of records and ``igt split``'s peak in MB."""
     odin, toolbox = write_inputs(os.path.join(generated, "blocks.txt"), work, times)
     corpus = os.path.join(work, f"corpus.x{times}.igt")
     from_toolbox = os.path.join(work, f"toolbox.x{times}.igt")
@@ -156,8 +166,17 @@ def run_size(generated: str, work: str, times: int) -> dict[str, float]:
     n_src, n_tgt = (count_lines(os.path.join(work, f"multi.x{times}.{side}")) for side in ("src", "tgt"))
     if n_src != n_tgt:
         raise SystemExit(f"prepare-multi wrote {n_src} source and {n_tgt} target lines at x{times}")
+    parts = [os.path.join(work, f"split.x{times}.{part}") for part in ("train", "valid", "test")]
+    argv = [*igt, "split", "--in", corpus, "--train-out", parts[0], "--valid-out", parts[1],
+            "--test-out", parts[2]]
+    split_peak, message = peak_mb(argv, stderr_path)
+    sizes = [count_lines(path) for path in parts]
+    if sum(sizes) != n_records or message != (
+        f"igt: split {n_records} records into {'/'.join(map(str, sizes))}\n"
+    ):
+        raise SystemExit(f"split wrote {sizes} lines of {n_records} records at x{times}:\n{message}")
     print(f"x{times}: {n_records} records")
-    return peaks
+    return peaks, (n_records, split_peak)
 
 
 def run_pivot(generated: str, work: str, times: int) -> tuple[dict[str, float], tuple[int, int]]:
@@ -248,7 +267,9 @@ def main() -> int:
              "--seed", str(SEED), "--out", generated],
             check=True, stdout=subprocess.DEVNULL,
         )
-        once, scaled = run_size(generated, work, 1), run_size(generated, work, TIMES)
+        (once, split_once), (scaled, split_scaled) = (
+            run_size(generated, work, 1), run_size(generated, work, TIMES)
+        )
         pivot_generated = os.path.join(work, "gen-pivot")
         subprocess.run(
             [sys.executable, os.path.join(ROOT, "perfbench", "gen.py"), "--workload", "pivot",
@@ -274,15 +295,18 @@ def main() -> int:
             failures.append(f"{command} grew {ratio:.3f}x from x1 to x{times} (bound {BOUND}x)")
         if min(small, large) <= own:
             failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
-    (pairs_once, small), (pairs_scaled, large) = align_once, align_scaled
-    per_pair_kb = (large - small) * 1024.0 / (pairs_scaled - pairs_once)
-    print(f"{'align':14} x1 {small:6.1f} MB   x{ALIGN_TIMES} {large:6.1f} MB   "
-          f"{per_pair_kb:.2f} KB per pair")
-    if per_pair_kb > ALIGN_BOUND_KB:
-        failures.append(f"align grew {per_pair_kb:.2f} KB per pair from x1 to x{ALIGN_TIMES} "
-                        f"(bound {ALIGN_BOUND_KB} KB)")
-    if small <= own:
-        failures.append(f"align's figure may be this script's own peak, {own:.1f} MB")
+    for command, item, (n_once, small), (n_scaled, large), times, bound in (
+        ("split", "record", split_once, split_scaled, TIMES, SPLIT_BOUND_KB),
+        ("align", "pair", align_once, align_scaled, ALIGN_TIMES, ALIGN_BOUND_KB),
+    ):
+        per_item_kb = (large - small) * 1024.0 / (n_scaled - n_once)
+        print(f"{command:14} x1 {small:6.1f} MB   x{times} {large:6.1f} MB   "
+              f"{per_item_kb:.2f} KB per {item}")
+        if per_item_kb > bound:
+            failures.append(f"{command} grew {per_item_kb:.2f} KB per {item} from x1 to x{times} "
+                            f"(bound {bound} KB)")
+        if small <= own:
+            failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

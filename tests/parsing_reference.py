@@ -3,7 +3,15 @@ generators: each reads the whole text, builds every block or chunk first,
 and collects its warnings in a list.  Kept as the reference the streaming
 parsers are differential-tested against; built from public names only.  Also
 keeps ``parse_analyzer_line`` as it was before it split each token into a
-surface and a tag run string that ``iter_pipeline`` reads too."""
+surface and a tag run string that ``iter_pipeline`` reads too.
+
+``reference_block_to_record`` and ``reference_toolbox_records`` are
+``block_to_record`` and the streaming ToolBox reader as they were while
+each built its records itself, tokenizing each gloss line and constructing
+an ``IgtRecord``, before both came to write corpus lines from gloss words:
+the reference ``igt parse-odin`` and ``igt parse-toolbox`` are checked
+against.  They use the private record-count check and ToolBox chunk reader,
+which that change left as they were."""
 
 import re
 
@@ -16,7 +24,9 @@ from igtpivot import (
     TokenCountMismatchError,
     tokenize_gloss,
 )
-from igtpivot.model import PUNCT_CHARS, as_language_tag, is_punct, split_lines
+from igtpivot.errors import EMPTY_RECORD, TOKEN_COUNT_MISMATCH, UNKNOWN_MARKER
+from igtpivot.model import PUNCT_CHARS, _check_token_counts, as_language_tag, is_punct, split_lines
+from igtpivot.parsing import _toolbox_chunks
 
 TOOLBOX_ROLES = frozenset({"source", "gloss_src", "gloss_tgt", "target", "ignore"})
 DEFAULT_TOOLBOX_MAP = {"t": "source", "m": "ignore", "g": "gloss_tgt", "f": "target"}
@@ -150,3 +160,53 @@ def reference_parse_analyzer_line(line):
         if trailing:
             tokens.append(AnalyzerToken(trailing))
     return tokens
+
+
+def reference_block_to_record(block, lang, record_id="", *, label_registry=None):
+    tag = as_language_tag(lang)
+    source, *texts, target = block.lines
+    glosses = [tokenize_gloss(text, label_registry=label_registry) for text in texts]
+    # a 3-line block's one gloss is checked against itself
+    _check_token_counts(len(glosses[0].tokens), len(glosses[-1].tokens), line=block.start_line)
+    return IgtRecord(
+        id=record_id,
+        lang=tag,
+        source_text=source,
+        gloss_src=glosses[0] if len(glosses) == 2 else None,
+        gloss_tgt=glosses[-1],
+        target_text=target,
+    )
+
+
+def reference_toolbox_records(lines, fmap, tag, id_prefix, warn, label_registry=None):
+    for index, chunk in enumerate(_toolbox_chunks(lines, warn), start=1):
+        fields = {}
+        start_line = chunk[0][2]
+        for marker, content, lineno in chunk:
+            role = fmap.get(marker)
+            if role is None:
+                warn(ParseWarning(UNKNOWN_MARKER, f"marker \\{marker} has no mapping", line=lineno))
+                continue
+            if role == "ignore" or not content:
+                continue
+            fields[role] = f"{fields[role]} {content}".strip() if role in fields else content
+        if not fields:
+            warn(ParseWarning(EMPTY_RECORD, "record has no mapped content", line=start_line))
+            continue
+        gloss_src, gloss_tgt = [
+            None if text is None else tokenize_gloss(text, label_registry=label_registry)
+            for text in (fields.get("gloss_src"), fields.get("gloss_tgt"))
+        ]
+        try:
+            record = IgtRecord(
+                id=f"{id_prefix}-{index:04d}",
+                lang=tag,
+                source_text=fields.get("source"),
+                gloss_src=gloss_src,
+                gloss_tgt=gloss_tgt,
+                target_text=fields.get("target"),
+            )
+        except TokenCountMismatchError as exc:
+            warn(ParseWarning(TOKEN_COUNT_MISMATCH, str(exc), line=start_line))
+            continue
+        yield record

@@ -224,6 +224,29 @@ def test_parse_toolbox_rejects_a_marker_mapped_twice_before_reading_input(tmp_pa
     )
 
 
+@pytest.mark.parametrize("entry", ["=source", "\\=target"])
+def test_parse_toolbox_rejects_an_empty_marker_before_reading_input(tmp_path, capsys, entry):
+    # no ToolBox line has an empty marker, so the mapping could only be ignored
+    argv = ["parse-toolbox", "--in", str(tmp_path / "nope.txt"), "--lang", "arp", "--map", entry]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"igt: CLI_ERROR: bad --map entry {entry!r} (empty marker)\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("parse-odin", "ev-ler\nhouse-PL\nhouses\n"),
+    ("parse-toolbox", "\\t ev-ler\n\\g house-PL\n\\f houses\n"),
+])
+def test_parse_commands_reject_an_id_prefix_that_is_not_utf8(tmp_path, capsys, command, text):
+    # a command-line argument holding the byte 0xff reaches Python as the
+    # lone surrogate U+DCFF, which no UTF-8 output can hold
+    out = tmp_path / "corpus.igt"
+    argv = [command, "--in", write(tmp_path / "in.txt", text), "--lang", "tur",
+            "--id-prefix", "\udcff", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "igt: CLI_ERROR: --id-prefix '\\udcff' is not UTF-8 text\n"
+    assert not out.exists()
+
+
 # --- pivot and eval --------------------------------------------------------------------------
 
 

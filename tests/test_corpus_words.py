@@ -1,6 +1,9 @@
-"""``igt parse-odin`` and ``igt prepare-multi`` write corpus lines and
-training pairs from gloss words, building no gloss or record object.  They
-must do what the record path does (``serialize_record(block_to_record(...))``
+"""``igt parse-odin``, ``igt parse-toolbox``, ``igt split`` and ``igt
+prepare-multi`` write corpus lines and training pairs from gloss words,
+building no gloss or record object.  They must do what the record path does
+(``serialize_record`` of each record that ``block_to_record`` and the ToolBox
+reader built while they tokenized each gloss and constructed the record
+themselves, ``dump_corpus`` of the parts of ``split_corpus(load_corpus(...))``,
 and ``_training_pairs(iter_corpus(...))``): the same stdout, files, stderr
 and exit code, warnings and errors with their lines included.  The one
 difference is that ``prepare-multi`` rejects a target that would not stay
@@ -23,21 +26,28 @@ from igtpivot import (
     IgtRecord,
     LanguageTag,
     MalformedRecordError,
-    block_to_record,
     dump_corpus,
     iter_corpus,
     load_corpus,
     serialize_record,
+    split_corpus,
 )
 from igtpivot import parsing
 from igtpivot.cli import main
 from igtpivot.model import _escape, split_lines
 from igtpivot.pipeline import _training_pairs
 
+from parsing_reference import reference_block_to_record, reference_toolbox_records
+
 
 def reference_corpus_lines(blocks, lang, id_prefix):
     for index, block in enumerate(blocks, start=1):
-        yield serialize_record(block_to_record(block, lang, record_id=f"{id_prefix}-{index:04d}"))
+        record = reference_block_to_record(block, lang, record_id=f"{id_prefix}-{index:04d}")
+        yield serialize_record(record)
+
+
+def reference_toolbox_lines(lines, fmap, tag, id_prefix, warn):
+    return map(serialize_record, reference_toolbox_records(lines, fmap, tag, id_prefix, warn))
 
 
 def reference_pairs(lines, split_morphs, warn):
@@ -65,8 +75,12 @@ def run(command, text, *flags):
         infile = os.path.join(work, "in.txt")
         with open(infile, "wb") as handle:
             handle.write(text.encode("utf-8"))
-        if command == "parse-odin":
-            argv, outputs = ["parse-odin", "--in", infile, "--lang", "tur"], []
+        if command in ("parse-odin", "parse-toolbox"):
+            argv, outputs = [command, "--in", infile, "--lang", "tur"], []
+        elif command == "split":
+            outputs = [os.path.join(work, name) for name in ("train", "valid", "test")]
+            argv = ["split", "--in", infile, "--train-out", outputs[0], "--valid-out", outputs[1],
+                    "--test-out", outputs[2]]
         else:
             outputs = [os.path.join(work, name) for name in ("m.src", "m.tgt")]
             argv = ["prepare-multi", "--in", infile, "--src-out", outputs[0], "--tgt-out", outputs[1]]
@@ -87,6 +101,8 @@ def run_reference(command, text, *flags):
     """:func:`run` with the record path in place of the gloss-word path."""
     if command == "parse-odin":
         patch = mock.patch.object(parsing, "_corpus_lines", reference_corpus_lines)
+    elif command == "parse-toolbox":
+        patch = mock.patch.object(parsing, "_toolbox_lines", reference_toolbox_lines)
     else:
         patch = mock.patch.object(parsing, "_corpus_pairs", reference_pairs)
     with patch:
@@ -191,6 +207,55 @@ def test_parse_odin_matches_the_record_path(text):
     assert run("parse-odin", text) == run_reference("parse-odin", text)
 
 
+_TOOLBOX_MAP = "t=source,m=gloss_src,g=gloss_tgt,f=target"
+
+
+@st.composite
+def toolbox_text(draw):
+    """ToolBox lines: records whose glosses may differ in count, and among
+    them unknown markers, empty fields, continuation lines, headers and
+    blank lines; lines before the first marker are orphans."""
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        gloss = draw(_gloss)
+        other = draw(st.one_of(st.just(_same_count(gloss)), _gloss))
+        fields = [("t", draw(_text)), ("m", other), ("g", gloss), ("f", draw(_text))]
+        record = [f"\\{marker} {content}" for marker, content in draw(st.permutations(fields))]
+        for _ in range(draw(st.integers(0, 3))):
+            extra = draw(st.one_of(
+                st.sampled_from(["", "\\zz mystery", "\\g", "\\_sh v3.0 400 Text", "\\m  "]),
+                _gloss,  # a continuation line, or an orphan before the first marker
+            ))
+            record.insert(draw(st.integers(0, len(record))), extra)
+        lines.extend(record)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toolbox_text(), st.booleans())
+def test_parse_toolbox_matches_the_record_path(text, mapped):
+    flags = ["--map", _TOOLBOX_MAP] if mapped else []
+    assert run("parse-toolbox", text, *flags) == run_reference("parse-toolbox", text, *flags)
+
+
+_RATIOS = ["0.8,0.1,0.1", "0.5,0.25,0.25", "1,0,0", "0,0,1", "0.34,0.33,0.33"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_text(), st.sampled_from(_RATIOS), st.integers(0, 20))
+def test_split_writes_the_parts_of_split_corpus_of_load_corpus(text, ratios, seed):
+    result = run("split", text, "--ratios", ratios, "--seed", str(seed))
+    try:
+        records = load_corpus(text)
+    except MalformedRecordError as exc:
+        assert result == (1, "", f"igt: MALFORMED_RECORD: {exc}\n", [None, None, None])
+        return
+    split = split_corpus(records, tuple(map(float, ratios.split(","))), seed=seed)
+    parts = (split.train, split.validation, split.test)
+    summary = f"igt: split {len(records)} records into {'/'.join(str(len(p)) for p in parts)}\n"
+    assert result == (0, "", summary, [dump_corpus(part).encode("utf-8") for part in parts])
+
+
 @settings(max_examples=300, deadline=None)
 @given(corpus_text(), st.booleans())
 def test_prepare_multi_matches_the_record_path(text, split_morphs):
@@ -279,6 +344,32 @@ def test_the_corpus_commands_build_no_gloss_or_record_object(flags):
     assert pairs[3][0] == (
         b"tur I.NOM see-PST.1.SG .\ntur a !? .\n" if not flags
         else b"tur I .NOM see -PST .1 .SG .\ntur a !? .\n"
+    )
+
+
+def test_parse_toolbox_and_split_build_no_gloss_or_record_object():
+    toolbox = (
+        "\\t Ich sah.\n\\m I see-PST.1.SG.\n\\g I.NOM see-PST.1.SG.\n\\f I saw.\n"
+        "\\t s\n\\g a !? .\n"
+    )
+    expected_corpus = run("parse-toolbox", toolbox, "--map", _TOOLBOX_MAP)
+    lines = expected_corpus[1] + "id=p\tlang=tur\tsrc=x\tgloss_tgt=a  b.\tprov=\n"
+    expected_parts = run("split", lines, "--ratios", "0.5,0.5,0")
+    with mock.patch.object(parsing, "tokenize_gloss", _refuse), \
+            mock.patch.object(IgtRecord, "__post_init__", _refuse), \
+            mock.patch.object(GlossToken, "__post_init__", _refuse), \
+            mock.patch.object(GlossMorph, "__post_init__", _refuse):
+        corpus = run("parse-toolbox", toolbox, "--map", _TOOLBOX_MAP)
+        parts = run("split", lines, "--ratios", "0.5,0.5,0")
+    assert corpus == expected_corpus and corpus[0] == 0
+    assert corpus[1] == (
+        "id=toolbox-0001\tlang=tur\tsrc=Ich sah.\tgloss_src=I see-PST.1.SG."
+        "\tgloss_tgt=I.NOM see-PST.1.SG.\ttgt=I saw.\n"
+        "id=toolbox-0002\tlang=tur\tsrc=s\tgloss_tgt=a!? .\n"
+    )
+    assert parts == expected_parts and parts[0] == 0
+    assert sorted(b"".join(parts[3]).splitlines()) == sorted(
+        corpus[1].encode("utf-8").splitlines() + [b"id=p\tlang=tur\tsrc=x\tgloss_tgt=a b."]
     )
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -403,6 +404,14 @@ def test_toolbox_header_is_skipped_and_is_not_the_delimiter():
 def test_toolbox_rejects_a_marker_mapped_twice():
     with pytest.raises(BadFieldRoleError, match=r"^ToolBox marker \\t is mapped twice$"):
         parse_toolbox("\\t x\n", {"\\t": "source", "t": "target"}, lang="und")
+
+
+@pytest.mark.parametrize("marker", ["", "\\"])
+def test_toolbox_rejects_an_empty_marker(marker):
+    # no line has an empty marker, so the mapping could only be ignored
+    message = rf"^empty ToolBox marker {re.escape(repr(marker))} for role 'source'$"
+    with pytest.raises(BadFieldRoleError, match=message):
+        parse_toolbox("\\t x\n", {marker: "source"}, lang="und")
 
 
 def _is_marker_line(line):

@@ -235,6 +235,15 @@ def test_translator_timeout_must_be_a_positive_number_of_seconds(kind, timeout):
     assert caught.value.code == "BAD_TRANSLATOR"
 
 
+@pytest.mark.parametrize("kind", [TranslatorKind.IDENTITY, TranslatorKind.BASELINE_DETOKENIZE])
+@pytest.mark.parametrize("command", ["cat", ""])
+def test_only_an_external_translator_takes_a_command(kind, command):
+    message = f"^the {kind.value} translator runs no command, got {command!r}$"
+    with pytest.raises(BadTranslatorError, match=message) as caught:
+        TranslatorHandle(kind, command=command)
+    assert caught.value.code == "BAD_TRANSLATOR"
+
+
 def _stub(code: str) -> str:
     return f"{sys.executable} -c \"{code}\""
 

@@ -84,22 +84,21 @@ INPUTS = {
     "dict.tsv": "gel\tcome\n",
 }
 
-# the parsers and the corpus reader tokenize glosses with the default labels;
-# parse-odin and prepare-multi read gloss words, which need no labels
-TOKENIZE = ("parsing", "normalize", "tables")
-PIPELINE = ("pipeline", *TOKENIZE)
+# the gloss stages tokenize glosses with the default labels; the corpus
+# commands read and write gloss words, which need no labels
+PIPELINE = ("pipeline", "parsing", "normalize", "tables")
 WORDS = ("parsing",)
 
 # each command: its arguments, the submodules it loads beyond CLI's, and
 # the watched modules it loads; output goes to stdout unless a flag is required
 COMMANDS = {
     "parse-odin": (["--in", "igt.txt", "--lang", "tur"], WORDS, set()),
-    "parse-toolbox": (["--in", "toolbox.txt", "--lang", "tur"], TOKENIZE, set()),
+    "parse-toolbox": (["--in", "toolbox.txt", "--lang", "tur"], WORDS, set()),
     "parse-analyzer": (["--in", "analyzer.txt"], PIPELINE, set()),
     "normalize": (["--in", "gloss.txt"], PIPELINE, set()),
     "split": (
         ["--in", "corpus.txt", "--train-out", "a", "--valid-out", "b", "--test-out", "c"],
-        TOKENIZE, set(),
+        WORDS, set(),
     ),
     "align": (
         ["--src", "src.txt", "--tgt", "tgt.txt", "--ttable-out", "t.tsv"], ("align",), {"logging"},
