@@ -152,8 +152,7 @@ def _translator_from_spec(spec: str, timeout: "float | None") -> TranslatorHandl
     if spec.startswith("cmd:"):
         if not spec[4:].strip():
             raise _CliError("--translator cmd: needs a command")
-        timeout = TranslatorHandle.timeout if timeout is None else timeout
-        if not timeout > 0:
+        if timeout is not None and not timeout > 0:
             raise _CliError(f"--timeout must be a positive number of seconds, got {timeout}")
         return TranslatorHandle(TranslatorKind.EXTERNAL, command=spec[4:], timeout=timeout)
     raise _CliError(f"unknown translator {spec!r} (use baseline, identity, or cmd:\"...\")")

@@ -42,6 +42,7 @@ from .model import (
     _record_line,
     as_language_tag,
     is_punct,
+    is_word,
     join_tokens,
     split_lines,
 )
@@ -328,9 +329,9 @@ _MARKER_RE = re.compile(r"^\\(\S+)\s*(.*)$")
 
 def _normalize_field_map(field_map: "dict[str, str] | None") -> dict[str, str]:
     """``field_map`` (the default map if empty) keyed by markers without
-    their backslash; an unknown role, an empty marker, which no line can
-    have, or a marker given twice (``\\t`` and ``t``) raises
-    :class:`BadFieldRoleError`."""
+    their backslash; an unknown role, a marker no line can carry (empty,
+    holding whitespace, or starting with ``_`` as a skipped header's does) or
+    a marker given twice (``\\t`` and ``t``) raises :class:`BadFieldRoleError`."""
     normalized = {}
     for marker, role in (field_map or DEFAULT_TOOLBOX_MAP).items():
         if role not in _TOOLBOX_ROLES:
@@ -338,6 +339,10 @@ def _normalize_field_map(field_map: "dict[str, str] | None") -> dict[str, str]:
         key = marker.lstrip("\\")
         if not key:
             raise BadFieldRoleError(f"empty ToolBox marker {marker!r} for role {role!r}")
+        if key.startswith("_"):
+            raise BadFieldRoleError(f"ToolBox marker {marker!r} starts a skipped header line")
+        if not is_word(key):
+            raise BadFieldRoleError(f"ToolBox marker {marker!r} holds whitespace")
         if key in normalized:
             raise BadFieldRoleError(f"ToolBox marker \\{key} is mapped twice")
         normalized[key] = role
@@ -459,16 +464,16 @@ def _analyzer_words(line: str) -> list[tuple[str, str]]:
         if not core:  # punctuation only
             words.append((word, ""))
             continue
-        plus = core.find("+")
-        if plus < 0:
+        surface, plus, tags = core.partition("+")
+        if not plus:
             words.append((core, ""))
         else:
-            surface, run = core[:plus], core[plus:]
+            run = plus + tags
             if not surface:
                 raise MalformedTokenError(f"analyzer token has empty surface: {word!r}")
             if run.endswith("+") or "++" in run:
                 raise MalformedTokenError(f"analyzer token has an empty tag: {word!r}")
-            if is_punct(surface):
+            if not surface.strip(PUNCT_CHARS):
                 raise MalformedTokenError(f"punctuation token {surface!r} must not carry tags")
             words.append((surface, run))
         if len(core) < len(word):

@@ -64,16 +64,18 @@ class TranslatorHandle:
 
     kind: TranslatorKind
     command: str | None = None
-    timeout: float = 60.0
+    timeout: float | None = None  # seconds an external translator may run; 60 when None
 
     def __post_init__(self) -> None:
-        if not self.timeout > 0:  # nan too, which would wait forever
+        if self.timeout is not None and not self.timeout > 0:  # nan too, which would wait forever
             raise BadTranslatorError(f"timeout must be positive seconds, got {self.timeout}")
-        if self.kind is TranslatorKind.EXTERNAL and not (self.command or "").strip():
-            raise BadTranslatorError("EXTERNAL translator requires a non-empty command")
-        if self.kind is not TranslatorKind.EXTERNAL and self.command is not None:
-            message = f"the {self.kind.value} translator runs no command, got {self.command!r}"
-            raise BadTranslatorError(message)
+        if self.kind is TranslatorKind.EXTERNAL:
+            if not (self.command or "").strip():
+                raise BadTranslatorError("EXTERNAL translator requires a non-empty command")
+            object.__setattr__(self, "timeout", self.timeout or 60.0)  # frozen: set once here
+        elif self.command is not None or self.timeout is not None:
+            got = repr(self.command) if self.command is not None else f"timeout {self.timeout}"
+            raise BadTranslatorError(f"the {self.kind.value} translator runs no command, got {got}")
 
 
 @dataclass(frozen=True)
@@ -416,7 +418,8 @@ def _stages(
     ``split_morphs``).
 
     The glosses are what :func:`analyzer_to_gloss`, :func:`substitute_lemmas`
-    and :meth:`GlossLine.render` make, assembled from pieces each built once
+    and :meth:`GlossLine.render` make, assembled in one pass over a line's
+    words (joined by :func:`join_tokens`' rule) from pieces each built once
     per run: a surface's restored lemma, a tag run's label tail and a source
     lemma's target (so ``dictionary.lookup`` sees each distinct lemma once).
     """
@@ -425,42 +428,57 @@ def _stages(
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        stage = "parse-analyzer"
+        source: list[str] = []
+        target: list[str] = []
+        shaped: list[str] = []
+        source_after_word = target_after_word = False
+        unknown = oov = 0
         try:
             words = _analyzer_words(line)
-            stage = "analyzer-to-gloss"
-            glossed = [(lemma_of[surface], tail_of[run]) for surface, run in words]
-            stage = "substitute"
-            substituted = [target_of[lemma.text] for lemma, _ in glossed]
-        except (IgtError, ValueError) as exc:
-            raise PipelineStageError(stage, exc, line=lineno) from exc
-
-        source: list[tuple[str, bool]] = []
-        target: list[tuple[str, bool]] = []
-        unknown = oov = 0
-        for (lemma, tail), (head, missed) in zip(glossed, substituted):
-            unknown += len(tail.unknown)
-            oov += missed
-            source.append(_word(lemma, tail, lemma.text))
-            target.append(_word(head, tail, lemma.text))
-
-        rows = zip(target, glossed, substituted)
-        if baseline:  # baseline_detokenize: each word's lemma, or the word if it is punctuation
-            sentence = " ".join(
-                (text if head is None else head.text).replace("_", " ")
-                for (text, punct), (_, tail), (head, _) in rows
-                if head is not None or punct or not tail.text
-            )
-            shaped = sentence[:1].upper() + sentence[1:]
-        elif split_morphs:  # render_spaced(True): one word per morph
-            shaped = " ".join(
-                text if not tail.text
-                else tail.split[1:] if head is None
-                else f"{head.text} {tail.split}"
-                for (text, _), (_, tail), (head, _) in rows
-            )
-        else:
-            shaped = " ".join(text for text, _ in target)
+            for surface, run in words:
+                lemma, lemma_punct, _, _ = lemma_of[surface]
+                rest, rest_punct, rest_split, rest_unknown = tail_of[run]
+                head, missed = target_of[lemma]
+                unknown += len(rest_unknown)
+                oov += missed
+                punct = lemma_punct and not rest
+                if punct and source_after_word:
+                    source[-1] += lemma
+                else:
+                    source.append(lemma + rest)
+                source_after_word = not punct
+                # as _word: the first morph left is word-initial; a word with none left stays
+                if head is not None:
+                    text, punct = head.text + rest, head.punct and not rest
+                elif rest:
+                    text, punct = rest[1:], rest_punct
+                else:
+                    text, punct = lemma, False
+                if punct and target_after_word:
+                    target[-1] += text
+                else:
+                    target.append(text)
+                target_after_word = not punct
+                if baseline:  # baseline_detokenize: the lemma, or the word if it is punctuation
+                    if head is not None or punct or not rest:
+                        shaped.append((text if head is None else head.text).replace("_", " "))
+                elif split_morphs and rest:  # render_spaced(True): one word per morph
+                    shaped.append(rest_split[1:] if head is None else f"{head.text} {rest_split}")
+                else:
+                    shaped.append(text)
+        except (IgtError, ValueError):
+            # the stages in turn find the fault to report: a faulty build was not memoized
+            stage = "parse-analyzer"
+            try:
+                words = _analyzer_words(line)
+                stage = "analyzer-to-gloss"
+                glossed = [(lemma_of[surface], tail_of[run]) for surface, run in words]
+                stage = "substitute"
+                for piece, _ in glossed:
+                    target_of[piece.text]
+            except (IgtError, ValueError) as exc:
+                raise PipelineStageError(stage, exc, line=lineno) from exc
+            raise
 
         report.n_sentences += 1
         report.analyzer_tokens += len(words)
@@ -468,7 +486,10 @@ def _stages(
         report.gloss_tgt_tokens += len(words)
         report.unknown_labels += unknown
         report.oov_lemmas += oov
-        yield line, join_tokens(source), join_tokens(target), shaped
+        sentence = " ".join(shaped)
+        if baseline:
+            sentence = sentence[:1].upper() + sentence[1:]
+        yield line, " ".join(source), " ".join(target), sentence
 
 
 def _translate_externally(

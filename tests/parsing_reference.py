@@ -11,7 +11,11 @@ each built its records itself, tokenizing each gloss line and constructing
 an ``IgtRecord``, before both came to write corpus lines from gloss words:
 the reference ``igt parse-odin`` and ``igt parse-toolbox`` are checked
 against.  They use the private record-count check and ToolBox chunk reader,
-which that change left as they were."""
+which that change left as they were.
+
+``reference_analyzer_words`` is ``_analyzer_words`` as it was before it
+split a token at its first ``+`` with ``str.partition``: the splitter it is
+checked against, string by string."""
 
 import re
 
@@ -210,3 +214,27 @@ def reference_toolbox_records(lines, fmap, tag, id_prefix, warn, label_registry=
             warn(ParseWarning(TOKEN_COUNT_MISMATCH, str(exc), line=start_line))
             continue
         yield record
+
+
+def reference_analyzer_words(line):
+    words = []
+    for word in line.split():
+        core = word.rstrip(PUNCT_CHARS)
+        if not core:  # punctuation only
+            words.append((word, ""))
+            continue
+        plus = core.find("+")
+        if plus < 0:
+            words.append((core, ""))
+        else:
+            surface, run = core[:plus], core[plus:]
+            if not surface:
+                raise MalformedTokenError(f"analyzer token has empty surface: {word!r}")
+            if run.endswith("+") or "++" in run:
+                raise MalformedTokenError(f"analyzer token has an empty tag: {word!r}")
+            if is_punct(surface):
+                raise MalformedTokenError(f"punctuation token {surface!r} must not carry tags")
+            words.append((surface, run))
+        if len(core) < len(word):
+            words.append((word[len(core) :], ""))
+    return words

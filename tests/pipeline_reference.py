@@ -8,7 +8,10 @@ per table, and ``iter_pipeline`` as it was before it assembled each sentence
 from pieces built once per distinct lemma and tag run: one ``GlossLine`` per
 stage, rendered and label-stripped whole.  And lemma substitution as it was
 before one function made each lemma's target: a lookup per lemma
-occurrence, the OOV policy applied inside the token loop."""
+occurrence, the OOV policy applied inside the token loop.  And ``_stages``
+as it was before it built each line in one pass over its analyzer words:
+each stage a list over the whole line, each word rendered by ``_word`` and
+each gloss joined by ``join_tokens``."""
 
 from igtpivot import (
     GlossLine,
@@ -26,9 +29,13 @@ from igtpivot import (
     tokenize_gloss,
     unknown_analyzer_tags,
 )
-from igtpivot.model import is_punct
+from igtpivot.errors import IgtError, PipelineStageError
+from igtpivot.model import is_punct, join_tokens
 from igtpivot.normalize import _label_morphs, _order_person_number
-from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN
+from igtpivot.parsing import _Memo
+from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN, _source_lemma, _tail, _target, _word
+
+from parsing_reference import reference_analyzer_words
 
 PUNCT_CHARS = ".,!?;:"
 
@@ -196,3 +203,58 @@ def reference_substitute(gloss, dictionary, policy):
     missing = []
     tokens = [reference_substitute_token(t, dictionary, policy, missing) for t in gloss.tokens]
     return GlossLine(tokens=tuple(tokens)), missing
+
+
+def reference_stages(lines, table, dictionary, oov_policy, report, baseline, split_morphs):
+    """``_stages`` as a list of stages per line: parse, then every word's
+    lemma and tail, then every lemma's target, then the glosses and the
+    translator input from those lists."""
+    lemma_of, tail_of = _Memo(_source_lemma, table), _Memo(_tail, table)
+    target_of = _Memo(_target, dictionary, oov_policy)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        stage = "parse-analyzer"
+        try:
+            words = reference_analyzer_words(line)
+            stage = "analyzer-to-gloss"
+            glossed = [(lemma_of[surface], tail_of[run]) for surface, run in words]
+            stage = "substitute"
+            substituted = [target_of[lemma.text] for lemma, _ in glossed]
+        except (IgtError, ValueError) as exc:
+            raise PipelineStageError(stage, exc, line=lineno) from exc
+
+        source = []
+        target = []
+        unknown = oov = 0
+        for (lemma, tail), (head, missed) in zip(glossed, substituted):
+            unknown += len(tail.unknown)
+            oov += missed
+            source.append(_word(lemma, tail, lemma.text))
+            target.append(_word(head, tail, lemma.text))
+
+        rows = zip(target, glossed, substituted)
+        if baseline:
+            sentence = " ".join(
+                (text if head is None else head.text).replace("_", " ")
+                for (text, punct), (_, tail), (head, _) in rows
+                if head is not None or punct or not tail.text
+            )
+            shaped = sentence[:1].upper() + sentence[1:]
+        elif split_morphs:
+            shaped = " ".join(
+                text if not tail.text
+                else tail.split[1:] if head is None
+                else f"{head.text} {tail.split}"
+                for (text, _), (_, tail), (head, _) in rows
+            )
+        else:
+            shaped = " ".join(text for text, _ in target)
+
+        report.n_sentences += 1
+        report.analyzer_tokens += len(words)
+        report.gloss_src_tokens += len(words)
+        report.gloss_tgt_tokens += len(words)
+        report.unknown_labels += unknown
+        report.oov_lemmas += oov
+        yield line, join_tokens(source), join_tokens(target), shaped

@@ -224,6 +224,24 @@ def test_parse_toolbox_rejects_a_marker_mapped_twice_before_reading_input(tmp_pa
     )
 
 
+@pytest.mark.parametrize("field_map, message", [
+    ("_sh=source,t=ignore,g=gloss_tgt,f=target",
+     "ToolBox marker '_sh' starts a skipped header line"),
+    ("t x=source,g=gloss_tgt,f=target,t=ignore",
+     "ToolBox marker 't x' holds whitespace"),
+])
+def test_parse_toolbox_rejects_a_marker_no_line_can_carry(tmp_path, capsys, field_map, message):
+    # a header line is skipped and a marker ends at whitespace: the mapping
+    # used to be ignored, and every record written without its source
+    text = "\\_sh v3.0\n\\t a b\n\\g x y\n\\f one\n"
+    out = tmp_path / "corpus.igt"
+    argv = ["parse-toolbox", "--in", write(tmp_path / "tb.txt", text), "--lang", "arp",
+            "--map", field_map, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"igt: BAD_FIELD_ROLE: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["=source", "\\=target"])
 def test_parse_toolbox_rejects_an_empty_marker_before_reading_input(tmp_path, capsys, entry):
     # no ToolBox line has an empty marker, so the mapping could only be ignored

@@ -29,11 +29,12 @@ from igtpivot import (
 )
 from igtpivot import cli
 from igtpivot.model import Joiner, is_punct, split_lines
-from igtpivot.parsing import _JOINER_BY_CHAR, _delimited_segments, _odin_blocks
+from igtpivot.parsing import _JOINER_BY_CHAR, _analyzer_words, _delimited_segments, _odin_blocks
 
 from gen_helpers import random_gloss_line
 from golden_data import IGT_EXAMPLES
 from parsing_reference import (
+    reference_analyzer_words,
     reference_parse_analyzer_line,
     reference_parse_odin_blocks,
     reference_parse_toolbox,
@@ -414,6 +415,20 @@ def test_toolbox_rejects_an_empty_marker(marker):
         parse_toolbox("\\t x\n", {marker: "source"}, lang="und")
 
 
+@pytest.mark.parametrize("marker, message", [
+    ("_sh", r"^ToolBox marker '_sh' starts a skipped header line$"),
+    ("\\_sh", r"^ToolBox marker '\\\\_sh' starts a skipped header line$"),
+    ("t x", r"^ToolBox marker 't x' holds whitespace$"),
+    ("t\tx", r"^ToolBox marker 't\\tx' holds whitespace$"),
+])
+def test_toolbox_rejects_a_marker_no_line_can_carry(marker, message):
+    # a header line is skipped and a marker ends at whitespace, so the
+    # mapping could only be ignored
+    with pytest.raises(BadFieldRoleError, match=message) as caught:
+        parse_toolbox("\\_sh v3.0\n\\t x\n", {marker: "source"}, lang="und")
+    assert caught.value.code == "BAD_FIELD_ROLE"
+
+
 def _is_marker_line(line):
     return line.startswith("\\") and len(line) > 1 and not line[1].isspace()
 
@@ -618,6 +633,18 @@ def test_analyzer_line_equals_the_per_token_reference_on_any_line(line):
     assert _parsed_or_error(parse_analyzer_line, line) == _parsed_or_error(
         reference_parse_analyzer_line, line
     )
+
+
+def test_analyzer_words_equal_the_find_and_slice_reference_on_every_short_line():
+    # every string of length 0-6 over these six characters: empty surfaces
+    # and tags, tagged punctuation, trailing punctuation, upper and lower case
+    alphabet = "aA+., "
+    for length in range(7):
+        for chars in itertools.product(alphabet, repeat=length):
+            line = "".join(chars)
+            assert _parsed_or_error(_analyzer_words, line) == _parsed_or_error(
+                reference_analyzer_words, line
+            ), line
 
 
 def test_analyzer_punctuation_token_must_not_carry_tags():

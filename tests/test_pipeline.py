@@ -44,7 +44,9 @@ from igtpivot import (
     tokenize_gloss,
     translate,
 )
-from igtpivot.pipeline import _glossed_lines, _normalized_lines, _substituted_lines, format_report
+from igtpivot.pipeline import (
+    _glossed_lines, _normalized_lines, _stages, _substituted_lines, format_report,
+)
 
 from gen_helpers import random_analyzer_corpus, random_record
 from golden_data import (
@@ -55,6 +57,7 @@ from golden_data import (
 from pipeline_reference import (
     reference_iter_pipeline,
     reference_run_pipeline,
+    reference_stages,
     reference_substitute,
 )
 
@@ -233,6 +236,17 @@ def test_translator_timeout_must_be_a_positive_number_of_seconds(kind, timeout):
     with pytest.raises(BadTranslatorError, match=message) as caught:
         TranslatorHandle(kind, command="cat", timeout=timeout)
     assert caught.value.code == "BAD_TRANSLATOR"
+
+
+@pytest.mark.parametrize("kind", [TranslatorKind.IDENTITY, TranslatorKind.BASELINE_DETOKENIZE])
+@pytest.mark.parametrize("timeout", [5, 60.0, 0.5])
+def test_only_an_external_translator_takes_a_timeout(kind, timeout):
+    # the other translators run no command, so a timeout could only be ignored
+    message = f"^the {kind.value} translator runs no command, got timeout {timeout}$"
+    with pytest.raises(BadTranslatorError, match=message) as caught:
+        TranslatorHandle(kind, timeout=timeout)
+    assert caught.value.code == "BAD_TRANSLATOR"
+    assert TranslatorHandle(kind).timeout is None
 
 
 @pytest.mark.parametrize("kind", [TranslatorKind.IDENTITY, TranslatorKind.BASELINE_DETOKENIZE])
@@ -672,6 +686,97 @@ def test_pipeline_recurring_bad_target_fails_on_its_first_line():
     assert (recurring.value.stage, recurring.value.line) == ("substitute", 3)
     assert str(recurring.value.cause) == str(alone.value.cause)
     assert str(alone.value.cause) == "morph text contains whitespace: 'Old woman'"
+
+
+# --- one pass over each line's words against the stage-by-stage reference ----------------
+
+STAGE_RUNS = [
+    (policy, baseline, split_morphs)
+    for policy in OovPolicy
+    for baseline, split_morphs in [(True, False), (False, False), (False, True)]
+]
+
+
+def _staged(stages, lines, table, dictionary, policy, baseline, split_morphs):
+    """The rows ``stages`` yields over ``lines``, its report, and the
+    ``PipelineStageError`` it raises after them (``None`` for none)."""
+    report = PipelineReport()
+    rows = []
+    try:
+        for row in stages(lines, table, dictionary, policy, report, baseline, split_morphs):
+            rows.append(row)
+    except PipelineStageError as exc:
+        cause = exc.__cause__
+        return rows, report, (str(exc), exc.code, exc.line, exc.stage, type(cause), str(cause))
+    return rows, report, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_analyzer_lines)
+def test_one_pass_stages_equal_the_stage_by_stage_reference(lines):
+    # punctuation-only tokens, trailing punctuation on tagged tokens, "_"
+    # lemmas, title case, OOV lemmas, unknown tags and blank lines
+    for policy, baseline, split_morphs in STAGE_RUNS:
+        args = (lines, PIECES_TABLE, PIECES_DICTIONARY, policy, baseline, split_morphs)
+        rows, report, error = _staged(_stages, *args)
+        assert error is None
+        assert (rows, report) == _staged(reference_stages, *args)[:2]
+
+
+# a restored root and a tag's label holding a space fail the gloss stage, a
+# target holding one fails the substitute stage
+FAULTY_TABLE = replace(
+    PIECES_TABLE,
+    restore_map={**PIECES_TABLE.restore_map, "bad": "b d"},
+    analyzer_map={**PIECES_TABLE.analyzer_map, "Sp": ("NOM X",)},
+)
+FAULTY_DICTIONARY = LemmaDictionary(
+    {"kadin": ("woman", 1.0), "ev": ("old house", 1.0), "dot": (".", 1.0), "zork": ("z k", 1.0)}
+)
+_faulty_word = st.one_of(
+    _analyzer_word,
+    st.sampled_from(["bad", "bad+Nom", "ev+Sp", "Ev", "zork+Past.", "a++B", "+Nom", ".+Nom"]),
+)
+_faulty_lines = st.lists(
+    st.one_of(st.just(""), st.lists(_faulty_word, min_size=1, max_size=6).map(" ".join)),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_faulty_lines)
+def test_one_pass_stages_raise_the_stage_by_stage_error(lines):
+    for policy, baseline, split_morphs in STAGE_RUNS:
+        args = (lines, FAULTY_TABLE, FAULTY_DICTIONARY, policy, baseline, split_morphs)
+        assert _staged(_stages, *args) == _staged(reference_stages, *args)
+
+
+PRECEDENCE_TABLE = replace(default_table(), restore_map={"Kadi": "Ka din"})
+PRECEDENCE_DICTIONARY = LemmaDictionary({"ev": ("old house", 1.0), "gel": ("come", 1.0)})
+
+
+@pytest.mark.parametrize("line, stage, cause_type, cause", [
+    # a substitute fault in word 1, a gloss fault in word 3
+    ("ev+Nom gel+Past Kadi+Acc .", "analyzer-to-gloss", ValueError, "'Ka din'"),
+    # a parse fault anywhere comes first
+    ("ev+Nom gel Kadi+Acc a++B", "parse-analyzer", MalformedTokenError, "an empty tag: 'a++B'"),
+    ("+Nom ev+Nom gel Kadi+Acc", "parse-analyzer", MalformedTokenError, "empty surface: '+Nom'"),
+    ("ev gel .+Nom Kadi", "parse-analyzer", MalformedTokenError, "token '.' must not carry tags"),
+    ("gel ev+Nom gel ev", "substitute", ValueError, "'old house'"),
+])
+def test_a_line_with_faults_in_several_stages_raises_the_first_stages_error(
+    line, stage, cause_type, cause
+):
+    lines = ["gel+Past", "", line, "Kadi"]
+    for policy, baseline, split_morphs in STAGE_RUNS:
+        args = (lines, PRECEDENCE_TABLE, PRECEDENCE_DICTIONARY, policy, baseline, split_morphs)
+        rows, report, error = _staged(_stages, *args)
+        assert (rows, report, error) == _staged(reference_stages, *args)
+        message, code, lineno, raised_stage, raised_cause_type, _ = error
+        assert (code, lineno, raised_stage) == ("PIPELINE_STAGE_ERROR", 3, stage)
+        assert raised_cause_type is cause_type
+        assert message.startswith(f"stage {stage}: ") and message.endswith(f"{cause} (line 3)")
+        assert report.n_sentences == len(rows) == 1
 
 
 def test_pipeline_baseline_never_tokenizes_a_gloss(monkeypatch):
