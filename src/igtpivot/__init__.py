@@ -23,10 +23,10 @@ _EXPORTS = {
         ),
         "errors": (
             "BadEncodingError", "BadFieldRoleError", "BadLanguageTagError", "BadRatiosError",
-            "BadTranslatorError", "BlockShapeError", "CycleDetectedError", "EmptyCorpusError",
-            "EmptyLineError", "IgtError", "LengthMismatchError", "MalformedRecordError",
-            "MalformedTokenError", "ParseWarning", "PipelineStageError", "TableParseError",
-            "TokenCountMismatchError", "TranslatorCountMismatchError",
+            "BadThresholdError", "BadTranslatorError", "BlockShapeError", "CycleDetectedError",
+            "EmptyCorpusError", "EmptyLineError", "IgtError", "LengthMismatchError",
+            "MalformedRecordError", "MalformedTokenError", "ParseWarning", "PipelineStageError",
+            "TableParseError", "TokenCountMismatchError", "TranslatorCountMismatchError",
             "TranslatorSpawnFailureError", "TranslatorTimeoutError",
         ),
         "inflect": ("InflectionLexicon", "default_lexicon", "load_lexicon"),

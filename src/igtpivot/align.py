@@ -20,14 +20,17 @@ or later can differ in the last digits of their probabilities.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, truediv
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, lt, ne, or_, truediv
 from typing import Callable, Iterator
 
 from .errors import (
     SKIPPED_PAIR,
+    BadThresholdError,
     EmptyCorpusError,
     LengthMismatchError,
     ParseWarning,
@@ -150,7 +153,9 @@ def train_model1(
     a row per source token of one link per target token (NULL included).
     The E-step adds every share in the order of the textbook loops (pairs,
     source tokens, target tokens), so each float operation is the
-    reference's, in its order.
+    reference's, in its order.  ``probs`` is built in (source word, target
+    word) order, so it iterates in key order and its dump's sort runs over
+    sorted keys.
     Perplexity (exp of the mean -log(sum_e t(f|e) / m) per source token,
     non-increasing) is summed from the E-step denominators, so only the
     final table needs a pass of its own.
@@ -170,7 +175,6 @@ def train_model1(
     null = (0,) if null_word else ()
     # links are numbered as first met; row_links[f][e] is the link of (f, e)
     row_links: defaultdict[str, dict[int, int]] = defaultdict(dict)
-    link_source: list[str] = []
     link_target: list[int] = []
     pair_links: list[array] = []  # each pair's links, a row of len(tgt_ids) per source token
     widths: list[int] = []
@@ -182,11 +186,21 @@ def train_model1(
             row = row_links[f]
             for e in tgt_set.difference(row):
                 row[e] = len(link_target)
-                link_source.append(f)
                 link_target.append(e)
             links.extend(map(row.__getitem__, tgt_ids))
         pair_links.append(links)
         widths.append(len(tgt_ids))
+    # the links in (source word, target word) order, in which probs is built
+    target_words = list(target_ids)
+    rank = [0] * len(target_words)
+    for position, e in enumerate(sorted(range(len(target_words)), key=target_words.__getitem__)):
+        rank[e] = position
+    order = array("I")
+    sources: list[str] = []  # the source word of each link in order
+    for f in sorted(row_links):
+        row = row_links[f]
+        order.extend(map(row.__getitem__, sorted(row, key=rank.__getitem__)))
+        sources += repeat(f, len(row))
     del row_links
 
     n_sources = [0] * len(target_ids)
@@ -222,9 +236,11 @@ def train_model1(
         if counts is not None:
             t = list(map(truediv, counts, map(totals.__getitem__, link_target)))
 
-    target_words = list(target_ids)
     return TranslationTable(
-        probs={(f, target_words[e]): p for f, e, p in zip(link_source, link_target, t)},
+        probs=dict(zip(
+            zip(sources, map(target_words.__getitem__, map(link_target.__getitem__, order))),
+            map(t.__getitem__, order),
+        )),
         iterations_run=iterations,
         final_perplexity=history[-1],
         null_word=null_word,
@@ -237,7 +253,9 @@ def extract_dictionary(table: TranslationTable, threshold: float = 0.0) -> Lemma
     probability reaches the threshold.  Ties break lexicographically on the
     target word; the synthetic NULL token is never a dictionary entry.  Keys
     are lowercased, as lookup lowercases the lemma, so the source words of a
-    hand-written table that differ only in case share one entry."""
+    hand-written table that differ only in case share one entry.  A nan
+    threshold, which no probability reaches, raises
+    :class:`~igtpivot.errors.BadThresholdError`."""
     best: dict[str, tuple[str, float]] = {}
     for (f, e), p in table.probs.items():
         if e == NULL_TOKEN:
@@ -246,10 +264,14 @@ def extract_dictionary(table: TranslationTable, threshold: float = 0.0) -> Lemma
         current = best.get(f)
         if current is None or p > current[1] or (p == current[1] and e < current[0]):
             best[f] = (e, p)
-    entries = {
-        f: (e, p) for f, (e, p) in sorted(best.items()) if p >= threshold
-    }
-    return LemmaDictionary(entries=entries)
+    return _kept(best, threshold)
+
+
+def _kept(best: dict[str, tuple[str, float]], threshold: float) -> LemmaDictionary:
+    """The dictionary of the entries of ``best`` that reach ``threshold``."""
+    if math.isnan(threshold):
+        raise BadThresholdError("threshold is nan, which no probability reaches")
+    return LemmaDictionary({f: hit for f, hit in sorted(best.items()) if hit[1] >= threshold})
 
 
 def align_pair(
@@ -350,6 +372,8 @@ def dump_translation_table(table: TranslationTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_TABLE_USAGE = "expected source<TAB>target<TAB>prob"
+
 _HEADER_PARSERS = {
     "iterations": int,
     "null_word": {"true": True, "false": False}.__getitem__,
@@ -357,24 +381,10 @@ _HEADER_PARSERS = {
 }
 
 
-def load_translation_table(text: str) -> TranslationTable:
-    """Read a dumped ttable.  Words are lowercased as lookup lowercases them,
-    the NULL token apart; a pair that repeats an earlier row's lowercased
-    pair is rejected with both line numbers."""
-    header: list[tuple[str, str, int]] = []
-    usage = "expected source<TAB>target<TAB>prob"
-    probs: dict[tuple[str, str], float] = {}
-    for lineno, f, e, p in _read_rows(text, "table", usage, header=header):
-        key = _lowered(f, e)
-        if key in probs:
-            rows = _read_rows(text, "table", usage)
-            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
-            raise TableParseError(
-                f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
-            )
-        probs[key] = p
-    if not probs:
-        raise TableParseError("no probability rows found")
+def _header_values(header: list[tuple[str, str, int]]) -> dict:
+    """A ttable's header values from its ``(key, value, line)`` comments: the
+    last value of a key counts, unknown keys are ignored, and a bad value is
+    rejected with its line."""
     values = {"iterations": 0, "null_word": False, "final_perplexity": float("nan")}
     for key, value, lineno in header:
         if key in _HEADER_PARSERS:
@@ -382,6 +392,27 @@ def load_translation_table(text: str) -> TranslationTable:
                 values[key] = _HEADER_PARSERS[key](value)
             except (KeyError, ValueError) as exc:
                 raise TableParseError(f"bad {key} value {value!r}", line=lineno) from exc
+    return values
+
+
+def load_translation_table(text: str) -> TranslationTable:
+    """Read a dumped ttable.  Words are lowercased as lookup lowercases them,
+    the NULL token apart; a pair that repeats an earlier row's lowercased
+    pair is rejected with both line numbers."""
+    header: list[tuple[str, str, int]] = []
+    probs: dict[tuple[str, str], float] = {}
+    for lineno, f, e, p in _read_rows(text, "table", _TABLE_USAGE, header=header):
+        key = _lowered(f, e)
+        if key in probs:
+            rows = _read_rows(text, "table", _TABLE_USAGE)
+            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
+            raise TableParseError(
+                f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
+            )
+        probs[key] = p
+    if not probs:
+        raise TableParseError("no probability rows found")
+    values = _header_values(header)
     return TranslationTable(
         probs=probs,
         iterations_run=values["iterations"],
@@ -414,5 +445,63 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
                 f"source {f!r} (lowercased) already given on line {first}", line=lineno
             )
         entries[key] = (e, p)
-    kept = {f: hit for f, hit in sorted(entries.items()) if hit[1] >= threshold}
-    return LemmaDictionary(entries=kept)
+    return _kept(entries, threshold)
+
+
+# a table as dump_translation_table writes it: "#" lines without a tab, then
+# rows of three fields joined by single tabs
+_DUMP_PATTERN = r"((?:#[^\t\n]*\n)*)(?:\S+\t\S+\t\S+\n)+"
+
+
+def _group_starts(sources: list[str]) -> list[int]:
+    """The index of each row whose source differs from the row before's, the
+    first row included."""
+    return list(compress(range(len(sources)), map(ne, sources, chain((None,), sources))))
+
+
+def _dictionary_from_dump(text: str, threshold: float = 0.0) -> "LemmaDictionary | None":
+    r"""``extract_dictionary(load_translation_table(text), threshold)`` for a
+    table as :func:`dump_translation_table` writes it, read as columns; None
+    for any other text.
+
+    Such a table is ``#`` lines without a tab, then rows of three fields
+    joined by single tabs, each line ended by ``\n``.  Its words are already
+    lowercase (the NULL token apart), its probabilities lie in [0, 1], and
+    its rows come grouped by source with strictly increasing targets, so no
+    pair repeats.  Its header values are checked as the general reader
+    checks them.
+    """
+    match = re.fullmatch(_DUMP_PATTERN, text)  # re compiles it once, on first use
+    null_target = f"\t{NULL_TOKEN}\t"
+    if match is None or text.lower() != text.replace(null_target, null_target.lower()):
+        return None
+    fields = text.split()
+    start = len(match.group(1).split())
+    sources, targets = fields[start::3], fields[start + 1::3]
+    try:
+        probs = list(map(float, fields[start + 2::3]))
+    except ValueError:
+        return None
+    del fields
+    # min and max skip a nan unless it comes first, and a sum with one is nan
+    if not 0.0 <= min(probs) <= max(probs) <= 1.0 or math.isnan(sum(probs)):
+        return None
+    # each row's target follows the row before's, unless its source starts a group
+    next_sources, next_targets = islice(sources, 1, None), islice(targets, 1, None)
+    in_order = all(map(or_, map(ne, sources, next_sources), map(lt, targets, next_targets)))
+    starts = _group_starts(sources)
+    if not in_order or len(set(map(sources.__getitem__, starts))) < len(starts):
+        return None
+    header: list[tuple[str, str, int]] = []
+    for _ in _read_rows(match.group(1), "table", _TABLE_USAGE, header=header):
+        pass  # every line of the header is a comment
+    _header_values(header)
+    if NULL_TOKEN in targets:
+        real = list(map(ne, targets, repeat(NULL_TOKEN)))
+        sources, targets, probs = (list(compress(col, real)) for col in (sources, targets, probs))
+        starts = _group_starts(sources)
+    best = {}
+    for first, end in zip(starts, [*starts[1:], len(sources)]):
+        best_row = max(range(first, end), key=probs.__getitem__)  # the first maximum
+        best[sources[best_row]] = (targets[best_row], probs[best_row])
+    return _kept(best, threshold)

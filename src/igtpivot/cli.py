@@ -275,8 +275,11 @@ def _cmd_dict(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     from . import align as align_mod
 
-    table = align_mod.load_translation_table(_read(args.ttable))
-    dictionary = align_mod.extract_dictionary(table, threshold=args.threshold)
+    text = _read(args.ttable)
+    dictionary = align_mod._dictionary_from_dump(text, args.threshold)
+    if dictionary is None:
+        table = align_mod.load_translation_table(text)
+        dictionary = align_mod.extract_dictionary(table, threshold=args.threshold)
     _write(args.outfile, align_mod.dump_dictionary(dictionary))
     return 0
 

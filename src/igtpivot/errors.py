@@ -72,6 +72,12 @@ class TableParseError(IgtError, ValueError):
     code = "TABLE_PARSE_ERROR"
 
 
+class BadThresholdError(IgtError, ValueError):
+    """A dictionary threshold that is nan, which no probability reaches."""
+
+    code = "BAD_THRESHOLD"
+
+
 class AnnotationParseError(IgtError, ValueError):
     code = "ANNOTATION_PARSE_ERROR"
     where = "annotation line"

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .errors import AnnotationParseError, LengthMismatchError
 from .inflect import InflectionLexicon, default_lexicon
@@ -69,10 +71,10 @@ def _content_tokens(tokens: TokenList) -> list[str]:
 # --- BLEU ---------------------------------------------------------------------
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    """The count of each n-gram of ``tokens``, for ``n >= 1``; none when
+def _ngrams(tokens: list[str], n: int) -> Iterator[tuple[str, ...]]:
+    """The n-grams of ``tokens`` in order, for ``n >= 1``; none when
     ``n > len(tokens)``."""
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def bleu(
@@ -100,7 +102,12 @@ def _bleu_counts(
 ) -> tuple[list[int], list[int], int, int]:
     """One pass over the corpus: per order ``n`` in 1..``max_n`` the clipped
     n-gram matches and the hypothesis n-gram count (index 0 unused), then
-    the hypothesis and reference lengths."""
+    the hypothesis and reference lengths.
+
+    A sentence's clipped matches of every order are counted against one
+    multiset of its reference's n-grams of all orders (n-grams of different
+    orders never compare equal): each hypothesis n-gram uses up one equal
+    reference n-gram, if one is left."""
     if len(hypotheses) != len(references):
         raise LengthMismatchError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
@@ -109,17 +116,18 @@ def _bleu_counts(
     total = [0] * (max_n + 1)
     hyp_len = 0
     ref_len = 0
+    orders = range(1, max_n + 1)
     for hyp, ref in zip(hypotheses, references):
         hyp = [str(t) for t in hyp]
         ref = [str(t) for t in ref]
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            matched[n] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+        unused = Counter(chain.from_iterable(_ngrams(ref, n) for n in orders))
+        for gram in chain.from_iterable(_ngrams(hyp, n) for n in orders):
+            if unused.get(gram):
+                unused[gram] -= 1
+                matched[len(gram)] += 1
+        for n in orders:
             total[n] += max(len(hyp) - n + 1, 0)
     return matched, total, hyp_len, ref_len
 

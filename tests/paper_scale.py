@@ -22,7 +22,11 @@ items added, is above a bound: ``split`` shuffles every record, and is
 checked over the 66,000 records added from x1 to x23, and Model 1 training
 revisits the corpus, so ``igt align --iters 5`` runs on the seed-7 sentence
 pairs once (x1, 3,000 pairs) and 10 times over (x10, 30,000 pairs).
-``split`` must also write every record once and say so on stderr.
+``split`` must also write every record once and say so on stderr.  ``igt
+dict`` reads each of align's two ttables, which hold the same pairs, and a
+one-row table cut from the first; it must write align's own dictionary, and
+it fails if its peak grows more than a bound per table row over the one-row
+run.
 
 Linux reports, as a child's peak RSS, at least the high-water mark of the
 process it was forked from.  So the script imports no igtpivot, runs the
@@ -57,6 +61,10 @@ ALIGN_TIMES = 10
 # 1.41 to 1.66 KB while EM kept one dict per source word and the corpus a
 # str per token
 ALIGN_BOUND_KB = 1.1
+# dict's peak RSS growth per ttable row over a one-row table: 0.36 KB measured
+# under CPython 3.11 on the seed-7 ttable (126,872 rows), and 0.43 KB while
+# dict loaded every row into a (source, target)-keyed table
+DICT_BOUND_KB = 0.45
 # split's peak RSS growth per added record, each a corpus line of about
 # 0.37 KB that split holds as one str: 0.44 KB measured under CPython 3.11,
 # and 3.1 KB while split parsed every line into an IgtRecord
@@ -238,6 +246,33 @@ def run_align(generated: str, work: str, times: int) -> tuple[int, float]:
     return n_pairs, peak
 
 
+def run_dict(work: str, name: str) -> tuple[int, float]:
+    """The number of rows of the ttable ``ttable.{name}.tsv`` and the peak RSS
+    in MB of ``igt dict`` on it; fails unless dict writes ``dict.{name}.tsv``,
+    the dictionary align wrote with the table, and nothing to stderr."""
+    ttable = os.path.join(work, f"ttable.{name}.tsv")
+    out = os.path.join(work, f"dict-from-ttable.{name}.tsv")
+    argv = [sys.executable, "-m", "igtpivot", "dict", "--ttable", ttable, "--out", out]
+    peak, message = peak_mb(argv, os.path.join(work, "stderr.txt"))
+    if message or not filecmp.cmp(out, os.path.join(work, f"dict.{name}.tsv"), shallow=False):
+        raise SystemExit(f"dict on the {name} ttable did not write align's dictionary:\n{message}")
+    with open(ttable, encoding="utf-8", newline="\n") as lines:
+        n_rows = sum(1 for line in lines if not line.startswith("#"))
+    return n_rows, peak
+
+
+def cut_one_row(work: str, name: str) -> None:
+    """Write the header and first row of ``ttable.{name}.tsv``, and the
+    dictionary of that row, as the table and dictionary named ``one-row``."""
+    with open(os.path.join(work, f"ttable.{name}.tsv"), encoding="utf-8", newline="\n") as table:
+        lines = list(itertools.takewhile(lambda line: line.startswith("#"), table))
+        row = next(table)
+    with open(os.path.join(work, "ttable.one-row.tsv"), "w", encoding="utf-8", newline="\n") as out:
+        out.writelines([*lines, row])
+    with open(os.path.join(work, "dict.one-row.tsv"), "w", encoding="utf-8", newline="\n") as out:
+        out.write(row)
+
+
 def check_source_glosses(gloss: str, report: str, times: int) -> None:
     """Fail unless the lines of ``gloss`` are the ``gloss_src:`` lines of
     ``report``, in order; both files are read a line at a time."""
@@ -279,6 +314,8 @@ def main() -> int:
         pivot_once, counts_once = run_pivot(pivot_generated, work, 1)
         pivot_scaled, counts_scaled = run_pivot(pivot_generated, work, PIVOT_TIMES)
         align_once, align_scaled = run_align(generated, work, 1), run_align(generated, work, ALIGN_TIMES)
+        cut_one_row(work, "x1")
+        dict_runs = {name: run_dict(work, name) for name in ("one-row", "x1", f"x{ALIGN_TIMES}")}
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"this script peaked at {own:.1f} MB")
     failures = []
@@ -295,15 +332,17 @@ def main() -> int:
             failures.append(f"{command} grew {ratio:.3f}x from x1 to x{times} (bound {BOUND}x)")
         if min(small, large) <= own:
             failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")
-    for command, item, (n_once, small), (n_scaled, large), times, bound in (
-        ("split", "record", split_once, split_scaled, TIMES, SPLIT_BOUND_KB),
-        ("align", "pair", align_once, align_scaled, ALIGN_TIMES, ALIGN_BOUND_KB),
+    for command, item, first, (n_first, small), last, (n_last, large), bound in (
+        ("split", "record", "x1", split_once, f"x{TIMES}", split_scaled, SPLIT_BOUND_KB),
+        ("align", "pair", "x1", align_once, f"x{ALIGN_TIMES}", align_scaled, ALIGN_BOUND_KB),
+        *(("dict", "row", "one-row table", dict_runs["one-row"], f"{name} table", dict_runs[name],
+           DICT_BOUND_KB) for name in ("x1", f"x{ALIGN_TIMES}")),
     ):
-        per_item_kb = (large - small) * 1024.0 / (n_scaled - n_once)
-        print(f"{command:14} x1 {small:6.1f} MB   x{times} {large:6.1f} MB   "
+        per_item_kb = (large - small) * 1024.0 / (n_last - n_first)
+        print(f"{command:14} {first} {small:6.1f} MB   {last} {large:6.1f} MB   "
               f"{per_item_kb:.2f} KB per {item}")
         if per_item_kb > bound:
-            failures.append(f"{command} grew {per_item_kb:.2f} KB per {item} from x1 to x{times} "
+            failures.append(f"{command} grew {per_item_kb:.2f} KB per {item} from {first} to {last} "
                             f"(bound {bound} KB)")
         if small <= own:
             failures.append(f"{command}'s figure may be this script's own peak, {own:.1f} MB")

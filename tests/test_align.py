@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from igtpivot import (
     NULL_TOKEN,
+    BadThresholdError,
     EmptyCorpusError,
+    IgtError,
     LemmaDictionary,
     ParallelCorpus,
     TableParseError,
@@ -21,6 +23,7 @@ from igtpivot import (
     load_translation_table,
     train_model1,
 )
+from igtpivot.align import _dictionary_from_dump
 from igtpivot.model import split_lines
 
 import model1_oracle
@@ -171,6 +174,21 @@ def test_extract_with_threshold_keeps_confident_entries():
 def test_extract_impossible_threshold_gives_empty_dictionary():
     table = train_model1(toy_corpus(), iterations=3)
     assert extract_dictionary(table, threshold=1.01).entries == {}
+
+
+def test_a_nan_threshold_is_rejected_not_an_empty_dictionary():
+    table = train_model1(toy_corpus(), iterations=3)
+    text = dump_translation_table(table)
+    for extract in (
+        lambda: extract_dictionary(table, float("nan")),
+        lambda: load_dictionary("das\tthe\t0.5\n", float("nan")),
+        lambda: _dictionary_from_dump(text, float("nan")),
+    ):
+        with pytest.raises(BadThresholdError) as info:
+            extract()
+        assert isinstance(info.value, IgtError) and isinstance(info.value, ValueError)
+        assert info.value.code == "BAD_THRESHOLD"
+        assert str(info.value) == "threshold is nan, which no probability reaches"
 
 
 def test_extract_zero_threshold_covers_every_source_word():
@@ -614,3 +632,114 @@ def test_translation_table_rejects_a_pair_repeated_in_another_case(rows, message
         load_translation_table(rows)
     assert info.value.code == "TABLE_PARSE_ERROR"
     assert str(info.value) == message
+
+
+# --- trained tables in key order, and dict's column path ------------------------------
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+def test_a_trained_table_iterates_in_key_order(null_word):
+    for seed in range(6):
+        rng = random.Random(seed)
+        corpus = ParallelCorpus(_mixed_case(rng, random_parallel_corpus(rng)))
+        table = train_model1(corpus, iterations=2, null_word=null_word)
+        assert list(table.probs) == sorted(table.probs)
+
+
+@pytest.mark.parametrize("null_word", [False, True])
+def test_the_column_path_reads_trained_tables(null_word):
+    for seed in range(6):
+        rng = random.Random(seed)
+        corpus = ParallelCorpus(_mixed_case(rng, random_parallel_corpus(rng)))
+        table = train_model1(corpus, iterations=3, null_word=null_word)
+        for threshold in (0.0, 0.1, 0.5, 1.01):
+            dictionary = _dictionary_from_dump(dump_translation_table(table), threshold)
+            assert dictionary == extract_dictionary(table, threshold)
+
+
+def _outcome(extract):
+    """What ``extract()`` returns, or the type, code, message and line of the
+    error it raises."""
+    try:
+        return extract()
+    except IgtError as exc:
+        return type(exc), exc.code, str(exc), exc.line
+
+
+# a table as dumped, then at most two faults, each at a row index
+_dump_row = st.tuples(
+    st.sampled_from(["ka", "lu", "mo", "#x", "\u03c3"]),
+    st.sampled_from(["x", "y", "z", NULL_TOKEN]),
+    st.one_of(st.sampled_from(["0.5", "0.25", "1.0", "0", "-0.0"]), st.floats(0.0, 1.0).map(repr)),
+)
+_ROW_FAULTS = {
+    "upper source": lambda row: [row[0].upper(), *row[1:]],
+    "<null> target": lambda row: [row[0], "<null>", *row[2:]],
+    "NULL inside a target": lambda row: [row[0], "x" + NULL_TOKEN, *row[2:]],
+    "upper NULL source": lambda row: [NULL_TOKEN, *row[1:]],
+    "nan": lambda row: [*row[:2], "nan"],
+    "negative": lambda row: [*row[:2], "-0.1"],
+    "overflow": lambda row: [*row[:2], "1e999"],
+    "upper exponent": lambda row: [*row[:2], "1E-3"],
+    "not a number": lambda row: [*row[:2], "x"],
+    "two fields": lambda row: row[:2],
+    "empty word": lambda row: ["", *row[1:]],
+    "space in a word": lambda row: [row[0], "old woman", *row[2:]],
+}
+_LINE_FAULTS = {
+    "repeated pair": lambda rows, i: rows.insert(i, rows[i]),
+    "repeated pair in another case": lambda rows, i: rows.insert(i + 1, [rows[i][0].upper(), *rows[i][1:]]),
+    "comment": lambda rows, i: rows.insert(i, ["# mid"]),
+    "key=value comment": lambda rows, i: rows.insert(i, ["#c=1"]),
+    "blank line": lambda rows, i: rows.insert(i, [""]),
+    "spaces": lambda rows, i: rows.insert(i, ["  "]),
+    "swapped rows": lambda rows, i: rows.insert(0, rows.pop(i)),
+}
+_dump_header = st.lists(
+    st.sampled_from([
+        "# iterations=5", "# null_word=true", "# null_word=false", "# final_perplexity=2.5",
+        "# iterations=x5", "# null_word=True", "# final_perplexity=low", "# free text", "#",
+        "# iterations = 3",
+    ]),
+    max_size=4,
+)
+
+
+@given(
+    header=_dump_header,
+    pairs=st.dictionaries(_dump_row.map(lambda row: row[:2]), _dump_row.map(lambda row: row[2]),
+                          min_size=1, max_size=8),
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted([*_ROW_FAULTS, *_LINE_FAULTS])), st.integers(0, 7)),
+        max_size=2,
+    ),
+    newline=st.sampled_from(["\n", "\n", "\n", "\r\n"]),
+    final_newline=st.sampled_from([True, True, True, False]),
+    threshold=st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.01, -1.0, float("nan")]),
+)
+@example(header=["# iterations=3"], pairs={("ka", "x"): "0.5", ("ka", "y"): "0.5"}, faults=[],
+         newline="\n", final_newline=True, threshold=0.0)
+@example(header=[], pairs={("ka", "x"): "0.5", ("lu", "y"): "0.5"}, faults=[("nan", 1)],
+         newline="\n", final_newline=True, threshold=0.0)  # min() and max() skip this nan
+@example(header=[], pairs={("ka", "x"): "0.5", ("ka", "y"): "0.5"}, faults=[("swapped rows", 1)],
+         newline="\n", final_newline=True, threshold=0.0)  # a tie in falling target order
+@example(header=[], pairs={("ka", "x"): "0.5", ("lu", "y"): "0.25", ("lu", "z"): "0.5"},
+         faults=[("swapped rows", 2)], newline="\n", final_newline=True, threshold=0.0)  # lu split
+@settings(max_examples=500, deadline=None)
+def test_the_column_path_equals_the_general_reader(
+    header, pairs, faults, newline, final_newline, threshold
+):
+    rows = [[*key, prob] for key, prob in sorted(pairs.items())]
+    for fault, index in faults:
+        index %= len(rows)
+        if fault in _ROW_FAULTS:
+            rows[index] = _ROW_FAULTS[fault](rows[index])
+        else:
+            _LINE_FAULTS[fault](rows, index)
+    text = newline.join(header + ["\t".join(row) for row in rows])
+    text += newline if final_newline else ""
+    expected = _outcome(lambda: extract_dictionary(load_translation_table(text), threshold))
+    dictionary = _outcome(lambda: _dictionary_from_dump(text, threshold))
+    event("column path" if dictionary is not None else "general reader")
+    if dictionary is not None:
+        assert dictionary == expected

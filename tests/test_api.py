@@ -15,6 +15,7 @@ EXPORTS = [
     "BadFieldRoleError",
     "BadLanguageTagError",
     "BadRatiosError",
+    "BadThresholdError",
     "BadTranslatorError",
     "BlockShapeError",
     "CorpusSplit",

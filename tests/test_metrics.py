@@ -30,6 +30,7 @@ from igtpivot import metrics
 from igtpivot.errors import AnnotationParseError, IgtError, LexiconParseError
 from igtpivot.metrics import format_report, summary_line
 
+import bleu_reference
 from golden_data import QUALITATIVE_GOLD, TURKISH_SEQUENCE
 
 
@@ -124,8 +125,8 @@ def test_evaluate_scores_both_bleus_as_bleu_does(pairs, smooth):
 @given(_sentence, st.integers(min_value=1, max_value=9))
 def test_ngrams_match_one_slice_per_index(tokens, n):
     # n runs past the 7-token maximum, so some orders have no n-gram
-    expected = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    assert metrics._ngrams(tokens, n) == expected
+    expected = [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    assert list(metrics._ngrams(tokens, n)) == expected
 
 
 def test_evaluate_counts_each_sentences_ngrams_once(monkeypatch):
@@ -133,13 +134,29 @@ def test_evaluate_counts_each_sentences_ngrams_once(monkeypatch):
     count = metrics._ngrams
 
     def counting(tokens, n):
-        calls.append(n)
+        calls.append((tuple(tokens), n))
         return count(tokens, n)
 
     monkeypatch.setattr(metrics, "_ngrams", counting)
     evaluate([["a", "b", "c"], ["d"]], [["a", "b"], ["d", "e"]])
     # orders 1-4 of each hypothesis and each reference, order 1 not again for BLEU-1
-    assert sorted(calls) == sorted([1, 2, 3, 4] * 4)
+    sides = [("a", "b", "c"), ("d",), ("a", "b"), ("d", "e")]
+    assert Counter(calls) == Counter((side, n) for side in sides for n in (1, 2, 3, 4))
+
+
+# tokens that repeat within a sentence, and a number that str() makes equal
+# to the token "1"
+_counted_sentence = st.lists(st.sampled_from(["a", "b", "c", "1", 1]), max_size=9)
+
+
+@given(
+    st.lists(st.tuples(_counted_sentence, _counted_sentence), max_size=5),
+    st.integers(min_value=1, max_value=6),
+)
+def test_bleu_counts_equal_the_per_order_clipped_counts(pairs, max_n):
+    hyps = [hyp for hyp, _ in pairs]
+    refs = [ref for _, ref in pairs]
+    assert metrics._bleu_counts(hyps, refs, max_n) == bleu_reference.bleu_counts(hyps, refs, max_n)
 
 
 # --- non-repetition -----------------------------------------------------------------
