@@ -22,12 +22,12 @@ _EXPORTS = {
             "load_translation_table", "train_model1",
         ),
         "errors": (
-            "BadEncodingError", "BadFieldRoleError", "BadLanguageTagError", "BadRatiosError",
-            "BadThresholdError", "BadTranslatorError", "BlockShapeError", "CycleDetectedError",
-            "EmptyCorpusError", "EmptyLineError", "IgtError", "LengthMismatchError",
-            "MalformedRecordError", "MalformedTokenError", "ParseWarning", "PipelineStageError",
-            "TableParseError", "TokenCountMismatchError", "TranslatorCountMismatchError",
-            "TranslatorSpawnFailureError", "TranslatorTimeoutError",
+            "BadArgumentError", "BadEncodingError", "BadFieldRoleError", "BadLanguageTagError",
+            "BadRatiosError", "BadThresholdError", "BadTranslatorError", "BlockShapeError",
+            "CycleDetectedError", "EmptyCorpusError", "EmptyLineError", "IgtError",
+            "LengthMismatchError", "MalformedRecordError", "MalformedTokenError", "ParseWarning",
+            "PipelineStageError", "TableParseError", "TokenCountMismatchError",
+            "TranslatorCountMismatchError", "TranslatorSpawnFailureError", "TranslatorTimeoutError",
         ),
         "inflect": ("InflectionLexicon", "default_lexicon", "load_lexicon"),
         "metrics": (

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter, lt, ne, or_, truediv
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     SKIPPED_PAIR,
+    BadArgumentError,
     BadThresholdError,
     EmptyCorpusError,
+    EmptyLineError,
     LengthMismatchError,
     ParseWarning,
     TableParseError,
@@ -57,21 +59,22 @@ class ParallelCorpus:
     def __post_init__(self) -> None:
         for i, (src, tgt) in enumerate(self.pairs):
             if not src or not tgt:
-                raise ValueError(f"pair {i} has an empty sentence")
+                raise EmptyLineError(f"pair {i} has an empty sentence")
 
     @classmethod
     def from_texts(cls, source_text: str, target_text: str) -> "ParallelCorpus":
         """Build from two parallel files (one sentence per line).  Lines that
         are blank on either side are dropped as a pair.  Equal words share
         one ``str``."""
-        return cls(pairs=_sentence_pairs(source_text, target_text, lambda warning: None))
+        return cls(pairs=tuple(_sentence_pairs(source_text, target_text, lambda warning: None)))
 
 
 def _sentence_pairs(
     source_text: str, target_text: str, warn: Callable[[ParseWarning], None]
-) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-    """The pairs of :meth:`ParallelCorpus.from_texts`; a line blank on one
-    side only is passed to ``warn`` as a ``SKIPPED_PAIR`` warning."""
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The pairs of :meth:`ParallelCorpus.from_texts`, one at a time; a line
+    blank on one side only is passed to ``warn`` as a ``SKIPPED_PAIR``
+    warning."""
     src_lines = split_lines(source_text)
     tgt_lines = split_lines(target_text)
     if len(src_lines) != len(tgt_lines):
@@ -79,19 +82,17 @@ def _sentence_pairs(
             f"parallel files differ in length: {len(src_lines)} vs {len(tgt_lines)}"
         )
     share = {}.setdefault  # the first str of each word
-    pairs = []
     for lineno, (src_words, tgt_words) in enumerate(
         zip(map(str.split, src_lines), map(str.split, tgt_lines)), start=1
     ):
         if src_words and tgt_words:
-            pairs.append((tuple(map(share, src_words, src_words)),
-                          tuple(map(share, tgt_words, tgt_words))))
+            yield (tuple(map(share, src_words, src_words)),
+                   tuple(map(share, tgt_words, tgt_words)))
         elif src_words or tgt_words:
             blank, dropped = ("target", "source") if src_words else ("source", "target")
             warn(ParseWarning(
                 SKIPPED_PAIR, f"blank {blank} line; its {dropped} line is dropped", line=lineno
             ))
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class LemmaDictionary:
     def __post_init__(self) -> None:
         for key in self.entries:
             if key != key.lower():
-                raise ValueError(
+                raise BadArgumentError(
                     f"dictionary key {key!r} is not lowercase; lookup lowercases the lemma"
                 )
 
@@ -160,10 +161,17 @@ def train_model1(
     non-increasing) is summed from the E-step denominators, so only the
     final table needs a pass of its own.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot train on an empty corpus")
     if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+        raise BadArgumentError(f"iterations must be >= 1, got {iterations}")
+    return _train_model1(corpus.pairs, iterations, null_word)
+
+
+def _train_model1(
+    pairs: Iterable[tuple[tuple[str, ...], tuple[str, ...]]], iterations: int, null_word: bool
+) -> TranslationTable:
+    """:func:`train_model1` on ``pairs``, read once, by the link build; the
+    CLI passes them as :func:`_sentence_pairs` makes them, so no pair is
+    held while EM runs."""
     # imported by their only user, so that the commands that only read a
     # dictionary do not pay for them
     import logging
@@ -178,7 +186,9 @@ def train_model1(
     link_target: list[int] = []
     pair_links: list[array] = []  # each pair's links, a row of len(tgt_ids) per source token
     widths: list[int] = []
-    for src, tgt in corpus.pairs:
+    n_tokens = 0
+    for src, tgt in pairs:
+        n_tokens += len(src)
         tgt_ids = null + tuple(target_ids.setdefault(e.lower(), len(target_ids)) for e in tgt)
         tgt_set = set(tgt_ids)
         links = array("I")
@@ -190,6 +200,8 @@ def train_model1(
             links.extend(map(row.__getitem__, tgt_ids))
         pair_links.append(links)
         widths.append(len(tgt_ids))
+    if not widths:
+        raise EmptyCorpusError("cannot train on an empty corpus")
     # the links in (source word, target word) order, in which probs is built
     target_words = list(target_ids)
     rank = [0] * len(target_words)
@@ -208,7 +220,6 @@ def train_model1(
         n_sources[e] += 1
     t = list(map([1.0 / n for n in n_sources].__getitem__, link_target))  # t[link] = t(f|e)
 
-    n_tokens = sum(len(src) for src, _ in corpus.pairs)
     history: list[float] = []
     for iteration in range(iterations + 1):
         # the pass after the last M-step only measures the final table

@@ -117,8 +117,18 @@ def _map_lines(args: argparse.Namespace, convert) -> int:
     return 0
 
 
+# each character str.splitlines splits on, by its escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _say(message: str) -> None:
+    """Print ``message`` to stderr as one line, a line break it quotes from
+    the input written as its escape."""
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+
+
 def _warn(warning: ParseWarning) -> None:
-    print(f"igt: warning: {warning}", file=sys.stderr)
+    _say(f"igt: warning: {warning}")
 
 
 def _write_lines(path: "str | None", lines: Iterable[str]) -> None:
@@ -256,8 +266,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     from . import align as align_mod
 
     pairs = align_mod._sentence_pairs(_read(args.src), _read(args.tgt), _warn)
-    corpus = align_mod.ParallelCorpus(pairs)
-    table = align_mod.train_model1(corpus, iterations=args.iters, null_word=args.null)
+    table = align_mod._train_model1(pairs, args.iters, args.null)
     if args.ttable_out:
         _write(args.ttable_out, align_mod.dump_translation_table(table))
     dictionary = align_mod.extract_dictionary(table, threshold=args.threshold)
@@ -488,13 +497,10 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.func(args)
     except IgtError as exc:
-        print(f"igt: {exc.code}: {exc}", file=sys.stderr)
+        _say(f"igt: {exc.code}: {exc}")
         return 1
     except OSError as exc:
-        print(f"igt: IO_ERROR: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"igt: VALUE_ERROR: {exc}", file=sys.stderr)
+        _say(f"igt: IO_ERROR: {exc}")
         return 1
 
 

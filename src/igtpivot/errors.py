@@ -48,11 +48,19 @@ class BadLanguageTagError(IgtError, ValueError):
     code = "BAD_LANGUAGE_TAG"
 
 
+class BadArgumentError(IgtError, ValueError):
+    """A library argument outside the values it may take: Model 1
+    ``iterations`` below 1, a BLEU ``max_n`` outside 1..4, a dictionary key
+    that is not lowercase."""
+
+    code = "BAD_ARGUMENT"
+
+
 class BadFieldRoleError(IgtError, ValueError):
     code = "BAD_FIELD_ROLE"
 
 
-class EmptyLineError(IgtError):
+class EmptyLineError(IgtError, ValueError):
     code = "EMPTY_LINE"
 
 
@@ -64,7 +72,7 @@ class TokenCountMismatchError(IgtError):
     code = "TOKEN_COUNT_MISMATCH"
 
 
-class MalformedTokenError(IgtError):
+class MalformedTokenError(IgtError, ValueError):
     code = "MALFORMED_TOKEN"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .errors import AnnotationParseError, LengthMismatchError
+from .errors import AnnotationParseError, BadArgumentError, LengthMismatchError
 from .inflect import InflectionLexicon, default_lexicon
 from .model import is_punct, split_lines
 
@@ -40,9 +40,9 @@ class EvalAnnotation:
         if self.subject_features is not None:
             person, number = self.subject_features
             if person not in (1, 2, 3) or number not in ("SG", "PL"):
-                raise ValueError(f"bad subject features {self.subject_features!r}")
+                raise AnnotationParseError(f"bad subject features {self.subject_features!r}")
         if self.expected_tense is not None and self.expected_tense not in _TENSES:
-            raise ValueError(f"bad tense {self.expected_tense!r}")
+            raise AnnotationParseError(f"bad tense {self.expected_tense!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def bleu(
     score exactly 100 whatever their sentence lengths.
     """
     if not 1 <= max_n <= 4:
-        raise ValueError(f"max_n must be in 1..4, got {max_n}")
+        raise BadArgumentError(f"max_n must be in 1..4, got {max_n}")
     return _bleu_score(_bleu_counts(hypotheses, references, max_n), max_n, smooth)
 
 
@@ -382,17 +382,12 @@ def parse_annotations(text: str) -> list[tuple[str, EvalAnnotation]]:
             else:
                 raise AnnotationParseError(f"unknown field {key!r}", line=lineno)
         try:
-            rows.append(
-                (
-                    row_id,
-                    EvalAnnotation(
-                        expected_nouns=nouns,
-                        expected_verbs=verbs,
-                        subject_features=subject,
-                        expected_tense=tense,
-                    ),
-                )
+            annotation = EvalAnnotation(
+                expected_nouns=nouns, expected_verbs=verbs,
+                subject_features=subject, expected_tense=tense,
             )
-        except ValueError as exc:
-            raise AnnotationParseError(str(exc), line=lineno) from exc
+        except AnnotationParseError as exc:
+            exc.line = lineno
+            raise
+        rows.append((row_id, annotation))
     return rows

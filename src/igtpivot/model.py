@@ -25,7 +25,9 @@ from .errors import (
     BadEncodingError,
     BadLanguageTagError,
     BadRatiosError,
+    IgtError,
     MalformedRecordError,
+    MalformedTokenError,
     TokenCountMismatchError,
 )
 
@@ -164,9 +166,9 @@ class GlossMorph:
 
     def __post_init__(self) -> None:
         if not self.text:
-            raise ValueError("morph text must be non-empty")
+            raise MalformedTokenError("morph text must be non-empty")
         if _find_space(self.text):
-            raise ValueError(f"morph text contains whitespace: {self.text!r}")
+            raise MalformedTokenError(f"morph text contains whitespace: {self.text!r}")
 
     @property
     def opaque(self) -> bool:
@@ -184,12 +186,12 @@ class GlossToken:
 
     def __post_init__(self) -> None:
         if not self.morphs:
-            raise ValueError("token must have at least one morph")
+            raise MalformedTokenError("token must have at least one morph")
         if self.morphs[0].joiner is not Joiner.WORD_INITIAL:
-            raise ValueError("first morph of a token must be word-initial")
+            raise MalformedTokenError("first morph of a token must be word-initial")
         for morph in self.morphs[1:]:
             if morph.joiner is Joiner.WORD_INITIAL:
-                raise ValueError("only the first morph of a token may be word-initial")
+                raise MalformedTokenError("only the first morph of a token may be word-initial")
 
     def render(self) -> str:
         # ``_value_`` skips the slow ``Enum.value`` descriptor
@@ -350,13 +352,13 @@ def _read_record(line: str, tokenize: Callable, count: Callable) -> tuple:
             raise MalformedRecordError(f"missing field {required!r}", field=required)
     try:
         lang = LanguageTag(values["lang"])
-    except ValueError as exc:
+    except BadLanguageTagError as exc:
         raise MalformedRecordError(str(exc), field="lang") from exc
     glosses = []
     for key in ("gloss_src", "gloss_tgt"):
         try:
             glosses.append(tokenize(values[key]) if key in values else None)
-        except Exception as exc:  # noqa: BLE001 - surface as record error
+        except IgtError as exc:
             raise MalformedRecordError(f"bad gloss in field {key!r}: {exc}", field=key) from exc
     gloss_src, gloss_tgt = glosses
     _require_content(values.get("src"), gloss_src, gloss_tgt, values.get("tgt"))

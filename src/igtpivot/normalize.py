@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import CycleDetectedError, TableParseError
+from .errors import CycleDetectedError, MalformedTokenError, TableParseError
 from .model import (
     GlossLine,
     GlossMorph,
@@ -95,7 +95,7 @@ class NormalizationTable:
         ``known=False``.
         """
         if not raw:
-            raise ValueError("label must be non-empty")
+            raise MalformedTokenError("label must be non-empty")
         image = self.variant_map.get(raw)
         if image is None:
             image = self._casefold_map.get(raw.casefold())

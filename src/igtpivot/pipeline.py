@@ -220,7 +220,8 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
     payload.seek(0)
     stdout = tempfile.TemporaryFile()
     try:
-        with _spool() as stderr:
+        # binary: a message that is not UTF-8 is still reported, escaped
+        with tempfile.TemporaryFile() as stderr:
             try:
                 argv = shlex.split(translator.command or "")
                 proc = subprocess.Popen(
@@ -247,7 +248,7 @@ def _run_external(payload: IO[str], n_lines: int, translator: TranslatorHandle) 
                 stderr.seek(0)
                 raise TranslatorSpawnFailureError(
                     f"translator exited with status {proc.returncode}: "
-                    f"{stderr.read().strip()[:200]}"
+                    f"{stderr.read().decode('utf-8', 'backslashreplace').strip()[:200]}"
                 )
         stdout.seek(0)
         n_outputs = sum(1 for _ in decode_lines(stdout, _OUTPUT))
@@ -466,7 +467,7 @@ def _stages(
                     shaped.append(rest_split[1:] if head is None else f"{head.text} {rest_split}")
                 else:
                     shaped.append(text)
-        except (IgtError, ValueError):
+        except IgtError:
             # the stages in turn find the fault to report: a faulty build was not memoized
             stage = "parse-analyzer"
             try:
@@ -476,7 +477,7 @@ def _stages(
                 stage = "substitute"
                 for piece, _ in glossed:
                     target_of[piece.text]
-            except (IgtError, ValueError) as exc:
+            except IgtError as exc:
                 raise PipelineStageError(stage, exc, line=lineno) from exc
             raise
 

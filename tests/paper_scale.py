@@ -57,9 +57,10 @@ PIVOT_TIMES = 14
 BOUND = 1.10
 ALIGN_TIMES = 10
 # align's peak RSS growth per added sentence pair (4-16 tokens a side):
-# 0.88, 0.70, 0.78 and 0.79 KB measured under CPython 3.10 to 3.13, and
-# 1.41 to 1.66 KB while EM kept one dict per source word and the corpus a
-# str per token
+# 0.31, 0.21, 0.47 and 0.31 KB measured under CPython 3.10 to 3.13 once
+# align held no sentence pair while EM ran (0.67, 0.51, 0.66 and 0.69 KB
+# before), and 1.41 to 1.66 KB while EM kept one dict per source word and
+# the corpus a str per token
 ALIGN_BOUND_KB = 1.1
 # dict's peak RSS growth per ttable row over a one-row table: 0.36 KB measured
 # under CPython 3.11 on the seed-7 ttable (126,872 rows), and 0.43 KB while

@@ -11,6 +11,7 @@ import igtpivot
 
 EXPORTS = [
     "AnalyzerToken",
+    "BadArgumentError",
     "BadEncodingError",
     "BadFieldRoleError",
     "BadLanguageTagError",

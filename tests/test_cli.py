@@ -912,3 +912,75 @@ def test_bad_flag_values_are_cli_errors_before_any_input_is_read(argv, message, 
 def test_a_cmd_translator_times_out_after_60_seconds_unless_told_otherwise():
     assert _translator_from_spec("cmd:cat", None).timeout == 60.0
     assert _translator_from_spec("cmd:cat", 5.0).timeout == 5.0
+
+
+# --- every stderr message is one line --------------------------------------------------------
+
+
+@pytest.mark.parametrize("section, shown", [
+    ("vari\rants", "vari\\rants"),
+    ("vari\u2028ants", "vari\\u2028ants"),
+    ("vari\x85ants", "vari\\x85ants"),
+    ("vari\fants", "vari\\x0cants"),
+])
+def test_a_table_error_quoting_a_line_break_is_one_line(section, shown, tmp_path, capsys):
+    table = write(tmp_path / "table.txt", f"[registry]\nNOM\n[{section}]\n")
+    infile = write(tmp_path / "in.txt", "gel+Past\n")
+    assert main(["parse-analyzer", "--table", table, "--in", infile]) == 1
+    assert capsys.readouterr().err == (
+        f"igt: TABLE_PARSE_ERROR: line 3: unknown section [{shown}]\n"
+    )
+
+
+@pytest.mark.parametrize("record_id, shown", [("a\\rb", "a\\rb"), ("a\u2028b", "a\\u2028b")])
+def test_prepare_multi_warns_of_an_id_holding_a_line_break_on_one_line(
+    record_id, shown, tmp_path, capsys
+):
+    corpus = write(tmp_path / "c.igt", f"id={record_id}\tlang=tur\tsrc=x\tgloss_src=x\n")
+    argv = ["prepare-multi", "--in", corpus,
+            "--src-out", str(tmp_path / "s.txt"), "--tgt-out", str(tmp_path / "t.txt")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        f"igt: warning: SKIPPED_RECORD: record {shown} lacks gloss_tgt or target_text\n"
+    )
+
+
+def test_split_names_an_escaped_carriage_return_on_one_line(tmp_path, capsys):
+    corpus = write(tmp_path / "c.igt", "id=a\\\rb\tlang=tur\tsrc=x\n")
+    argv = ["split", "--in", corpus, "--train-out", str(tmp_path / "1"),
+            "--valid-out", str(tmp_path / "2"), "--test-out", str(tmp_path / "3")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "igt: MALFORMED_RECORD: line 1: unknown escape \\\\r\n"
+
+
+def test_a_translator_two_line_stderr_is_one_line_of_ours(tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n")
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    script = "import sys; sys.stdin.read(); sys.stderr.write('one\\ntwo\\n'); sys.exit(3)"
+    argv = ["pivot", "--analyzer-out", analyzer, "--dict", dict_file,
+            "--translator", f"cmd:{sys.executable} -c \"{script}\""]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "igt: PIPELINE_STAGE_ERROR: stage translate: translator exited with status 3: "
+        "one\\ntwo\n"
+    )
+
+
+def test_a_translator_stderr_that_is_not_utf8_is_escaped_on_one_line(tmp_path, capsys):
+    analyzer = write(tmp_path / "analyzer.txt", "gel+Past\n")
+    dict_file = write(tmp_path / "dict.tsv", "gel\tcome\n")
+    script = "import sys; sys.stdin.read(); sys.stderr.buffer.write(bytes([255])); sys.exit(1)"
+    argv = ["pivot", "--analyzer-out", analyzer, "--dict", dict_file,
+            "--translator", f"cmd:{sys.executable} -c \"{script}\""]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "igt: PIPELINE_STAGE_ERROR: stage translate: translator exited with status 1: "
+        "\\xff\n"
+    )
+
+
+def test_a_missing_input_named_with_a_newline_is_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "no\nsuch")
+    assert main(["normalize", "--in", missing]) == 1
+    shown = missing.replace("\n", "\\n")
+    assert capsys.readouterr().err == f"igt: FILE_NOT_FOUND: input file does not exist: {shown}\n"

@@ -757,12 +757,12 @@ PRECEDENCE_DICTIONARY = LemmaDictionary({"ev": ("old house", 1.0), "gel": ("come
 
 @pytest.mark.parametrize("line, stage, cause_type, cause", [
     # a substitute fault in word 1, a gloss fault in word 3
-    ("ev+Nom gel+Past Kadi+Acc .", "analyzer-to-gloss", ValueError, "'Ka din'"),
+    ("ev+Nom gel+Past Kadi+Acc .", "analyzer-to-gloss", MalformedTokenError, "'Ka din'"),
     # a parse fault anywhere comes first
     ("ev+Nom gel Kadi+Acc a++B", "parse-analyzer", MalformedTokenError, "an empty tag: 'a++B'"),
     ("+Nom ev+Nom gel Kadi+Acc", "parse-analyzer", MalformedTokenError, "empty surface: '+Nom'"),
     ("ev gel .+Nom Kadi", "parse-analyzer", MalformedTokenError, "token '.' must not carry tags"),
-    ("gel ev+Nom gel ev", "substitute", ValueError, "'old house'"),
+    ("gel ev+Nom gel ev", "substitute", MalformedTokenError, "'old house'"),
 ])
 def test_a_line_with_faults_in_several_stages_raises_the_first_stages_error(
     line, stage, cause_type, cause
