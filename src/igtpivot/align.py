@@ -15,17 +15,20 @@ CPython version.  Across versions it need not be: since 3.12, ``sum()`` of
 floats uses compensated summation, and the E-step denominator is
 ``sum(masses)``, so a table trained under 3.11 and one trained under 3.12
 or later can differ in the last digits of their probabilities.
+
+The dictionary is one fold over ``((f, e), t(f|e))`` items, a trained
+table's ``probs`` or a ttable's rows as they are read, that holds only each
+source word's best target.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter, lt, ne, or_, truediv
+from itertools import repeat
+from operator import itemgetter, truediv
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -261,21 +264,27 @@ def _train_model1(
 
 def extract_dictionary(table: TranslationTable, threshold: float = 0.0) -> LemmaDictionary:
     """For each source word f, the target e maximizing t(f|e), kept when its
-    probability reaches the threshold.  Ties break lexicographically on the
-    target word; the synthetic NULL token is never a dictionary entry.  Keys
-    are lowercased, as lookup lowercases the lemma, so the source words of a
-    hand-written table that differ only in case share one entry.  A nan
-    threshold, which no probability reaches, raises
+    probability reaches the threshold: :func:`_best_targets` of the table's
+    probabilities.  Keys are lowercased, as lookup lowercases the lemma, so
+    the source words of a hand-written table that differ only in case share
+    one entry.  A nan threshold, which no probability reaches, raises
     :class:`~igtpivot.errors.BadThresholdError`."""
+    return _kept(_best_targets(table.probs.items()), threshold)
+
+
+def _best_targets(items: Iterable[tuple[tuple[str, str], float]]) -> dict[str, tuple[str, float]]:
+    """For each lowercased source word f of ``((f, e), t(f|e))`` items, read
+    once, the first target e of the highest probability, a tie going to the
+    smaller target; the synthetic NULL token is never a target."""
     best: dict[str, tuple[str, float]] = {}
-    for (f, e), p in table.probs.items():
+    for (f, e), p in items:
         if e == NULL_TOKEN:
             continue
         f = f.lower()
         current = best.get(f)
         if current is None or p > current[1] or (p == current[1] and e < current[0]):
             best[f] = (e, p)
-    return _kept(best, threshold)
+    return best
 
 
 def _kept(best: dict[str, tuple[str, float]], threshold: float) -> LemmaDictionary:
@@ -322,11 +331,12 @@ def align_pair(
 
 
 def _read_rows(
-    text: str, kind: str, usage: str, default_prob: "float | None" = None,
+    lines: Iterable[str], kind: str, usage: str, default_prob: "float | None" = None,
     header: "list[tuple[str, str, int]] | None" = None,
 ) -> "Iterator[tuple[int, str, str, float]]":
     """``(line, source, target, probability)`` per row of a ttable or
-    dictionary.
+    dictionary, read from its ``lines`` (as :func:`split_lines` gives them)
+    one at a time.
 
     A line that starts with ``#`` and has no tab is a comment (a word has no
     whitespace, so a row always has a tab); ``# key=value`` comments are
@@ -335,7 +345,7 @@ def _read_rows(
     number in [0, 1], and a two-field row takes ``default_prob`` unless it
     is None.
     """
-    for lineno, raw in enumerate(split_lines(text), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -392,44 +402,60 @@ _HEADER_PARSERS = {
 }
 
 
-def _header_values(header: list[tuple[str, str, int]]) -> dict:
-    """A ttable's header values from its ``(key, value, line)`` comments: the
-    last value of a key counts, unknown keys are ignored, and a bad value is
-    rejected with its line."""
-    values = {"iterations": 0, "null_word": False, "final_perplexity": float("nan")}
-    for key, value, lineno in header:
-        if key in _HEADER_PARSERS:
+def _table_rows(
+    lines: Callable[[], Iterable[str]], values: dict
+) -> Iterator[tuple[tuple[str, str], float]]:
+    """``((f, e), t(f|e))`` per row of the ttable whose lines ``lines()``
+    gives, from the start at each call.  Words are lowercased as lookup
+    lowercases them, the NULL token apart.  A pair that repeats an earlier
+    row's is rejected with both line numbers: a hash of each pair is held,
+    and a hash met again is confirmed by reading ``lines()`` anew.  After
+    the last row, a table without rows or with a bad header value is
+    rejected, and ``values`` is given the header values, unknown names
+    ignored."""
+    header: list[tuple[str, str, int]] = []
+    seen: set[int] = set()
+    for lineno, f, e, p in _read_rows(lines(), "table", _TABLE_USAGE, header=header):
+        key = _lowered(f, e)
+        digest = hash(key)
+        if digest in seen:  # a repeated pair, or two pairs of one hash
+            rows = _read_rows(lines(), "table", _TABLE_USAGE)
+            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
+            if first < lineno:
+                raise TableParseError(
+                    f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
+                )
+        seen.add(digest)
+        yield key, p
+    if not seen:
+        raise TableParseError("no probability rows found")
+    values.update(iterations=0, null_word=False, final_perplexity=float("nan"))
+    for name, value, lineno in header:  # the last value of a name counts
+        if name in _HEADER_PARSERS:
             try:
-                values[key] = _HEADER_PARSERS[key](value)
+                values[name] = _HEADER_PARSERS[name](value)
             except (KeyError, ValueError) as exc:
-                raise TableParseError(f"bad {key} value {value!r}", line=lineno) from exc
-    return values
+                raise TableParseError(f"bad {name} value {value!r}", line=lineno) from exc
 
 
 def load_translation_table(text: str) -> TranslationTable:
-    """Read a dumped ttable.  Words are lowercased as lookup lowercases them,
-    the NULL token apart; a pair that repeats an earlier row's lowercased
-    pair is rejected with both line numbers."""
-    header: list[tuple[str, str, int]] = []
-    probs: dict[tuple[str, str], float] = {}
-    for lineno, f, e, p in _read_rows(text, "table", _TABLE_USAGE, header=header):
-        key = _lowered(f, e)
-        if key in probs:
-            rows = _read_rows(text, "table", _TABLE_USAGE)
-            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
-            raise TableParseError(
-                f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
-            )
-        probs[key] = p
-    if not probs:
-        raise TableParseError("no probability rows found")
-    values = _header_values(header)
+    """Read a dumped ttable by the rules of :func:`_table_rows`."""
+    values: dict = {}
+    probs = dict(_table_rows(split_lines(text).__iter__, values))
     return TranslationTable(
         probs=probs,
         iterations_run=values["iterations"],
         final_perplexity=values["final_perplexity"],
         null_word=values["null_word"],
     )
+
+
+def _table_dictionary(lines: Callable[[], Iterable[str]], threshold: float) -> LemmaDictionary:
+    """``extract_dictionary(load_translation_table(text), threshold)`` for the
+    ttable whose lines ``lines()`` gives: each row is folded in as
+    :func:`_table_rows` reads it, so only each source word's best target is
+    held."""
+    return _kept(_best_targets(_table_rows(lines, {})), threshold)
 
 
 def dump_dictionary(dictionary: LemmaDictionary) -> str:
@@ -446,73 +472,15 @@ def load_dictionary(text: str, threshold: float = 0.0) -> LemmaDictionary:
     :func:`_read_rows`, or whose lowercased source an earlier row had, is
     rejected with its line number."""
     usage = "expected source<TAB>target[<TAB>probability]"
+    lines = split_lines(text)
     entries: dict[str, tuple[str, float]] = {}
-    for lineno, f, e, p in _read_rows(text, "dictionary", usage, default_prob=1.0):
+    for lineno, f, e, p in _read_rows(lines, "dictionary", usage, default_prob=1.0):
         key = f.lower()
         if key in entries:
-            rows = _read_rows(text, "dictionary", usage, default_prob=1.0)
+            rows = _read_rows(lines, "dictionary", usage, default_prob=1.0)
             first = next(n for n, g, _, _ in rows if g.lower() == key)
             raise TableParseError(
                 f"source {f!r} (lowercased) already given on line {first}", line=lineno
             )
         entries[key] = (e, p)
     return _kept(entries, threshold)
-
-
-# a table as dump_translation_table writes it: "#" lines without a tab, then
-# rows of three fields joined by single tabs
-_DUMP_PATTERN = r"((?:#[^\t\n]*\n)*)(?:\S+\t\S+\t\S+\n)+"
-
-
-def _group_starts(sources: list[str]) -> list[int]:
-    """The index of each row whose source differs from the row before's, the
-    first row included."""
-    return list(compress(range(len(sources)), map(ne, sources, chain((None,), sources))))
-
-
-def _dictionary_from_dump(text: str, threshold: float = 0.0) -> "LemmaDictionary | None":
-    r"""``extract_dictionary(load_translation_table(text), threshold)`` for a
-    table as :func:`dump_translation_table` writes it, read as columns; None
-    for any other text.
-
-    Such a table is ``#`` lines without a tab, then rows of three fields
-    joined by single tabs, each line ended by ``\n``.  Its words are already
-    lowercase (the NULL token apart), its probabilities lie in [0, 1], and
-    its rows come grouped by source with strictly increasing targets, so no
-    pair repeats.  Its header values are checked as the general reader
-    checks them.
-    """
-    match = re.fullmatch(_DUMP_PATTERN, text)  # re compiles it once, on first use
-    null_target = f"\t{NULL_TOKEN}\t"
-    if match is None or text.lower() != text.replace(null_target, null_target.lower()):
-        return None
-    fields = text.split()
-    start = len(match.group(1).split())
-    sources, targets = fields[start::3], fields[start + 1::3]
-    try:
-        probs = list(map(float, fields[start + 2::3]))
-    except ValueError:
-        return None
-    del fields
-    # min and max skip a nan unless it comes first, and a sum with one is nan
-    if not 0.0 <= min(probs) <= max(probs) <= 1.0 or math.isnan(sum(probs)):
-        return None
-    # each row's target follows the row before's, unless its source starts a group
-    next_sources, next_targets = islice(sources, 1, None), islice(targets, 1, None)
-    in_order = all(map(or_, map(ne, sources, next_sources), map(lt, targets, next_targets)))
-    starts = _group_starts(sources)
-    if not in_order or len(set(map(sources.__getitem__, starts))) < len(starts):
-        return None
-    header: list[tuple[str, str, int]] = []
-    for _ in _read_rows(match.group(1), "table", _TABLE_USAGE, header=header):
-        pass  # every line of the header is a comment
-    _header_values(header)
-    if NULL_TOKEN in targets:
-        real = list(map(ne, targets, repeat(NULL_TOKEN)))
-        sources, targets, probs = (list(compress(col, real)) for col in (sources, targets, probs))
-        starts = _group_starts(sources)
-    best = {}
-    for first, end in zip(starts, [*starts[1:], len(sources)]):
-        best_row = max(range(first, end), key=probs.__getitem__)  # the first maximum
-        best[sources[best_row]] = (targets[best_row], probs[best_row])
-    return _kept(best, threshold)

@@ -13,6 +13,7 @@ import os
 import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from functools import partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import model as model_mod
@@ -284,11 +285,11 @@ def _cmd_dict(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     from . import align as align_mod
 
-    text = _read(args.ttable)
-    dictionary = align_mod._dictionary_from_dump(text, args.threshold)
-    if dictionary is None:
-        table = align_mod.load_translation_table(text)
-        dictionary = align_mod.extract_dictionary(table, threshold=args.threshold)
+    if args.ttable == "-":  # stdin cannot be read again, so it is held
+        lines = split_lines(_read(args.ttable)).__iter__
+    else:
+        lines = partial(_iter_lines, args.ttable)
+    dictionary = align_mod._table_dictionary(lines, args.threshold)
     _write(args.outfile, align_mod.dump_dictionary(dictionary))
     return 0
 

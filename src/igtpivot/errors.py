@@ -117,9 +117,9 @@ class CycleDetectedError(IgtError):
 
     code = "CYCLE_DETECTED"
 
-    def __init__(self, label: str, image: tuple[str, ...]):
+    def __init__(self, label: str, image: tuple[str, ...], *, line: int = 0):
         super().__init__(
-            f"label {label!r} normalizes to {'.'.join(image)!r}, not to itself"
+            f"label {label!r} normalizes to {'.'.join(image)!r}, not to itself", line=line
         )
         self.label = label
         self.image = image

@@ -28,6 +28,7 @@ from .errors import (
     IgtError,
     MalformedRecordError,
     MalformedTokenError,
+    ParseWarning,
     TokenCountMismatchError,
 )
 
@@ -397,9 +398,13 @@ def _parse_record(line: str, label_registry: "frozenset[str] | set[str] | None")
     )
 
 
-def _read_corpus(lines: Iterable[str], read: Callable) -> Iterator:
+def _read_corpus(
+    lines: Iterable[str], read: Callable, warn: "Callable[[ParseWarning], None] | None" = None
+) -> Iterator:
     """``read`` of each non-blank corpus line, one at a time; a
-    :class:`MalformedRecordError` it raises is given the line's number."""
+    :class:`MalformedRecordError` it raises is given the line's number, and
+    so is a :class:`ParseWarning` it returns in place of a row, which is
+    passed to ``warn``."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -408,7 +413,10 @@ def _read_corpus(lines: Iterable[str], read: Callable) -> Iterator:
         except MalformedRecordError as exc:
             exc.line = exc.line or lineno
             raise
-        yield row
+        if isinstance(row, ParseWarning):
+            warn(ParseWarning(row.code, row.message, line=lineno))
+        else:
+            yield row
 
 
 def iter_corpus(lines: Iterable[str]) -> Iterator[IgtRecord]:

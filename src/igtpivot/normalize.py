@@ -138,10 +138,12 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
     """Parse a normalization table from its text form.  A label a lookup
     can yield (a registry label, or a person or number label when there are
     composites) that does not normalize to itself, as in a variant chain or
-    cycle, raises :class:`CycleDetectedError`."""
+    cycle, raises :class:`CycleDetectedError` naming the line of the variant
+    that lookup applies to the label, else the label's first registry line."""
     variant_map: dict[str, tuple[str, ...]] = {}
+    variant_lines: dict[str, int] = {}
     composite_rules: list[re.Pattern] = []
-    registry: set[str] = set()
+    registry_lines: dict[str, int] = {}  # each registry label's first line
     analyzer_map: dict[str, tuple[str, ...]] = {}
     verbal_tags: set[str] = set()
     restore_map: dict[str, str] = {}
@@ -164,7 +166,9 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
     # registry first, so images can be validated in one pass
     for lineno, section, line in pending:
         if section == "registry":
-            registry.update(line.split())
+            for label in line.split():
+                registry_lines.setdefault(label, lineno)
+    registry = registry_lines.keys()
 
     def image_of(spec: str, lineno: int) -> tuple[str, ...]:
         if spec == "-":
@@ -210,6 +214,7 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
                     line=lineno,
                 )
             variant_map[key] = image
+            variant_lines[key] = lineno
         elif section == "analyzer":
             if key in analyzer_map:
                 raise TableParseError(f"duplicate analyzer tag {key!r}", line=lineno)
@@ -246,7 +251,11 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
     for label in sorted(outputs):
         image = table.lookup_label(label)[0]
         if image != (label,):
-            raise CycleDetectedError(label, image)
+            # the variant lookup_label took: the label's own, else the first
+            # one of its casefold
+            folded = (n for key, n in variant_lines.items() if key.casefold() == label.casefold())
+            line = variant_lines.get(label) or next(folded, None) or registry_lines[label]
+            raise CycleDetectedError(label, image, line=line)
     return table
 
 

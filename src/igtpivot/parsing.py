@@ -504,18 +504,18 @@ def _corpus_pairs(
     lines: Iterable[str], split_morphs: bool, warn: _Warn
 ) -> Iterator[tuple[str, str]]:
     r"""``_training_pairs(iter_corpus(lines), split_morphs, warn)`` made from
-    gloss words, each distinct tail split once per run; but a target that
-    its file would not read back as one line (it holds ``\n`` or ends in
-    ``\r``) is a :class:`MalformedRecordError`."""
+    gloss words, each distinct tail split once per run, and each warning
+    given its record's line; but a target that its file would not read back
+    as one line (it holds ``\n`` or ends in ``\r``) is a
+    :class:`MalformedRecordError`."""
     split = _Memo(_split_tail)
     words_of = _gloss_word_list if split_morphs else partial(_gloss_word_list, reader=_word_cores)
 
-    def pair(line: str) -> "tuple[str, str] | None":
+    def pair(line: str) -> "tuple[str, str] | ParseWarning":
         values, lang, _, words = _read_record(line, words_of, len)
         target = values.get("tgt")
         if words is None or target is None:
-            warn(_skipped(values["id"]))
-            return None
+            return _skipped(values["id"])
         if split_lines(target + "\n") != [target]:
             message = f"tgt {target!r} would not read back as one line of the target file"
             raise MalformedRecordError(message, field="tgt")
@@ -525,4 +525,4 @@ def _corpus_pairs(
         )
         return f"{lang.code} {gloss}", target
 
-    return filter(None, _read_corpus(lines, pair))
+    return _read_corpus(lines, pair, warn)

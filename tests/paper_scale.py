@@ -57,15 +57,14 @@ PIVOT_TIMES = 14
 BOUND = 1.10
 ALIGN_TIMES = 10
 # align's peak RSS growth per added sentence pair (4-16 tokens a side):
-# 0.31, 0.21, 0.47 and 0.31 KB measured under CPython 3.10 to 3.13 once
-# align held no sentence pair while EM ran (0.67, 0.51, 0.66 and 0.69 KB
-# before), and 1.41 to 1.66 KB while EM kept one dict per source word and
-# the corpus a str per token
-ALIGN_BOUND_KB = 1.1
-# dict's peak RSS growth per ttable row over a one-row table: 0.36 KB measured
-# under CPython 3.11 on the seed-7 ttable (126,872 rows), and 0.43 KB while
-# dict loaded every row into a (source, target)-keyed table
-DICT_BOUND_KB = 0.45
+# 0.31, 0.21, 0.47 and 0.31 KB measured under CPython 3.10 to 3.13, so a
+# bound that fails if EM holds the corpus again (0.51 to 0.69 KB)
+ALIGN_BOUND_KB = 0.6
+# dict's peak RSS growth per ttable row over a one-row table: 0.08 KB measured
+# under CPython 3.11 on the seed-7 ttable (126,872 rows), where dict holds
+# each source word's best target and a hash of each row's pair; the bound
+# allows about twice that, and fails if dict holds every row again (0.36 KB)
+DICT_BOUND_KB = 0.15
 # split's peak RSS growth per added record, each a corpus line of about
 # 0.37 KB that split holds as one str: 0.44 KB measured under CPython 3.11,
 # and 3.1 KB while split parsed every line into an IgtRecord

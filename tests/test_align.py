@@ -23,7 +23,9 @@ from igtpivot import (
     load_translation_table,
     train_model1,
 )
-from igtpivot.align import _dictionary_from_dump
+from igtpivot import align
+from igtpivot.align import _table_dictionary
+from igtpivot.cli import _iter_lines
 from igtpivot.model import split_lines
 
 import model1_oracle
@@ -182,7 +184,7 @@ def test_a_nan_threshold_is_rejected_not_an_empty_dictionary():
     for extract in (
         lambda: extract_dictionary(table, float("nan")),
         lambda: load_dictionary("das\tthe\t0.5\n", float("nan")),
-        lambda: _dictionary_from_dump(text, float("nan")),
+        lambda: _table_dictionary(split_lines(text).__iter__, float("nan")),
     ):
         with pytest.raises(BadThresholdError) as info:
             extract()
@@ -634,7 +636,7 @@ def test_translation_table_rejects_a_pair_repeated_in_another_case(rows, message
     assert str(info.value) == message
 
 
-# --- trained tables in key order, and dict's column path ------------------------------
+# --- trained tables in key order, and dict's fold over a table's rows ------------------
 
 
 @pytest.mark.parametrize("null_word", [False, True])
@@ -647,14 +649,37 @@ def test_a_trained_table_iterates_in_key_order(null_word):
 
 
 @pytest.mark.parametrize("null_word", [False, True])
-def test_the_column_path_reads_trained_tables(null_word):
+def test_dicts_fold_reads_trained_tables(null_word):
     for seed in range(6):
         rng = random.Random(seed)
         corpus = ParallelCorpus(_mixed_case(rng, random_parallel_corpus(rng)))
         table = train_model1(corpus, iterations=3, null_word=null_word)
+        lines = split_lines(dump_translation_table(table)).__iter__
         for threshold in (0.0, 0.1, 0.5, 1.01):
-            dictionary = _dictionary_from_dump(dump_translation_table(table), threshold)
-            assert dictionary == extract_dictionary(table, threshold)
+            assert _table_dictionary(lines, threshold) == extract_dictionary(table, threshold)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# iterations=five\nka\tx\t2\n", "line 2: probability '2' is not in [0, 1]"),
+    ("# iterations=five\n", "no probability rows found"),
+    ("# iterations=five\nka\tx\t0.5\n", "line 1: bad iterations value 'five'"),
+])
+def test_a_tables_rows_are_checked_before_its_row_count_and_then_its_header(text, message):
+    for read in (load_translation_table, lambda text: _table_dictionary(split_lines(text).__iter__, 0.0)):
+        with pytest.raises(TableParseError) as info:
+            read(text)
+        assert str(info.value) == message
+
+
+def test_dicts_fold_passes_a_hash_shared_by_two_pairs(monkeypatch):
+    # every pair hashes alike, so each row after the first is read again
+    monkeypatch.setattr(align, "hash", lambda key: 0, raising=False)
+    lines = split_lines("# iterations=1\nka\tx\t0.25\nka\ty\t0.5\nlu\tx\t1.0\n").__iter__
+    assert _table_dictionary(lines, 0.0).entries == {"ka": ("y", 0.5), "lu": ("x", 1.0)}
+    lines = split_lines("ka\tx\t0.25\nka\ty\t0.5\nKA\tY\t0.5\n").__iter__
+    with pytest.raises(TableParseError) as info:
+        _table_dictionary(lines, 0.0)
+    assert str(info.value) == "line 3: pair ('ka', 'y') already given on line 2"
 
 
 def _outcome(extract):
@@ -726,8 +751,8 @@ _dump_header = st.lists(
 @example(header=[], pairs={("ka", "x"): "0.5", ("lu", "y"): "0.25", ("lu", "z"): "0.5"},
          faults=[("swapped rows", 2)], newline="\n", final_newline=True, threshold=0.0)  # lu split
 @settings(max_examples=500, deadline=None)
-def test_the_column_path_equals_the_general_reader(
-    header, pairs, faults, newline, final_newline, threshold
+def test_dicts_fold_equals_the_general_reader(
+    header, pairs, faults, newline, final_newline, threshold, tmp_path_factory
 ):
     rows = [[*key, prob] for key, prob in sorted(pairs.items())]
     for fault, index in faults:
@@ -739,7 +764,8 @@ def test_the_column_path_equals_the_general_reader(
     text = newline.join(header + ["\t".join(row) for row in rows])
     text += newline if final_newline else ""
     expected = _outcome(lambda: extract_dictionary(load_translation_table(text), threshold))
-    dictionary = _outcome(lambda: _dictionary_from_dump(text, threshold))
-    event("column path" if dictionary is not None else "general reader")
-    if dictionary is not None:
-        assert dictionary == expected
+    event("dictionary" if isinstance(expected, LemmaDictionary) else expected[1])
+    # read from a file as igt dict reads it: a line at a time, and again for a repeat
+    path = tmp_path_factory.mktemp("ttable") / "ttable.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(lambda: _table_dictionary(lambda: _iter_lines(str(path)), threshold)) == expected

@@ -441,6 +441,21 @@ def test_dict_rejects_a_multiword_table_row_with_its_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("repeat", ["das\tthe\t0.25", "DAS\tThe\t0.25"])
+def test_dict_rejects_a_repeated_pair_alike_from_a_file_and_from_stdin(
+    repeat, tmp_path, monkeypatch, capsys
+):
+    text = f"# iterations=1\ndas\tthe\t0.5\nhaus\thouse\t1.0\n{repeat}\n"
+    message = "igt: TABLE_PARSE_ERROR: line 4: pair ('das', 'the') already given on line 2\n"
+    ttable = write(tmp_path / "t.tsv", text)
+    assert main(["dict", "--ttable", ttable, "--out", str(tmp_path / "d.tsv")]) == 1
+    assert capsys.readouterr().err == message
+    monkeypatch.setattr(sys, "stdin", stdin_bytes(text.encode("utf-8")))
+    assert main(["dict", "--ttable", "-", "--out", str(tmp_path / "d.tsv")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "d.tsv").exists()
+
+
 def test_parse_analyzer_and_pivot_honour_number_first(tmp_path):
     analyzer = write(tmp_path / "analyzer.txt", "gel+Past+A3sg.\n")
     out = tmp_path / "out.txt"
@@ -941,7 +956,7 @@ def test_prepare_multi_warns_of_an_id_holding_a_line_break_on_one_line(
             "--src-out", str(tmp_path / "s.txt"), "--tgt-out", str(tmp_path / "t.txt")]
     assert main(argv) == 0
     assert capsys.readouterr().err == (
-        f"igt: warning: SKIPPED_RECORD: record {shown} lacks gloss_tgt or target_text\n"
+        f"igt: warning: SKIPPED_RECORD: record {shown} lacks gloss_tgt or target_text (line 1)\n"
     )
 
 

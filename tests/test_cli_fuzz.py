@@ -182,7 +182,7 @@ COMMANDS = {
 
 # the errors that are about a flag or a whole input, not about one line of it
 WHOLE_INPUT = re.compile(
-    r"CLI_ERROR: |BAD_LANGUAGE_TAG: |BAD_RATIOS: |LENGTH_MISMATCH: |EMPTY_CORPUS: |CYCLE_DETECTED: "
+    r"CLI_ERROR: |BAD_LANGUAGE_TAG: |BAD_RATIOS: |LENGTH_MISMATCH: |EMPTY_CORPUS: "
     r"|TABLE_PARSE_ERROR: no probability rows found$"
 )
 ERROR_LINE = re.compile(r"igt: ([A-Z_]+): (.+)")

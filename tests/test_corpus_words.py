@@ -26,6 +26,7 @@ from igtpivot import (
     IgtRecord,
     LanguageTag,
     MalformedRecordError,
+    ParseWarning,
     dump_corpus,
     iter_corpus,
     load_corpus,
@@ -51,14 +52,18 @@ def reference_toolbox_lines(lines, fmap, tag, id_prefix, warn):
 
 
 def reference_pairs(lines, split_morphs, warn):
-    """The record path's pairs, each target checked as prepare-multi checks it."""
+    """The record path's pairs, each target checked as prepare-multi checks it,
+    and each warning given the line of its record."""
     at = [0]  # the number of the line iter_corpus has just read
 
     def numbered():
         for at[0], line in enumerate(lines, start=1):
             yield line
 
-    for source, target in _training_pairs(iter_corpus(numbered()), split_morphs, warn):
+    def warn_at(warning):
+        warn(ParseWarning(warning.code, warning.message, line=at[0]))
+
+    for source, target in _training_pairs(iter_corpus(numbered()), split_morphs, warn_at):
         if split_lines(target + "\n") != [target]:
             error = MalformedRecordError(
                 f"tgt {target!r} would not read back as one line of the target file", field="tgt"
@@ -285,8 +290,8 @@ def test_prepare_multi_warns_about_a_skipped_record_as_the_record_path_does():
     result = run("prepare-multi", text)
     assert result == run_reference("prepare-multi", text)
     assert result[2] == (
-        "igt: warning: SKIPPED_RECORD: record <unnamed> lacks gloss_tgt or target_text\n"
-        "igt: warning: SKIPPED_RECORD: record n lacks gloss_tgt or target_text\n"
+        "igt: warning: SKIPPED_RECORD: record <unnamed> lacks gloss_tgt or target_text (line 2)\n"
+        "igt: warning: SKIPPED_RECORD: record n lacks gloss_tgt or target_text (line 3)\n"
     )
     assert result[3] == [b"tur kadin-NOM gel-PST.3.SG .\n", b"The woman came.\n"]
 

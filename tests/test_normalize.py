@@ -66,20 +66,35 @@ def test_default_table_analyzer_lookups():
 
 def test_cycle_detection():
     text = "[registry]\nX Y\n[variants]\nX\tY\nY\tX\n"
-    with pytest.raises(CycleDetectedError):
+    with pytest.raises(CycleDetectedError) as caught:
+        loads_table(text)
+    assert caught.value.line == 4
+
+
+@pytest.mark.parametrize("text, message", [
+    # the variant lookup applies: the label's own, else the first of its casefold
+    ("[registry]\nA B\n[variants]\nb\tA\nB\tA\n", "line 5: label 'B' normalizes to 'A'"),
+    ("[registry]\nA\nB\n[variants]\nx\tA\nb\tA\nB_\tA\n", "line 6: label 'B' normalizes to 'A'"),
+    # no variant applies: the label's first registry line
+    ("[registry]\n3SG\n3 SG\n3SG\n[composites]\n(?P<person>3)(?P<number>SG)\n",
+     "line 2: label '3SG' normalizes to '3.SG'"),
+    ("[registry]\nSG\n# sg\nPL sg\n", "line 4: label 'sg' normalizes to 'SG'"),
+])
+def test_a_cycle_names_the_line_that_makes_it(text, message):
+    with pytest.raises(CycleDetectedError, match=f"^{message}, not to itself$"):
         loads_table(text)
 
 
 def test_variant_chain_is_rejected_so_normalizing_is_idempotent():
     # X->A->B->C would normalize w-X to w-A, and w-A to w-B on a second pass
     text = "[registry]\nA B C\n[variants]\nX\tA\nA\tB\nB\tC\n"
-    message = r"^label 'A' normalizes to 'B', not to itself$"
+    message = r"^line 5: label 'A' normalizes to 'B', not to itself$"
     with pytest.raises(CycleDetectedError, match=message) as caught:
         loads_table(text)
     assert (caught.value.label, caught.value.image) == ("A", ("B",))
     # a composite's number label counts too: 3SG gives 3.SG, and SG gives PL
     composite = "[composites]\n(?P<person>[123])(?P<number>SG|PL)\n"
-    with pytest.raises(CycleDetectedError, match=r"^label 'SG' normalizes to 'PL'"):
+    with pytest.raises(CycleDetectedError, match=r"^line 4: label 'SG' normalizes to 'PL'"):
         loads_table(f"[registry]\n3 PL\n[variants]\nSG\tPL\n{composite}")
     loads_table("[registry]\n3 PL\n[variants]\nSG\tPL\n")  # no composite yields SG
 

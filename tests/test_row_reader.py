@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 
 from igtpivot import TableParseError
 from igtpivot.align import _read_rows
+from igtpivot.model import split_lines
 
 from rows_reference import reference_read_rows
 
 USAGE = "expected source<TAB>target<TAB>probability"
 
 
-def outcome(reader, text, default_prob):
+def outcome(reader, source, default_prob):
     header = []
     rows = []
     try:
-        for row in reader(text, "table", USAGE, default_prob=default_prob, header=header):
+        for row in reader(source, "table", USAGE, default_prob=default_prob, header=header):
             rows.append(row)
     except TableParseError as exc:
         return rows, header, (str(exc), exc.line)
@@ -25,7 +26,7 @@ def outcome(reader, text, default_prob):
 
 def assert_same(text):
     for default_prob in (None, 1.0):
-        assert outcome(_read_rows, text, default_prob) == outcome(
+        assert outcome(_read_rows, split_lines(text), default_prob) == outcome(
             reference_read_rows, text, default_prob
         ), (text, default_prob)
 
