@@ -402,46 +402,49 @@ _HEADER_PARSERS = {
 }
 
 
-def _table_rows(
-    lines: Callable[[], Iterable[str]], values: dict
-) -> Iterator[tuple[tuple[str, str], float]]:
-    """``((f, e), t(f|e))`` per row of the ttable whose lines ``lines()``
-    gives, from the start at each call.  Words are lowercased as lookup
-    lowercases them, the NULL token apart.  A pair that repeats an earlier
-    row's is rejected with both line numbers: a hash of each pair is held,
-    and a hash met again is confirmed by reading ``lines()`` anew.  After
+def _table_rows(lines: Iterable[str], values: dict) -> Iterator[tuple[int, tuple[str, str], float]]:
+    """``(line, (f, e), t(f|e))`` per row of the ttable of ``lines``.  Words
+    are lowercased as lookup lowercases them, the NULL token apart.  After
     the last row, a table without rows or with a bad header value is
     rejected, and ``values`` is given the header values, unknown names
-    ignored."""
+    ignored.  A repeated pair is for the caller to find, and
+    :func:`_reject_repeat` to confirm."""
     header: list[tuple[str, str, int]] = []
-    seen: set[int] = set()
-    for lineno, f, e, p in _read_rows(lines(), "table", _TABLE_USAGE, header=header):
-        key = _lowered(f, e)
-        digest = hash(key)
-        if digest in seen:  # a repeated pair, or two pairs of one hash
-            rows = _read_rows(lines(), "table", _TABLE_USAGE)
-            first = next(n for n, g, h, _ in rows if _lowered(g, h) == key)
-            if first < lineno:
-                raise TableParseError(
-                    f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
-                )
-        seen.add(digest)
-        yield key, p
-    if not seen:
+    lineno = 0
+    for lineno, f, e, p in _read_rows(lines, "table", _TABLE_USAGE, header=header):
+        yield lineno, _lowered(f, e), p
+    if not lineno:
         raise TableParseError("no probability rows found")
     values.update(iterations=0, null_word=False, final_perplexity=float("nan"))
-    for name, value, lineno in header:  # the last value of a name counts
+    for name, value, line in header:  # the last value of a name counts
         if name in _HEADER_PARSERS:
             try:
                 values[name] = _HEADER_PARSERS[name](value)
             except (KeyError, ValueError) as exc:
-                raise TableParseError(f"bad {name} value {value!r}", line=lineno) from exc
+                raise TableParseError(f"bad {name} value {value!r}", line=line) from exc
+
+
+def _reject_repeat(lines: Callable[[], Iterable[str]], key: tuple[str, str], lineno: int) -> None:
+    """Reject row ``lineno``, of pair ``key``, if an earlier row of the
+    ttable (read anew from ``lines()``) gave that pair, naming both lines."""
+    rows = _read_rows(lines(), "table", _TABLE_USAGE)
+    first = next(n for n, f, e, _ in rows if _lowered(f, e) == key)
+    if first < lineno:
+        raise TableParseError(
+            f"pair ({key[0]!r}, {key[1]!r}) already given on line {first}", line=lineno
+        )
 
 
 def load_translation_table(text: str) -> TranslationTable:
-    """Read a dumped ttable by the rules of :func:`_table_rows`."""
+    """Read a dumped ttable by the rules of :func:`_table_rows`; a pair that
+    repeats an earlier row's is rejected with both line numbers."""
     values: dict = {}
-    probs = dict(_table_rows(split_lines(text).__iter__, values))
+    lines = split_lines(text).__iter__
+    probs: dict[tuple[str, str], float] = {}
+    for lineno, key, p in _table_rows(lines(), values):
+        if key in probs:
+            _reject_repeat(lines, key, lineno)
+        probs[key] = p
     return TranslationTable(
         probs=probs,
         iterations_run=values["iterations"],
@@ -453,9 +456,20 @@ def load_translation_table(text: str) -> TranslationTable:
 def _table_dictionary(lines: Callable[[], Iterable[str]], threshold: float) -> LemmaDictionary:
     """``extract_dictionary(load_translation_table(text), threshold)`` for the
     ttable whose lines ``lines()`` gives: each row is folded in as
-    :func:`_table_rows` reads it, so only each source word's best target is
-    held."""
-    return _kept(_best_targets(_table_rows(lines, {})), threshold)
+    :func:`_table_rows` reads it, so only each source word's best target and
+    a hash of each pair are held; a hash met again is confirmed by
+    :func:`_reject_repeat`."""
+    seen: set[int] = set()
+
+    def rows() -> Iterator[tuple[tuple[str, str], float]]:
+        for lineno, key, p in _table_rows(lines(), {}):
+            digest = hash(key)
+            if digest in seen:  # a repeated pair, or two pairs of one hash
+                _reject_repeat(lines, key, lineno)
+            seen.add(digest)
+            yield key, p
+
+    return _kept(_best_targets(rows()), threshold)
 
 
 def dump_dictionary(dictionary: LemmaDictionary) -> str:

@@ -326,14 +326,9 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
     table = _load_norm_table(args.table, not args.number_first)
     dictionary = load_dictionary(_read(args.dict))
     report = pipeline_mod.PipelineReport()
-    traces = pipeline_mod.iter_pipeline(
-        _iter_lines(args.analyzer_out),
-        table,
-        dictionary,
-        translator,
-        oov_policy=_OOV_BY_NAME[args.oov],
-        split_morphs=args.split_morphs,
-        report=report,
+    rows = pipeline_mod._rows(
+        _iter_lines(args.analyzer_out), table, dictionary, translator,
+        _OOV_BY_NAME[args.oov], args.split_morphs, report,
     )
     # the report's counters head it but are known only once every sentence is in
     spool_report = (
@@ -341,11 +336,12 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
         if args.report
         else nullcontext()
     )
+    block = pipeline_mod._report_block
     with spool_report as report_out, _spooled(args.outfile) as out:
-        for index, trace in enumerate(traces, start=1):
-            out.write(trace.target + "\n")
+        for index, row in enumerate(rows, start=1):
+            out.write(row[3] + "\n")
             if report_out is not None:
-                report_out.write(pipeline_mod.format_report_sentence(index, trace))
+                report_out.write(block(index, *row))
     print(
         f"igt: pivoted {report.n_sentences} sentence(s), "
         f"oov={report.oov_lemmas} unknown_labels={report.unknown_labels}",

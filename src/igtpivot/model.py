@@ -157,6 +157,16 @@ def as_language_tag(value: "LanguageTag | str") -> LanguageTag:
     return value if isinstance(value, LanguageTag) else LanguageTag(value)
 
 
+def _check_morph_text(text: str) -> None:
+    """Raise :class:`MalformedTokenError` unless ``text`` can be a morph's:
+    non-empty and without whitespace.  What a gloss builds as text rather
+    than as a :class:`GlossMorph` is checked by this, as the morph would be."""
+    if not text:
+        raise MalformedTokenError("morph text must be non-empty")
+    if _find_space(text):
+        raise MalformedTokenError(f"morph text contains whitespace: {text!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class GlossMorph:
     """One segment of a gloss token."""
@@ -166,10 +176,7 @@ class GlossMorph:
     joiner: Joiner
 
     def __post_init__(self) -> None:
-        if not self.text:
-            raise MalformedTokenError("morph text must be non-empty")
-        if _find_space(self.text):
-            raise MalformedTokenError(f"morph text contains whitespace: {self.text!r}")
+        _check_morph_text(self.text)
 
     @property
     def opaque(self) -> bool:

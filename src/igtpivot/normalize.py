@@ -80,6 +80,16 @@ class NormalizationTable:
         }
 
     @cached_property
+    def _tag_labels(self) -> dict[str, tuple[str, ...]]:
+        """Each analyzer tag's label morphs rendered, joiner first
+        (``Past`` gives ``("-PST",)``): the text a gloss word's tail is
+        built from."""
+        return {
+            tag: tuple(m.joiner._value_ + m.text for m in morphs)
+            for tag, morphs in self._tag_morphs.items()
+        }
+
+    @cached_property
     def _label_registry(self) -> frozenset[str]:
         return self.registry | frozenset(self.variant_map)
 

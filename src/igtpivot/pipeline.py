@@ -33,13 +33,14 @@ from .model import (
     Joiner,
     MorphKind,
     OovPolicy,
+    _check_morph_text,
     _spool,
     decode_lines,
     is_punct,
     join_tokens,
     split_lines,
 )
-from .normalize import NormalizationTable, _label_tail, _normalized, default_label_registry
+from .normalize import NormalizationTable, _normalized, default_label_registry
 from .parsing import (
     _analyzer_words, _gloss_words, _Memo, _segment_morph, _skipped, _tail_morphs, tokenize_gloss,
 )
@@ -302,20 +303,34 @@ class _Target(NamedTuple):
     missed: bool  # the dictionary lacks the lemma
 
 
-def _piece(morphs: "Sequence[GlossMorph]", unknown: Iterable[str] = ()) -> _Piece:
+def _piece(morphs: "Sequence[GlossMorph]") -> _Piece:
     texts = [morph.joiner._value_ + morph.text for morph in morphs]
     punct = len(morphs) == 1 and is_punct(morphs[0].text)
-    return _Piece("".join(texts), punct, " ".join(texts), tuple(unknown))
+    return _Piece("".join(texts), punct, " ".join(texts))
 
 
 def _source_lemma(table: NormalizationTable, surface: str) -> _Piece:
     lemma = table.restore_map.get(surface, surface)
-    GlossMorph(MorphKind.LEMMA, lemma, Joiner.WORD_INITIAL)  # the check a gloss morph gets
+    _check_morph_text(lemma)
     return _Piece(lemma, is_punct(lemma))
 
 
 def _tail(table: NormalizationTable, run: str) -> _Piece:
-    return _piece(*_label_tail(run.split("+")[1:], table))
+    """The label tail of the tag run ``run`` (``+A3sg+Nom``), concatenated
+    from each known tag's rendered labels; a tag the table lacks is a label
+    of its own, its joiner and its text."""
+    labels: list[str] = []
+    unknown: list[str] = []
+    tag_labels = table._tag_labels
+    for tag in run.split("+")[1:]:
+        rendered = tag_labels.get(tag)
+        if rendered is None:
+            _check_morph_text(tag)
+            unknown.append(tag)
+            rendered = (("-" if tag in table.verbal_tags else ".") + tag,)
+        labels.extend(rendered)
+    punct = len(labels) == 1 and is_punct(labels[0][1:])  # every label's joiner is one character
+    return _Piece("".join(labels), punct, " ".join(labels), tuple(unknown))
 
 
 def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _Target:
@@ -329,7 +344,7 @@ def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _
         target = hit[0]
         if lemma[:1].isupper():
             target = target[:1].upper() + target[1:]
-        GlossMorph(MorphKind.LEMMA, target, Joiner.WORD_INITIAL)  # the check a gloss morph gets
+        _check_morph_text(target)
         return _Target(_Piece(target, is_punct(target)), False)
     if oov_policy is OovPolicy.KEEP:
         return _Target(_Piece(lemma, False), True)
@@ -403,6 +418,25 @@ def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Ca
     return _stage_lines(lambda morphs: _substituted(morphs, target), default_label_registry())
 
 
+def _surface_word(
+    table: NormalizationTable, target_of: _Memo, surface: str
+) -> "tuple[str, bool, str | None, bool, bool, str]":
+    """What :func:`_stages` makes of an analyzer surface: its restored
+    lemma, whether that is punctuation, the lemma's target-gloss text
+    (``None`` for an OOV lemma that DROP removes), whether that is
+    punctuation, whether the dictionary lacks the lemma, and the baseline's
+    text of the target (of the lemma when dropped), ``_`` made a space."""
+    lemma = table.restore_map.get(surface, surface)
+    _check_morph_text(lemma)
+    head, missed = target_of[lemma]
+    if head is None:
+        return lemma, is_punct(lemma), None, False, missed, lemma.replace("_", " ")
+    return lemma, is_punct(lemma), head.text, head.punct, missed, head.text.replace("_", " ")
+
+
+_Row = tuple[str, str, str, str]  # (analyzer line, source gloss, target gloss, target)
+
+
 def _stages(
     lines: Iterable[str],
     table: NormalizationTable,
@@ -411,7 +445,7 @@ def _stages(
     report: PipelineReport,
     baseline: bool,
     split_morphs: bool,
-) -> Iterator[tuple[str, str, str, str]]:
+) -> Iterator[_Row]:
     """``(analyzer line, source gloss, target gloss, translator input)`` per
     non-blank line, whose counts are added to ``report`` before it is
     yielded.  The translator input is the baseline's target when
@@ -419,13 +453,16 @@ def _stages(
     ``split_morphs``).
 
     The glosses are what :func:`analyzer_to_gloss`, :func:`substitute_lemmas`
-    and :meth:`GlossLine.render` make, assembled in one pass over a line's
-    words (joined by :func:`join_tokens`' rule) from pieces each built once
-    per run: a surface's restored lemma, a tag run's label tail and a source
-    lemma's target (so ``dictionary.lookup`` sees each distinct lemma once).
+    and :meth:`GlossLine.render` make, assembled as text in one pass over a
+    line's words (joined by :func:`join_tokens`' rule) from two memos, so
+    each word costs two lookups: one by analyzer surface, holding its
+    restored lemma, that lemma's target (looked up once per distinct lemma,
+    so ``dictionary.lookup`` sees each once) and the baseline's text of it,
+    and one by tag run, holding its label tail concatenated from the tags'
+    rendered labels.  No gloss morph, token or line is built.
     """
-    lemma_of, tail_of = _Memo(_source_lemma, table), _Memo(_tail, table)
-    target_of = _Memo(_target, dictionary, oov_policy)
+    lemma_of, target_of = _Memo(_source_lemma, table), _Memo(_target, dictionary, oov_policy)
+    word_of, tail_of = _Memo(_surface_word, table, target_of), _Memo(_tail, table)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -437,10 +474,10 @@ def _stages(
         try:
             words = _analyzer_words(line)
             for surface, run in words:
-                lemma, lemma_punct, _, _ = lemma_of[surface]
+                lemma, lemma_punct, head, head_punct, missed, plain = word_of[surface]
                 rest, rest_punct, rest_split, rest_unknown = tail_of[run]
-                head, missed = target_of[lemma]
-                unknown += len(rest_unknown)
+                if rest_unknown:
+                    unknown += len(rest_unknown)
                 oov += missed
                 punct = lemma_punct and not rest
                 if punct and source_after_word:
@@ -450,7 +487,7 @@ def _stages(
                 source_after_word = not punct
                 # as _word: the first morph left is word-initial; a word with none left stays
                 if head is not None:
-                    text, punct = head.text + rest, head.punct and not rest
+                    text, punct = head + rest, head_punct and not rest
                 elif rest:
                     text, punct = rest[1:], rest_punct
                 else:
@@ -461,10 +498,12 @@ def _stages(
                     target.append(text)
                 target_after_word = not punct
                 if baseline:  # baseline_detokenize: the lemma, or the word if it is punctuation
-                    if head is not None or punct or not rest:
-                        shaped.append((text if head is None else head.text).replace("_", " "))
+                    if head is not None or not rest:
+                        shaped.append(plain)
+                    elif punct:
+                        shaped.append(text.replace("_", " "))
                 elif split_morphs and rest:  # render_spaced(True): one word per morph
-                    shaped.append(rest_split[1:] if head is None else f"{head.text} {rest_split}")
+                    shaped.append(rest_split[1:] if head is None else f"{head} {rest_split}")
                 else:
                     shaped.append(text)
         except IgtError:
@@ -493,9 +532,7 @@ def _stages(
         yield line, " ".join(source), " ".join(target), sentence
 
 
-def _translate_externally(
-    stages: Iterator[tuple[str, str, str, str]], translator: TranslatorHandle
-) -> Iterator[SentenceTrace]:
+def _translate_externally(stages: Iterator[_Row], translator: TranslatorHandle) -> Iterator[_Row]:
     """One translator process for every sentence.  The stages wait in a
     spool (marshalled, since a library caller's line may hold any character)
     until the translator has succeeded."""
@@ -512,7 +549,27 @@ def _translate_externally(
         rows.seek(0)
         with outputs:
             for target in decode_lines(outputs, _OUTPUT):
-                yield SentenceTrace(*marshal.load(rows), target)
+                yield (*marshal.load(rows), target)
+
+
+def _rows(
+    lines: Iterable[str],
+    table: NormalizationTable,
+    dictionary: LemmaDictionary,
+    translator: TranslatorHandle,
+    oov_policy: OovPolicy,
+    split_morphs: bool,
+    report: PipelineReport,
+) -> Iterator[_Row]:
+    """:func:`iter_pipeline`'s sentences as ``(analyzer line, source gloss,
+    target gloss, target)`` rows, for the CLI to write as they come."""
+    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
+    if split_morphs and baseline:
+        raise BadTranslatorError("split_morphs is not used by the baseline translator")
+    stages = _stages(lines, table, dictionary, oov_policy, report, baseline, split_morphs)
+    if translator.kind is TranslatorKind.EXTERNAL:
+        return _translate_externally(stages, translator)
+    return stages  # the baseline's and identity's input is their target
 
 
 def iter_pipeline(
@@ -537,20 +594,18 @@ def iter_pipeline(
     identity translators hold nothing past the current sentence.  An
     external translator runs once for all sentences, fed through anonymous
     temporary files, so nothing is yielded until it has succeeded.
-    ``report.sentences`` is left as it is.  Each distinct lemma and tag run
-    is converted, looked up and rendered once per run, in bounded memos.
+    ``report.sentences`` is left as it is.
+
+    Each sentence is built as text: each distinct analyzer surface is
+    restored, looked up and rendered once per run and each distinct tag
+    run's label tail is concatenated from its tags' rendered labels once,
+    in bounded memos, and no gloss morph, token or line is built.  The
+    traces wrap the rows that ``igt pivot`` writes straight to its outputs.
     """
-    baseline = translator.kind is TranslatorKind.BASELINE_DETOKENIZE
-    if split_morphs and baseline:
-        raise BadTranslatorError("split_morphs is not used by the baseline translator")
     if report is None:
         report = PipelineReport()
-    stages = _stages(lines, table, dictionary, oov_policy, report, baseline, split_morphs)
-    if translator.kind is TranslatorKind.EXTERNAL:
-        yield from _translate_externally(stages, translator)
-        return
-    for line, gloss_src, gloss_tgt, target in stages:
-        yield SentenceTrace(line, gloss_src, gloss_tgt, target)
+    for row in _rows(lines, table, dictionary, translator, oov_policy, split_morphs, report):
+        yield SentenceTrace(*row)
 
 
 def run_pipeline(
@@ -588,13 +643,20 @@ def format_report_header(report: PipelineReport) -> str:
 
 def format_report_sentence(index: int, trace: SentenceTrace) -> str:
     """The four-line block (three without a target) of sentence ``index``."""
-    target = "" if trace.target is None else f"target:    {trace.target}\n"
+    return _report_block(index, trace.analyzer, trace.gloss_src, trace.gloss_tgt, trace.target)
+
+
+def _report_block(
+    index: int, analyzer: str, gloss_src: str, gloss_tgt: str, target: "str | None"
+) -> str:
+    """:func:`format_report_sentence` of a sentence given by its fields."""
+    target_line = "" if target is None else f"target:    {target}\n"
     return (
         f"--- sentence {index}\n"
-        f"analyzer:  {trace.analyzer}\n"
-        f"gloss_src: {trace.gloss_src}\n"
-        f"gloss_tgt: {trace.gloss_tgt}\n"
-        f"{target}"
+        f"analyzer:  {analyzer}\n"
+        f"gloss_src: {gloss_src}\n"
+        f"gloss_tgt: {gloss_tgt}\n"
+        f"{target_line}"
     )
 
 

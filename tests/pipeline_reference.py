@@ -11,7 +11,9 @@ before one function made each lemma's target: a lookup per lemma
 occurrence, the OOV policy applied inside the token loop.  And ``_stages``
 as it was before it built each line in one pass over its analyzer words:
 each stage a list over the whole line, each word rendered by ``_word`` and
-each gloss joined by ``join_tokens``."""
+each gloss joined by ``join_tokens``.  And a tag run's label tail as it was
+before it was built from the table's rendered labels: the run's label
+morphs built and then rendered."""
 
 from igtpivot import (
     GlossLine,
@@ -31,9 +33,9 @@ from igtpivot import (
 )
 from igtpivot.errors import IgtError, PipelineStageError
 from igtpivot.model import is_punct, join_tokens
-from igtpivot.normalize import _label_morphs, _order_person_number
+from igtpivot.normalize import _label_morphs, _label_tail, _order_person_number
 from igtpivot.parsing import _Memo
-from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN, _source_lemma, _tail, _target, _word
+from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN, _piece, _source_lemma, _tail, _target, _word
 
 from parsing_reference import reference_analyzer_words
 
@@ -59,6 +61,12 @@ def reference_analyzer_to_gloss(tokens, table):
             morphs.extend(_label_morphs(_order_person_number(image, table.person_first), first))
         gloss_tokens.append(GlossToken(tuple(morphs)))
     return GlossLine(tokens=tuple(gloss_tokens)), unknown
+
+
+def reference_tail(table, run):
+    """``_tail(table, run)`` from the label morphs of the run's tags."""
+    morphs, unknown = _label_tail(run.split("+")[1:], table)
+    return _piece(morphs)._replace(unknown=tuple(unknown))
 
 
 def reference_oov_lemmas(gloss, dictionary):

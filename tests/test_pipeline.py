@@ -44,8 +44,10 @@ from igtpivot import (
     tokenize_gloss,
     translate,
 )
+from igtpivot.model import _check_morph_text, is_punct
+from igtpivot.parsing import _gloss_words, _segment_morph, _tail_morphs
 from igtpivot.pipeline import (
-    _glossed_lines, _normalized_lines, _stages, _substituted_lines, format_report,
+    _glossed_lines, _normalized_lines, _stages, _substituted_lines, _tail, _target, format_report,
 )
 
 from gen_helpers import random_analyzer_corpus, random_record
@@ -55,10 +57,12 @@ from golden_data import (
     TURKISH_ANALYZER_FIXTURE,
 )
 from pipeline_reference import (
+    _reference_target_lemma,
     reference_iter_pipeline,
     reference_run_pipeline,
     reference_stages,
     reference_substitute,
+    reference_tail,
 )
 
 
@@ -531,6 +535,29 @@ _SURFACES = ["kadi", "Kadi", "ev", "Ev", "new_york", "x_y", "NOM", "3SG", "abd",
              "dot", "zork", "Zork", "stop"]
 # known tags and unknown ones in both cases
 _TAGS = ["A3sg", "A3pl", "Nom", "Acc", "Past", "Prog", "Pnon", "Excl", "Zorp", "ZORP", "zorp"]
+# known tags, verbal ones, ones with no label ("-"), punctuation labels
+# (Excl's, and Bang's, which is verbal), and unknown ones: in both cases,
+# punctuation, "_", a period and a non-ASCII letter
+_TAIL_TAGS = _TAGS + [
+    "A1sg", "P2pl", "Prog1", "Prop", "Noun", "Bang", "3SG", "!", ",", "é_x", "a.b",
+]
+TAIL_TABLES = [
+    PIECES_TABLE,
+    replace(PIECES_TABLE, person_first=False),
+    default_table(),
+    default_table(person_first=False),
+    loads_table("[registry]\n! 3 SG\n[analyzer]\nBang\t!\tverbal\nA3sg\t3.SG\n"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TAIL_TAGS), max_size=5))
+def test_a_tail_from_rendered_labels_equals_the_morph_built_tail(tags):
+    run = "".join("+" + tag for tag in tags)
+    for table in TAIL_TABLES:
+        assert _tail(table, run) == reference_tail(table, run)
+
+
 _analyzer_word = st.one_of(
     st.sampled_from([".", "!?", ",", "?"]),
     st.builds(
@@ -579,7 +606,21 @@ def test_pipeline_pieces_equal_the_reference_through_an_echoing_translator(polic
         assert _pivot(*args) == reference_iter_pipeline(*args)
 
 
-def test_pipeline_builds_no_gloss_line_or_token_and_no_morph_per_occurrence(monkeypatch):
+def _pivot_checks(lines, table, dictionary):
+    """The texts ``igt pivot`` checks as a morph's over ``lines``: each
+    distinct surface's restored lemma, each distinct lemma's dictionary
+    target and each unknown tag of each distinct tag run."""
+    tokens = [token for line in lines if line.strip() for token in parse_analyzer_line(line)]
+    lemmas = [table.restore_map.get(surface, surface) for surface in {t.surface for t in tokens}]
+    targets = [
+        _reference_target_lemma(lemma, dictionary) for lemma in set(lemmas) if not is_punct(lemma)
+    ]
+    runs = {token.tags for token in tokens}
+    unknown = [tag for tags in runs for tag in tags if tag not in table.analyzer_map]
+    return sorted(lemmas + [target for target in targets if target is not None] + unknown)
+
+
+def test_pipeline_builds_no_gloss_value_and_checks_each_distinct_piece_once(monkeypatch):
     lines = PIECES_TEXT.split("\n")
     cat = TranslatorHandle(TranslatorKind.EXTERNAL, command="cat", timeout=30)
     runs = [(BASELINE, False), (IDENTITY, False), (IDENTITY, True), (cat, False)]
@@ -588,33 +629,67 @@ def test_pipeline_builds_no_gloss_line_or_token_and_no_morph_per_occurrence(monk
         for translator, split in runs
         for policy in OovPolicy
     ]
-    PIECES_TABLE._tag_morphs  # the table's own morphs, built once per table
+    PIECES_TABLE._tag_labels  # the table's rendered labels, built once per table
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a gloss line or token was built")
+        raise AssertionError("a gloss morph, token or line was built")
 
+    checked = []
+
+    def counting(text):
+        checked.append(text)
+        _check_morph_text(text)
+
+    monkeypatch.setattr(GlossLine, "__init__", refuse)
+    monkeypatch.setattr(GlossToken, "__post_init__", refuse)
+    monkeypatch.setattr(GlossMorph, "__post_init__", refuse)
+    monkeypatch.setattr("igtpivot.pipeline._check_morph_text", counting)
+    once = _pivot_checks(lines, PIECES_TABLE, PIECES_DICTIONARY)
+    traces = []
+    for translator, split in runs:
+        for policy in OovPolicy:
+            checked.clear()
+            traces.append(_pivot(lines, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split))
+            assert sorted(checked) == once
+            # a repeated line checks nothing more
+            checked.clear()
+            _pivot(lines * 3, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split)
+            assert sorted(checked) == once
+    assert traces == expected
+
+
+@pytest.mark.parametrize("policy", list(OovPolicy))
+def test_subst_builds_one_morph_per_distinct_replaced_lemma(monkeypatch, policy):
+    glosses = ["Kadin-PST ev=ev 3SG-see x!?. , dot-Past.3sg", "zork=kadin-NOM ev-zork zork ."]
+    registry = default_table().label_registry()
+    expected = [
+        substitute_lemmas(tokenize_gloss(gloss), PIECES_DICTIONARY, policy).render()
+        for gloss in glosses
+    ]
+    _substituted_lines(PIECES_DICTIONARY, policy)(" ".join(glosses))  # the tokenizer's own memos
+    # the lemma morphs of each distinct head and tail that take another text
+    words = [(first, rest) for first, rest in _gloss_words(" ".join(glosses)) if rest is not None]
+    heads = [(_segment_morph("", first, registry),) for first in {first for first, _ in words}]
+    tails = [_tail_morphs(rest, registry) for rest in {rest for _, rest in words}]
+    replaced = [
+        head.text
+        for morphs in heads + tails
+        for morph in morphs
+        if morph.kind is MorphKind.LEMMA
+        for head in [_target(PIECES_DICTIONARY, policy, morph.text).head]
+        if head is not None and head.text != morph.text
+    ]
     built = []
     check = GlossMorph.__post_init__
 
     def counting(self):
-        built.append(self)
+        built.append(self.text)
         check(self)
 
-    monkeypatch.setattr(GlossLine, "__init__", refuse)
-    monkeypatch.setattr(GlossToken, "__post_init__", refuse)
     monkeypatch.setattr(GlossMorph, "__post_init__", counting)
-    assert [
-        _pivot(lines, PIECES_TABLE, PIECES_DICTIONARY, translator, policy, split)
-        for translator, split in runs
-        for policy in OovPolicy
-    ] == expected
-    # a repeated line builds no morph
-    built.clear()
-    _pivot(lines, PIECES_TABLE, PIECES_DICTIONARY, BASELINE, OovPolicy.KEEP, False)
-    once = len(built)
-    built.clear()
-    _pivot(lines * 3, PIECES_TABLE, PIECES_DICTIONARY, BASELINE, OovPolicy.KEEP, False)
-    assert len(built) == once > 0
+    convert = _substituted_lines(PIECES_DICTIONARY, policy)
+    assert [convert(g) for g in glosses * 3] == expected * 3
+    assert sorted(built) == sorted(replaced) and built
 
 
 def test_line_maps_build_no_gloss_line_or_token(monkeypatch):
