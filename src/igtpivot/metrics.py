@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import AnnotationParseError, BadArgumentError, LengthMismatchError
 from .inflect import InflectionLexicon, default_lexicon
@@ -176,24 +176,24 @@ def non_repetition(hypotheses: "list[TokenList]") -> float:
     return sum(scores) / len(scores)
 
 
+def _lemma_match(hypothesis: TokenList, lemmas: frozenset[str], forms: Callable[[str], set]) -> float:
+    """The share of ``lemmas`` of which ``hypothesis`` holds some form that ``forms`` gives."""
+    present = set(_content_tokens(hypothesis))
+    return sum(1 for lemma in lemmas if forms(lemma) & present) / len(lemmas)
+
+
 def noun_match(
     hypothesis: TokenList, annotation: EvalAnnotation, lexicon: InflectionLexicon
 ) -> float:
     """Fraction of expected nouns present as lemma or regular plural."""
-    present = set(_content_tokens(hypothesis))
-    nouns = annotation.expected_nouns
-    hits = sum(1 for noun in nouns if lexicon.noun_forms(noun) & present)
-    return hits / len(nouns)
+    return _lemma_match(hypothesis, annotation.expected_nouns, lexicon.noun_forms)
 
 
 def verb_match(
     hypothesis: TokenList, annotation: EvalAnnotation, lexicon: InflectionLexicon
 ) -> float:
     """Fraction of expected verbs present in any lexicon-generated form."""
-    present = set(_content_tokens(hypothesis))
-    verbs = annotation.expected_verbs
-    hits = sum(1 for verb in verbs if lexicon.verb_forms(verb) & present)
-    return hits / len(verbs)
+    return _lemma_match(hypothesis, annotation.expected_verbs, lexicon.verb_forms)
 
 
 def subj_verb_agreement(

@@ -4,7 +4,7 @@ An IGT example carries up to four content lines: the source-language text,
 a gloss whose lemmas are source-language roots, a gloss whose lemmas are
 target-language words, and the free target translation.  Gloss lines are
 sequences of tokens; each token decomposes into morphs (one lemma plus
-morpheme labels) joined by ``-``, ``.`` or ``=``.
+morpheme labels) joined by the delimiters that :class:`Joiner` lists.
 
 Records serialize to a line-oriented interchange format (one record per
 line, tab-separated ``key=value`` pairs) so corpora can be streamed.
@@ -32,18 +32,11 @@ from .errors import (
     TokenCountMismatchError,
 )
 
-DELIMITERS = "-.="
 PUNCT_CHARS = ".,!?;:"
 
 _LANG_RE = re.compile(r"^[a-z]{3}$")
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true
 _find_space = re.compile(r"\s").search
-
-
-def has_delimiter(text: str) -> bool:
-    """True when ``text`` contains a morph delimiter (``-``, ``.`` or ``=``)."""
-    # spelled out for speed; must list exactly the characters of DELIMITERS
-    return "-" in text or "." in text or "=" in text
 
 
 def is_punct(text: str) -> bool:
@@ -124,6 +117,9 @@ class Joiner(Enum):
     EQUALS = "="
 
 
+DELIMITERS = "".join(joiner.value for joiner in Joiner)
+
+
 class MorphKind(Enum):
     LEMMA = "lemma"
     LABEL = "label"
@@ -183,7 +179,7 @@ class GlossMorph:
         """True when the text holds a delimiter literally (the trailing
         period of ``Progr.``, a punctuation-only token), text the tokenizer
         could not split cleanly; it renders verbatim."""
-        return has_delimiter(self.text)
+        return any(ch in self.text for ch in DELIMITERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +294,7 @@ _UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 _escape_re = re.compile(r"\\.?", re.DOTALL)
 
 
-def _unescape(value: str, *, offset: int, fieldname: str) -> str:
+def _unescape(value: str, *, fieldname: str) -> str:
     if "\\" not in value:
         return value
 
@@ -307,7 +303,7 @@ def _unescape(value: str, *, offset: int, fieldname: str) -> str:
         if escape in _UNESCAPES:
             return _UNESCAPES[escape]
         message = "dangling backslash escape" if escape == "\\" else f"unknown escape {escape}"
-        raise MalformedRecordError(message, offset=offset, field=fieldname)
+        raise MalformedRecordError(message, field=fieldname)
 
     return _escape_re.sub(unescape, value)
 
@@ -350,7 +346,7 @@ def _read_record(line: str, tokenize: Callable, count: Callable) -> tuple:
                 raise MalformedRecordError(f"unknown field {key!r}", field=key)
             if key in values:
                 raise MalformedRecordError(f"duplicate field {key!r}", field=key)
-            values[key] = _unescape(raw, offset=0, fieldname=key)
+            values[key] = _unescape(raw, fieldname=key)
         except MalformedRecordError as exc:
             exc.offset = len(line[:char_pos].encode("utf-8"))  # counted only for a bad field
             raise

@@ -327,7 +327,7 @@ def _tail(table: NormalizationTable, run: str) -> _Piece:
         if rendered is None:
             _check_morph_text(tag)
             unknown.append(tag)
-            rendered = (("-" if tag in table.verbal_tags else ".") + tag,)
+            rendered = ((Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD).value + tag,)
         labels.extend(rendered)
     punct = len(labels) == 1 and is_punct(labels[0][1:])  # every label's joiner is one character
     return _Piece("".join(labels), punct, " ".join(labels), tuple(unknown))
@@ -419,19 +419,18 @@ def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Ca
 
 
 def _surface_word(
-    table: NormalizationTable, target_of: _Memo, surface: str
+    lemma_of: _Memo, target_of: _Memo, surface: str
 ) -> "tuple[str, bool, str | None, bool, bool, str]":
     """What :func:`_stages` makes of an analyzer surface: its restored
     lemma, whether that is punctuation, the lemma's target-gloss text
     (``None`` for an OOV lemma that DROP removes), whether that is
     punctuation, whether the dictionary lacks the lemma, and the baseline's
     text of the target (of the lemma when dropped), ``_`` made a space."""
-    lemma = table.restore_map.get(surface, surface)
-    _check_morph_text(lemma)
-    head, missed = target_of[lemma]
+    lemma = lemma_of[surface]
+    head, missed = target_of[lemma.text]
     if head is None:
-        return lemma, is_punct(lemma), None, False, missed, lemma.replace("_", " ")
-    return lemma, is_punct(lemma), head.text, head.punct, missed, head.text.replace("_", " ")
+        return lemma.text, lemma.punct, None, False, missed, lemma.text.replace("_", " ")
+    return lemma.text, lemma.punct, head.text, head.punct, missed, head.text.replace("_", " ")
 
 
 _Row = tuple[str, str, str, str]  # (analyzer line, source gloss, target gloss, target)
@@ -456,13 +455,13 @@ def _stages(
     and :meth:`GlossLine.render` make, assembled as text in one pass over a
     line's words (joined by :func:`join_tokens`' rule) from two memos, so
     each word costs two lookups: one by analyzer surface, holding its
-    restored lemma, that lemma's target (looked up once per distinct lemma,
-    so ``dictionary.lookup`` sees each once) and the baseline's text of it,
-    and one by tag run, holding its label tail concatenated from the tags'
-    rendered labels.  No gloss morph, token or line is built.
+    restored lemma (from the ``lemma_of`` memo an error replays), that
+    lemma's target (looked up once per distinct lemma) and the baseline's
+    text of it, and one by tag run, holding its label tail concatenated
+    from the tags' rendered labels.  No gloss morph, token or line is built.
     """
     lemma_of, target_of = _Memo(_source_lemma, table), _Memo(_target, dictionary, oov_policy)
-    word_of, tail_of = _Memo(_surface_word, table, target_of), _Memo(_tail, table)
+    word_of, tail_of = _Memo(_surface_word, lemma_of, target_of), _Memo(_tail, table)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -596,11 +595,11 @@ def iter_pipeline(
     temporary files, so nothing is yielded until it has succeeded.
     ``report.sentences`` is left as it is.
 
-    Each sentence is built as text: each distinct analyzer surface is
-    restored, looked up and rendered once per run and each distinct tag
-    run's label tail is concatenated from its tags' rendered labels once,
-    in bounded memos, and no gloss morph, token or line is built.  The
-    traces wrap the rows that ``igt pivot`` writes straight to its outputs.
+    Each sentence is built as text from bounded memos: each distinct analyzer
+    surface's entry once per run, from the memo of its restored lemma and
+    that lemma's target, and each distinct tag run's label tail once, from its
+    tags' rendered labels.  No gloss morph, token or line is built.  The traces
+    wrap the rows that ``igt pivot`` writes straight to its outputs.
     """
     if report is None:
         report = PipelineReport()

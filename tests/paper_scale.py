@@ -61,13 +61,15 @@ ALIGN_TIMES = 10
 # bound that fails if EM holds the corpus again (0.51 to 0.69 KB)
 ALIGN_BOUND_KB = 0.6
 # dict's peak RSS growth per ttable row over a one-row table: 0.08 KB measured
-# under CPython 3.11 on the seed-7 ttable (126,872 rows), where dict holds
-# each source word's best target and a hash of each row's pair; the bound
-# allows about twice that, and fails if dict holds every row again (0.36 KB)
+# under each of CPython 3.10 to 3.13 on the seed-7 ttable (126,872 rows),
+# where dict holds each source word's best target and a hash of each row's
+# pair; the bound allows about twice that, and fails if dict holds every row
+# again (0.36 KB)
 DICT_BOUND_KB = 0.15
 # split's peak RSS growth per added record, each a corpus line of about
-# 0.37 KB that split holds as one str: 0.44 KB measured under CPython 3.11,
-# and 3.1 KB while split parsed every line into an IgtRecord
+# 0.37 KB that split holds as one str: 0.44, 0.44, 0.43 and 0.43 KB measured
+# under CPython 3.10 to 3.13, and 3.1 KB while split parsed every line into an
+# IgtRecord
 SPLIT_BOUND_KB = 0.6
 CHILD_TIMEOUT = 300.0  # seconds for one command
 TOOLBOX_MARKERS = ("t", "m", "g", "f")  # source, source gloss, target gloss, translation
