@@ -65,6 +65,14 @@ class NormalizationTable:
             folded.setdefault(key.casefold(), image)
         return folded
 
+    def _first_joiner(self, tag: str) -> Joiner:
+        """The joiner of analyzer ``tag``'s first label: a hyphen when the tag is verbal."""
+        return Joiner.HYPHEN if tag in self.verbal_tags else Joiner.PERIOD
+
+    def _lemma(self, surface: str) -> str:
+        """The lemma of an analyzer ``surface``: its restored root, else itself."""
+        return self.restore_map.get(surface, surface)
+
     @cached_property
     def _tag_morphs(self) -> dict[str, tuple[GlossMorph, ...]]:
         """Each analyzer tag's label morphs, built and checked once and then
@@ -72,8 +80,7 @@ class NormalizationTable:
         return {
             tag: tuple(
                 _label_morphs(
-                    _order_person_number(image, self.person_first),
-                    Joiner.HYPHEN if tag in self.verbal_tags else Joiner.PERIOD,
+                    _order_person_number(image, self.person_first), self._first_joiner(tag)
                 )
             )
             for tag, image in self.analyzer_map.items()
@@ -323,8 +330,7 @@ def analyzer_to_gloss(
     """
     gloss_tokens = []
     for token in tokens:
-        lemma_text = table.restore_map.get(token.surface, token.surface)
-        lemma = GlossMorph(MorphKind.LEMMA, lemma_text, Joiner.WORD_INITIAL)
+        lemma = GlossMorph(MorphKind.LEMMA, table._lemma(token.surface), Joiner.WORD_INITIAL)
         gloss_tokens.append(GlossToken((lemma, *_label_tail(token.tags, table)[0])))
     return GlossLine(tokens=tuple(gloss_tokens))
 
@@ -343,8 +349,7 @@ def _label_tail(
             morphs.extend(shared)
             continue
         unknown.append(tag)
-        first = Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD
-        morphs.extend(_label_morphs((tag,), first))
+        morphs.extend(_label_morphs((tag,), table._first_joiner(tag)))
     return morphs, unknown
 
 

@@ -310,7 +310,7 @@ def _piece(morphs: "Sequence[GlossMorph]") -> _Piece:
 
 
 def _source_lemma(table: NormalizationTable, surface: str) -> _Piece:
-    lemma = table.restore_map.get(surface, surface)
+    lemma = table._lemma(surface)
     _check_morph_text(lemma)
     return _Piece(lemma, is_punct(lemma))
 
@@ -327,7 +327,7 @@ def _tail(table: NormalizationTable, run: str) -> _Piece:
         if rendered is None:
             _check_morph_text(tag)
             unknown.append(tag)
-            rendered = ((Joiner.HYPHEN if tag in table.verbal_tags else Joiner.PERIOD).value + tag,)
+            rendered = (table._first_joiner(tag).value + tag,)
         labels.extend(rendered)
     punct = len(labels) == 1 and is_punct(labels[0][1:])  # every label's joiner is one character
     return _Piece("".join(labels), punct, " ".join(labels), tuple(unknown))
@@ -419,14 +419,14 @@ def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Ca
 
 
 def _surface_word(
-    lemma_of: _Memo, target_of: _Memo, surface: str
+    table: NormalizationTable, target_of: _Memo, surface: str
 ) -> "tuple[str, bool, str | None, bool, bool, str]":
     """What :func:`_stages` makes of an analyzer surface: its restored
     lemma, whether that is punctuation, the lemma's target-gloss text
     (``None`` for an OOV lemma that DROP removes), whether that is
     punctuation, whether the dictionary lacks the lemma, and the baseline's
     text of the target (of the lemma when dropped), ``_`` made a space."""
-    lemma = lemma_of[surface]
+    lemma = _source_lemma(table, surface)
     head, missed = target_of[lemma.text]
     if head is None:
         return lemma.text, lemma.punct, None, False, missed, lemma.text.replace("_", " ")
@@ -453,15 +453,15 @@ def _stages(
 
     The glosses are what :func:`analyzer_to_gloss`, :func:`substitute_lemmas`
     and :meth:`GlossLine.render` make, assembled as text in one pass over a
-    line's words (joined by :func:`join_tokens`' rule) from two memos, so
-    each word costs two lookups: one by analyzer surface, holding its
-    restored lemma (from the ``lemma_of`` memo an error replays), that
-    lemma's target (looked up once per distinct lemma) and the baseline's
-    text of it, and one by tag run, holding its label tail concatenated
-    from the tags' rendered labels.  No gloss morph, token or line is built.
+    line's words (joined by :func:`join_tokens`' rule) from three memos,
+    so each word costs two lookups: one by analyzer surface, holding its
+    restored lemma, that lemma's target (from the memo by lemma) and the
+    baseline's text of it, and one by tag run, holding its label tail
+    concatenated from the tags' rendered labels.  An error replays the
+    stages through the last two.  No gloss morph, token or line is built.
     """
-    lemma_of, target_of = _Memo(_source_lemma, table), _Memo(_target, dictionary, oov_policy)
-    word_of, tail_of = _Memo(_surface_word, lemma_of, target_of), _Memo(_tail, table)
+    target_of, tail_of = _Memo(_target, dictionary, oov_policy), _Memo(_tail, table)
+    word_of = _Memo(_surface_word, table, target_of)
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -511,7 +511,7 @@ def _stages(
             try:
                 words = _analyzer_words(line)
                 stage = "analyzer-to-gloss"
-                glossed = [(lemma_of[surface], tail_of[run]) for surface, run in words]
+                glossed = [(_source_lemma(table, surface), tail_of[run]) for surface, run in words]
                 stage = "substitute"
                 for piece, _ in glossed:
                     target_of[piece.text]

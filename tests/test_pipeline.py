@@ -43,6 +43,7 @@ from igtpivot import (
     substitute_lemmas,
     tokenize_gloss,
     translate,
+    unknown_analyzer_tags,
 )
 from igtpivot.model import _check_morph_text, is_punct
 from igtpivot.parsing import _gloss_words, _segment_morph, _tail_morphs
@@ -541,12 +542,19 @@ _TAGS = ["A3sg", "A3pl", "Nom", "Acc", "Past", "Prog", "Pnon", "Excl", "Zorp", "
 _TAIL_TAGS = _TAGS + [
     "A1sg", "P2pl", "Prog1", "Prop", "Noun", "Bang", "3SG", "!", ",", "é_x", "a.b",
 ]
+# tables no table text gives: an unknown tag marked verbal, and roots
+# restored to punctuation and to title case
+VERBAL_ZORP_TABLE = replace(default_table(), verbal_tags=default_table().verbal_tags | {"Zorp"})
+RESTORING_TABLE = replace(
+    default_table(), restore_map={**default_table().restore_map, "stop": ".", "kadi": "Kadin"}
+)
 TAIL_TABLES = [
     PIECES_TABLE,
     replace(PIECES_TABLE, person_first=False),
     default_table(),
     default_table(person_first=False),
     loads_table("[registry]\n! 3 SG\n[analyzer]\nBang\t!\tverbal\nA3sg\t3.SG\n"),
+    VERBAL_ZORP_TABLE,
 ]
 
 
@@ -573,6 +581,24 @@ _analyzer_lines = st.lists(
 )
 IDENTITY = TranslatorHandle(TranslatorKind.IDENTITY)
 TRANSLATIONS = [(BASELINE, False), (IDENTITY, False), (IDENTITY, True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_analyzer_word, min_size=1, max_size=6).map(" ".join))
+def test_library_gloss_parse_analyzer_and_pivot_apply_one_word_rule(line):
+    tokens = parse_analyzer_line(line)
+    for table in (VERBAL_ZORP_TABLE, RESTORING_TABLE, PIECES_TABLE):
+        gloss = analyzer_to_gloss(tokens, table).render()
+        report = PipelineReport()
+        stages = _stages([line], table, PIECES_DICTIONARY, OovPolicy.KEEP, report, False, False)
+        [(_, source, _, _)] = stages
+        assert _glossed_lines(table)(line) == source == gloss
+        assert report.unknown_labels == len(unknown_analyzer_tags(tokens, table))
+
+
+def test_hand_built_tables_mark_an_unknown_tag_verbal_and_restore_to_punctuation():
+    assert _glossed_lines(VERBAL_ZORP_TABLE)("kadi+Zorp+ZORP+Past") == "kadi-Zorp.ZORP-PST"
+    assert _glossed_lines(RESTORING_TABLE)("kadi+Zorp stop") == "Kadin.Zorp."
 
 
 def _pivot(lines, table, dictionary, translator, policy, split_morphs):
