@@ -51,7 +51,8 @@ class BadLanguageTagError(IgtError, ValueError):
 class BadArgumentError(IgtError, ValueError):
     """A library argument outside the values it may take: Model 1
     ``iterations`` below 1, a BLEU ``max_n`` outside 1..4, a dictionary key
-    that is not lowercase."""
+    that is not lowercase, an annotation that lacks a field the metric it is
+    scored by needs."""
 
     code = "BAD_ARGUMENT"
 

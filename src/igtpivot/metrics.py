@@ -186,6 +186,7 @@ def noun_match(
     hypothesis: TokenList, annotation: EvalAnnotation, lexicon: InflectionLexicon
 ) -> float:
     """Fraction of expected nouns present as lemma or regular plural."""
+    _require(annotation, noun_match)
     return _lemma_match(hypothesis, annotation.expected_nouns, lexicon.noun_forms)
 
 
@@ -193,6 +194,7 @@ def verb_match(
     hypothesis: TokenList, annotation: EvalAnnotation, lexicon: InflectionLexicon
 ) -> float:
     """Fraction of expected verbs present in any lexicon-generated form."""
+    _require(annotation, verb_match)
     return _lemma_match(hypothesis, annotation.expected_verbs, lexicon.verb_forms)
 
 
@@ -205,6 +207,7 @@ def subj_verb_agreement(
     present tense requires the 3sg form for a 3.SG subject and the bare form
     otherwise, so bare ``talk`` under a 3.SG subject scores 0.
     """
+    _require(annotation, subj_verb_agreement)
     person, number = annotation.subject_features  # type: ignore[misc]
     present = set(_content_tokens(hypothesis))
     for verb in annotation.expected_verbs:
@@ -224,6 +227,7 @@ def tense_match(
     Auxiliary patterns count too: ``will`` + bare lemma is future, and
     ``is/are/am`` or ``was/were`` + V-ing is present or past progressive.
     """
+    _require(annotation, tense_match)
     tense = annotation.expected_tense
     tokens = _content_tokens(hypothesis)
     present = set(tokens)
@@ -251,6 +255,31 @@ def tense_match(
     return 0
 
 
+# The annotation fields each accuracy metric needs: a sentence whose
+# annotation lacks one (empty or None) is not eligible for the metric, which
+# refuses it.
+_NEEDS: "dict[Callable, tuple[str, ...]]" = {
+    noun_match: ("expected_nouns",),
+    verb_match: ("expected_verbs",),
+    subj_verb_agreement: ("subject_features", "expected_verbs"),
+    tense_match: ("expected_tense", "expected_verbs"),
+}
+
+
+def _lacking(annotation: EvalAnnotation, metric: Callable) -> "str | None":
+    """The first field ``metric`` needs that ``annotation`` lacks, else None."""
+    for name in _NEEDS[metric]:
+        if not getattr(annotation, name):
+            return name
+    return None
+
+
+def _require(annotation: EvalAnnotation, metric: Callable) -> None:
+    lacking = _lacking(annotation, metric)
+    if lacking is not None:
+        raise BadArgumentError(f"{metric.__name__} needs an annotation with {lacking}")
+
+
 # --- aggregation ----------------------------------------------------------------
 
 
@@ -273,21 +302,14 @@ def evaluate(
         )
     lexicon = lexicon or default_lexicon()
 
-    noun_scores: list[float] = []
-    verb_scores: list[float] = []
-    agreement_scores: list[int] = []
-    tense_scores: list[int] = []
+    scores: "dict[Callable, list[float] | list[int]]" = {metric: [] for metric in _NEEDS}
     for hyp, ann in zip(hypotheses, annotations):
         if ann is None:
             continue
-        if ann.expected_nouns:
-            noun_scores.append(noun_match(hyp, ann, lexicon))
-        if ann.expected_verbs:
-            verb_scores.append(verb_match(hyp, ann, lexicon))
-        if ann.subject_features is not None and ann.expected_verbs:
-            agreement_scores.append(subj_verb_agreement(hyp, ann, lexicon))
-        if ann.expected_tense is not None and ann.expected_verbs:
-            tense_scores.append(tense_match(hyp, ann, lexicon))
+        for metric, metric_scores in scores.items():
+            if _lacking(ann, metric) is None:
+                metric_scores.append(metric(hyp, ann, lexicon))
+    noun_scores, verb_scores, agreement_scores, tense_scores = scores.values()
 
     def _avg(scores: "list[float] | list[int]") -> "float | None":
         return 100.0 * sum(scores) / len(scores) if scores else None

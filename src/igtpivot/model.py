@@ -107,6 +107,29 @@ def join_tokens(tokens: "list[tuple[str, bool]]") -> str:
     return " ".join(parts)
 
 
+# Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``), word
+# tails (``.3.SG.NOM``) and analyzer tag runs many times over, so each
+# distinct one is built and checked once and the frozen value shared.  The
+# memos are bounded.
+_MEMO_SIZE = 1 << 14
+
+
+class _Memo(dict):
+    """``build(*args, key)`` of each key looked up (``memo[key]``), built on
+    its first lookup and kept; emptied when it holds :data:`_MEMO_SIZE`
+    entries.  A build that raises stores nothing."""
+
+    def __init__(self, build: Callable, *args) -> None:
+        super().__init__()
+        self.build = partial(build, *args)
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        value = self[key] = self.build(key)
+        return value
+
+
 class Joiner(Enum):
     """How a morph attaches to the one before it; the value is the literal
     delimiter character (empty for the first morph of a token)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import CycleDetectedError, MalformedTokenError, TableParseError
 from .model import (
@@ -25,6 +25,10 @@ from .model import (
     GlossToken,
     Joiner,
     MorphKind,
+    _MEMO_SIZE,
+    _check_morph_text,
+    _Memo,
+    is_punct,
     is_word,
     split_lines,
 )
@@ -74,12 +78,14 @@ class NormalizationTable:
         return self.restore_map.get(surface, surface)
 
     @cached_property
-    def _tag_morphs(self) -> dict[str, tuple[GlossMorph, ...]]:
-        """Each analyzer tag's label morphs, built and checked once and then
-        shared by every occurrence of the tag."""
+    def _tag_labels(self) -> dict[str, tuple[str, ...]]:
+        """Each analyzer tag's label morphs, built and checked once, rendered
+        joiner first (``Past`` gives ``("-PST",)``): the text :func:`_tail`
+        builds a tag run's labels from."""
         return {
             tag: tuple(
-                _label_morphs(
+                m.joiner._value_ + m.text
+                for m in _label_morphs(
                     _order_person_number(image, self.person_first), self._first_joiner(tag)
                 )
             )
@@ -87,14 +93,10 @@ class NormalizationTable:
         }
 
     @cached_property
-    def _tag_labels(self) -> dict[str, tuple[str, ...]]:
-        """Each analyzer tag's label morphs rendered, joiner first
-        (``Past`` gives ``("-PST",)``): the text a gloss word's tail is
-        built from."""
-        return {
-            tag: tuple(m.joiner._value_ + m.text for m in morphs)
-            for tag, morphs in self._tag_morphs.items()
-        }
+    def _tag_runs(self) -> _Memo:
+        """Each tag run's :func:`_run_morphs`, by its ``tags`` tuple: built
+        once per table and shared by every token that carries the run."""
+        return _Memo(_run_morphs, self)
 
     @cached_property
     def _label_registry(self) -> frozenset[str]:
@@ -317,6 +319,54 @@ def _normalized(morphs: "Iterable[GlossMorph]", table: NormalizationTable) -> li
     return normalized
 
 
+class _Piece(NamedTuple):
+    """A gloss word's head (its first morph, or that morph's image) or its
+    tail (the other morphs: the label morphs of a tag run such as
+    ``+A3sg+Nom``), rendered."""
+
+    text: str  # "" for no morph; a tail's starts with its first joiner: ``.3.SG.NOM``
+    punct: bool  # one punctuation morph
+    split: str = ""  # one whitespace word per morph: ``.3 .SG .NOM``
+    unknown: tuple[str, ...] = ()  # the tags of a tag run the table lacks
+
+
+def _tail(table: NormalizationTable, run: str) -> _Piece:
+    """The label tail of the tag run ``run`` (``+A3sg+Nom``), concatenated
+    from each known tag's rendered labels; a tag the table lacks is a label
+    of its own, its joiner and its text."""
+    labels: list[str] = []
+    unknown: list[str] = []
+    tag_labels = table._tag_labels
+    for tag in run.split("+")[1:]:
+        rendered = tag_labels.get(tag)
+        if rendered is None:
+            _check_morph_text(tag)
+            unknown.append(tag)
+            rendered = (table._first_joiner(tag).value + tag,)
+        labels.extend(rendered)
+    punct = len(labels) == 1 and is_punct(labels[0][1:])  # every label's joiner is one character
+    return _Piece("".join(labels), punct, " ".join(labels), tuple(unknown))
+
+
+def _run_morphs(
+    table: NormalizationTable, tags: tuple[str, ...]
+) -> tuple[tuple[str, ...], tuple[GlossMorph, ...]]:
+    """The tags of the run ``tags`` that ``table`` lacks, and one label
+    morph for each label of the run's :func:`_tail`."""
+    run = "+".join(("", *tags))
+    if run.count("+") > len(tags):  # _tail would read such a tag as two
+        raise MalformedTokenError(f"analyzer tag holds a '+': {tags!r}")
+    tail = _tail(table, run)
+    return tail.unknown, tuple(map(_label_morph, tail.split.split()))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _label_morph(label: str) -> GlossMorph:
+    """The label morph rendered as ``label``, its joiner first: a few labels
+    make every tag run, so each is built once and shared."""
+    return GlossMorph(MorphKind.LABEL, label[1:], Joiner(label[0]))
+
+
 def analyzer_to_gloss(
     tokens: "list[AnalyzerToken] | tuple[AnalyzerToken, ...]",
     table: NormalizationTable,
@@ -326,35 +376,21 @@ def analyzer_to_gloss(
     Each token becomes one gloss token: the (possibly restored) root as the
     lemma, then the normalized labels of each tag joined by periods.  Tags
     marked verbal in the table (tense/aspect) attach their first label with
-    a hyphen instead.  Unknown tags pass through as labels unchanged.
+    a hyphen instead.  Unknown tags pass through as labels unchanged.  The
+    label morphs are those of the labels ``igt parse-analyzer`` writes,
+    built once per distinct tag run and table.
     """
+    runs = table._tag_runs
     gloss_tokens = []
     for token in tokens:
         lemma = GlossMorph(MorphKind.LEMMA, table._lemma(token.surface), Joiner.WORD_INITIAL)
-        gloss_tokens.append(GlossToken((lemma, *_label_tail(token.tags, table)[0])))
+        gloss_tokens.append(GlossToken((lemma, *runs[token.tags][1])))
     return GlossLine(tokens=tuple(gloss_tokens))
-
-
-def _label_tail(
-    tags: "Iterable[str]", table: NormalizationTable
-) -> tuple[list[GlossMorph], list[str]]:
-    """The label morphs of analyzer ``tags`` and the tags the table lacks,
-    from one lookup per tag."""
-    morphs: list[GlossMorph] = []
-    unknown: list[str] = []
-    tag_morphs = table._tag_morphs
-    for tag in tags:
-        shared = tag_morphs.get(tag)
-        if shared is not None:
-            morphs.extend(shared)
-            continue
-        unknown.append(tag)
-        morphs.extend(_label_morphs((tag,), table._first_joiner(tag)))
-    return morphs, unknown
 
 
 def unknown_analyzer_tags(
     tokens: "list[AnalyzerToken] | tuple[AnalyzerToken, ...]",
     table: NormalizationTable,
 ) -> list[str]:
-    return [tag for token in tokens for tag in token.tags if tag not in table.analyzer_map]
+    runs = table._tag_runs
+    return [tag for token in tokens for tag in runs[token.tags][0]]

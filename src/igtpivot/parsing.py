@@ -35,6 +35,8 @@ from .model import (
     Joiner,
     LanguageTag,
     MorphKind,
+    _MEMO_SIZE,
+    _Memo,
     _check_token_counts,
     _parse_record,
     _read_corpus,
@@ -163,29 +165,6 @@ def _looks_like_label(text: str, registry: frozenset[str]) -> bool:
     if core in registry or core.upper() in registry:
         return True
     return all(ch.isdigit() or (ch.isalpha() and ch.isupper()) for ch in core)
-
-
-# Gloss corpora repeat a small set of segments (``3.SG``, ``NOM``) and word
-# tails (``.3.SG.NOM``) many times over, so the tokenizer builds and checks
-# each distinct one once per registry and shares the frozen value, and a run
-# maps each distinct word head and tail once.  The memos are bounded.
-_MEMO_SIZE = 1 << 14
-
-
-class _Memo(dict):
-    """``build(*args, key)`` of each key looked up (``memo[key]``), built on
-    its first lookup and kept; emptied when it holds :data:`_MEMO_SIZE`
-    entries.  A build that raises stores nothing."""
-
-    def __init__(self, build: Callable, *args) -> None:
-        super().__init__()
-        self.build = partial(build, *args)
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_SIZE:
-            self.clear()
-        value = self[key] = self.build(key)
-        return value
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -34,15 +34,16 @@ from .model import (
     MorphKind,
     OovPolicy,
     _check_morph_text,
+    _Memo,
     _spool,
     decode_lines,
     is_punct,
     join_tokens,
     split_lines,
 )
-from .normalize import NormalizationTable, _normalized, default_label_registry
+from .normalize import NormalizationTable, _normalized, _Piece, _tail, default_label_registry
 from .parsing import (
-    _analyzer_words, _gloss_words, _Memo, _segment_morph, _skipped, _tail_morphs, tokenize_gloss,
+    _analyzer_words, _gloss_words, _segment_morph, _skipped, _tail_morphs, tokenize_gloss,
 )
 
 if TYPE_CHECKING:  # a dictionary is only passed in: parse-analyzer need not load align
@@ -285,17 +286,6 @@ def translate(lines: "list[str] | tuple[str, ...]", translator: TranslatorHandle
             return list(decode_lines(outputs, _OUTPUT))
 
 
-class _Piece(NamedTuple):
-    """A gloss word's head (its first morph, or that morph's image) or its
-    tail (the other morphs: the label morphs of a tag run such as
-    ``+A3sg+Nom``), rendered."""
-
-    text: str  # "" for no morph; a tail's starts with its first joiner: ``.3.SG.NOM``
-    punct: bool  # one punctuation morph
-    split: str = ""  # one whitespace word per morph: ``.3 .SG .NOM``
-    unknown: tuple[str, ...] = ()  # the tags of a tag run the table lacks
-
-
 class _Target(NamedTuple):
     """What a source lemma becomes in the target gloss."""
 
@@ -304,33 +294,14 @@ class _Target(NamedTuple):
 
 
 def _piece(morphs: "Sequence[GlossMorph]") -> _Piece:
-    texts = [morph.joiner._value_ + morph.text for morph in morphs]
-    punct = len(morphs) == 1 and is_punct(morphs[0].text)
-    return _Piece("".join(texts), punct, " ".join(texts))
+    text = "".join(morph.joiner._value_ + morph.text for morph in morphs)
+    return _Piece(text, len(morphs) == 1 and is_punct(morphs[0].text))
 
 
 def _source_lemma(table: NormalizationTable, surface: str) -> _Piece:
     lemma = table._lemma(surface)
     _check_morph_text(lemma)
     return _Piece(lemma, is_punct(lemma))
-
-
-def _tail(table: NormalizationTable, run: str) -> _Piece:
-    """The label tail of the tag run ``run`` (``+A3sg+Nom``), concatenated
-    from each known tag's rendered labels; a tag the table lacks is a label
-    of its own, its joiner and its text."""
-    labels: list[str] = []
-    unknown: list[str] = []
-    tag_labels = table._tag_labels
-    for tag in run.split("+")[1:]:
-        rendered = tag_labels.get(tag)
-        if rendered is None:
-            _check_morph_text(tag)
-            unknown.append(tag)
-            rendered = (table._first_joiner(tag).value + tag,)
-        labels.extend(rendered)
-    punct = len(labels) == 1 and is_punct(labels[0][1:])  # every label's joiner is one character
-    return _Piece("".join(labels), punct, " ".join(labels), tuple(unknown))
 
 
 def _target(dictionary: LemmaDictionary, oov_policy: OovPolicy, lemma: str) -> _Target:

@@ -13,9 +13,10 @@ as it was before it built each line in one pass over its analyzer words:
 each stage a list over the whole line, each word rendered by ``_word`` and
 each gloss joined by ``join_tokens``.  And a tag run's label tail as it was
 before it was built from the table's rendered labels: the run's label
-morphs built and then rendered."""
+morphs, as the per-occurrence analyzer→gloss pass builds them, rendered."""
 
 from igtpivot import (
+    AnalyzerToken,
     GlossLine,
     GlossMorph,
     GlossToken,
@@ -33,7 +34,7 @@ from igtpivot import (
 )
 from igtpivot.errors import IgtError, PipelineStageError
 from igtpivot.model import is_punct, join_tokens
-from igtpivot.normalize import _label_morphs, _label_tail, _order_person_number
+from igtpivot.normalize import _label_morphs, _order_person_number
 from igtpivot.parsing import _Memo
 from igtpivot.pipeline import OOV_CLOSE, OOV_OPEN, _piece, _source_lemma, _tail, _target, _word
 
@@ -64,9 +65,13 @@ def reference_analyzer_to_gloss(tokens, table):
 
 
 def reference_tail(table, run):
-    """``_tail(table, run)`` from the label morphs of the run's tags."""
-    morphs, unknown = _label_tail(run.split("+")[1:], table)
-    return _piece(morphs)._replace(unknown=tuple(unknown))
+    """``_tail(table, run)`` from the label morphs that
+    :func:`reference_analyzer_to_gloss` gives the run's tags."""
+    token = AnalyzerToken("x", tuple(run.split("+")[1:]))
+    gloss, unknown = reference_analyzer_to_gloss([token], table)
+    morphs = gloss.tokens[0].morphs[1:]
+    split = " ".join(morph.joiner.value + morph.text for morph in morphs)
+    return _piece(morphs)._replace(split=split, unknown=tuple(unknown))
 
 
 def reference_oov_lemmas(gloss, dictionary):

@@ -134,7 +134,7 @@ def test_line_maps_match_the_per_line_path_across_lines(lines):
 def test_line_maps_do_not_depend_on_the_memo_bound(monkeypatch):
     lines = ["Kadin-PST ev=ev 3SG-see x!?. ,", "a..b -a x- _ dot bang.3SG", "zork=zork Same-kap ."]
     expected = mapped(lines * 3)
-    monkeypatch.setattr("igtpivot.parsing._MEMO_SIZE", 1)
+    monkeypatch.setattr("igtpivot.model._MEMO_SIZE", 1)
     assert mapped(lines * 3) == expected
 
 

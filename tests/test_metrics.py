@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from igtpivot import (
+    BadArgumentError,
     EvalAnnotation,
     EvalReport,
     LengthMismatchError,
@@ -266,6 +267,58 @@ def test_tense_future_uses_will_plus_bare():
 def test_tense_auxiliary_patterns():
     assert tense("she is dancing", "PRS", "dance") == 1
     assert tense("she was dancing", "PST", "dance") == 1
+
+
+# --- an annotation a metric cannot score ---------------------------------------------------
+
+_FULL_ANNOTATION = {
+    "expected_nouns": frozenset({"man"}),
+    "expected_verbs": frozenset({"see"}),
+    "subject_features": (3, "SG"),
+    "expected_tense": "PST",
+}
+_SEEN = toks("the man saw the woman.")
+
+
+def without(*fields):
+    """An annotation holding every field but ``fields``."""
+    return EvalAnnotation(**{k: v for k, v in _FULL_ANNOTATION.items() if k not in fields})
+
+
+def refused(metric, annotation):
+    """The message of the BadArgumentError ``metric`` raises for ``annotation``."""
+    with pytest.raises(BadArgumentError) as info:
+        metric(_SEEN, annotation, LEX)
+    assert info.value.code == "BAD_ARGUMENT"
+    return str(info.value)
+
+
+def test_noun_match_refuses_an_annotation_without_nouns():
+    assert noun_match(_SEEN, without(), LEX) == 1.0
+    assert refused(noun_match, without("expected_nouns")) == (
+        "noun_match needs an annotation with expected_nouns"
+    )
+
+
+def test_verb_match_refuses_an_annotation_without_verbs():
+    assert verb_match(_SEEN, without(), LEX) == 1.0
+    assert refused(verb_match, without("expected_verbs")) == (
+        "verb_match needs an annotation with expected_verbs"
+    )
+
+
+def test_agreement_refuses_an_annotation_without_a_subject_or_verbs():
+    assert subj_verb_agreement(_SEEN, without(), LEX) == 1
+    message = "subj_verb_agreement needs an annotation with "
+    assert refused(subj_verb_agreement, without("subject_features")) == message + "subject_features"
+    assert refused(subj_verb_agreement, without("expected_verbs")) == message + "expected_verbs"
+
+
+def test_tense_match_refuses_an_annotation_without_a_tense_or_verbs():
+    assert tense_match(_SEEN, without(), LEX) == 1
+    message = "tense_match needs an annotation with "
+    assert refused(tense_match, without("expected_tense")) == message + "expected_tense"
+    assert refused(tense_match, without("expected_verbs")) == message + "expected_verbs"
 
 
 # --- aggregation ----------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from igtpivot import (
     CycleDetectedError,
+    MalformedTokenError,
     MorphKind,
     TableParseError,
     analyzer_to_gloss,
@@ -339,15 +340,24 @@ _CUSTOM_TABLE_TEXT = (
     "Multi\t1.SG.2.PL.POSS\nVMulti\t3.DU.PST\tverbal\nNq\tNEG-Q\n"
     "[restore]\nKadi\tKadin\n"
 )
+# tables no table text gives: unknown tags marked verbal, and roots restored
+# to punctuation and to title case
 _TABLES = {
     "default, person first": default_table(True),
     "default, number first": default_table(False),
     "custom, person first": loads_table(_CUSTOM_TABLE_TEXT),
     "custom, number first": loads_table(_CUSTOM_TABLE_TEXT, person_first=False),
+    "verbal unknown tags": dataclasses.replace(
+        default_table(), verbal_tags=default_table().verbal_tags | {"Zorp", "a.b"}
+    ),
+    "restoring": dataclasses.replace(
+        default_table(), restore_map={**default_table().restore_map, "ev": ".", "kadi": "Kadin"}
+    ),
 }
+# unknown tags, some holding a delimiter, punctuation, "_" or a non-ASCII letter
 _TAGS = sorted(
     set(default_table().analyzer_map) | set(loads_table(_CUSTOM_TABLE_TEXT).analyzer_map)
-) + ["Zorp", "Dim", "past", "A3SG"]
+) + ["Zorp", "Dim", "past", "A3SG", "a.b", "-x", "!", "é_x"]
 _analyzer_tokens = st.lists(
     st.builds(
         AnalyzerToken,
@@ -375,21 +385,31 @@ def test_number_first_table_made_after_the_person_first_one_has_its_own_morphs()
     assert analyzer_to_gloss(tokens, person_first).render() == "gel-PST.3.SG"
 
 
-def test_known_tags_build_their_label_morphs_once_per_table(monkeypatch):
+def test_each_tag_run_builds_its_label_morphs_once_per_table(monkeypatch):
     calls = []
-    build = normalize._label_morphs
+    build = normalize._tail
 
-    def counting(labels, first_joiner):
-        calls.append(labels)
-        return build(labels, first_joiner)
+    def counting(table, run):
+        calls.append(run)
+        return build(table, run)
 
-    monkeypatch.setattr(normalize, "_label_morphs", counting)
+    monkeypatch.setattr(normalize, "_tail", counting)
     table = loads_table(DEFAULT_TABLE_TEXT)
     tokens = parse_analyzer_line("gel+Past+A3sg kitap+A3pl+P1sg+Acc+Zorp ev+Loc.") * 50
+    runs = ["", "+A3pl+P1sg+Acc+Zorp", "+Loc", "+Past+A3sg"]
     gloss, unknown = analyzer_to_gloss(tokens, table), unknown_analyzer_tags(tokens, table)
     assert unknown == ["Zorp"] * 50
-    assert len(calls) == len(table.analyzer_map) + 50
+    assert sorted(calls) == runs
     calls.clear()
     assert analyzer_to_gloss(tokens, table) == gloss
     assert unknown_analyzer_tags(tokens, table) == unknown
-    assert calls == [("Zorp",)] * 50
+    assert calls == []
+    # another table, even an equal one, builds its own
+    assert analyzer_to_gloss(tokens, loads_table(DEFAULT_TABLE_TEXT)) == gloss
+    assert sorted(calls) == runs
+
+
+@pytest.mark.parametrize("convert", [analyzer_to_gloss, unknown_analyzer_tags])
+def test_a_hand_built_tag_holding_a_plus_is_rejected_not_read_as_two(convert):
+    with pytest.raises(MalformedTokenError, match=r"analyzer tag holds a '\+'"):
+        convert([AnalyzerToken("gel", ("Past+A3sg",))], default_table())

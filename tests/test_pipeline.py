@@ -670,6 +670,7 @@ def test_pipeline_builds_no_gloss_value_and_checks_each_distinct_piece_once(monk
     monkeypatch.setattr(GlossToken, "__post_init__", refuse)
     monkeypatch.setattr(GlossMorph, "__post_init__", refuse)
     monkeypatch.setattr("igtpivot.pipeline._check_morph_text", counting)
+    monkeypatch.setattr("igtpivot.normalize._check_morph_text", counting)
     once = _pivot_checks(lines, PIECES_TABLE, PIECES_DICTIONARY)
     traces = []
     for translator, split in runs:
@@ -759,7 +760,7 @@ def test_pipeline_outputs_do_not_depend_on_the_memo_bound(monkeypatch):
         for translator, split_morphs in TRANSLATIONS
     ]
     expected = [_pivot(*args) for args in runs]
-    monkeypatch.setattr("igtpivot.parsing._MEMO_SIZE", 1)
+    monkeypatch.setattr("igtpivot.model._MEMO_SIZE", 1)
     assert [_pivot(*args) for args in runs] == expected
 
 
