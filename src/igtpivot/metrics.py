@@ -152,8 +152,6 @@ def _bleu_score(
             return 0.0
         log_sum += math.log(m / t)
         orders += 1
-    if orders == 0:
-        return 0.0
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_sum / orders)
 

@@ -221,8 +221,6 @@ def loads_table(text: str, *, person_first: bool = True) -> NormalizationTable:
         if len(fields) < 2:
             raise TableParseError("expected tab-separated fields", line=lineno)
         key = fields[0].strip()
-        if not key:
-            raise TableParseError("empty key", line=lineno)
         if section == "variants":
             if key in variant_map:
                 raise TableParseError(f"duplicate variant {key!r}", line=lineno)
@@ -353,10 +351,7 @@ def _run_morphs(
 ) -> tuple[tuple[str, ...], tuple[GlossMorph, ...]]:
     """The tags of the run ``tags`` that ``table`` lacks, and one label
     morph for each label of the run's :func:`_tail`."""
-    run = "+".join(("", *tags))
-    if run.count("+") > len(tags):  # _tail would read such a tag as two
-        raise MalformedTokenError(f"analyzer tag holds a '+': {tags!r}")
-    tail = _tail(table, run)
+    tail = _tail(table, "+".join(("", *tags)))  # an AnalyzerToken's tag holds no "+"
     return tail.unknown, tuple(map(_label_morph, tail.split.split()))
 
 

@@ -38,6 +38,7 @@ from .model import (
     _MEMO_SIZE,
     _Memo,
     _check_token_counts,
+    _find_space,
     _parse_record,
     _read_corpus,
     _read_record,
@@ -68,6 +69,11 @@ class AnalyzerToken:
             raise MalformedTokenError(
                 f"punctuation token {self.surface!r} must not carry tags"
             )
+        text = "".join(self.tags)  # the tags checked at once: one search, not one per tag
+        if "" in self.tags or _find_space(text):
+            raise MalformedTokenError(f"analyzer tag is empty or has whitespace: {self.tags!r}")
+        if "+" in text:
+            raise MalformedTokenError(f"analyzer tag holds a '+': {self.tags!r}")
 
     @property
     def is_punctuation(self) -> bool:

@@ -194,15 +194,18 @@ def baseline_detokenize(line: str) -> str:
     come-PST.3.SG.``, the pivot of ``ABD+Prop+A3sg gel+Past+A3sg.`` gives
     ``ABD come .``."""
     words: list[str] = []
-    for token in tokenize_gloss(line).tokens:
-        if token.is_punctuation:
-            words.append(token.render())
-            continue
+    for token in tokenize_gloss(line).tokens:  # a punctuation token is one lemma morph
         lemmas = [m for m in token.morphs if m.kind is MorphKind.LEMMA]
         if lemmas:
             rendered = lemmas[0].text + "".join(m.joiner._value_ + m.text for m in lemmas[1:])
-            words.append(rendered.replace("_", " "))
-    sentence = " ".join(words)
+            words.append(rendered)
+    return _detokenized(words)
+
+
+def _detokenized(words: list[str]) -> str:
+    """The baseline's sentence of the words it kept: joined by spaces, each
+    ``_`` made a space, the first character upper-cased."""
+    sentence = " ".join(words).replace("_", " ")
     return sentence[:1].upper() + sentence[1:]
 
 
@@ -391,17 +394,16 @@ def _substituted_lines(dictionary: LemmaDictionary, oov_policy: OovPolicy) -> Ca
 
 def _surface_word(
     table: NormalizationTable, target_of: _Memo, surface: str
-) -> "tuple[str, bool, str | None, bool, bool, str]":
+) -> "tuple[str, bool, str | None, bool, bool]":
     """What :func:`_stages` makes of an analyzer surface: its restored
     lemma, whether that is punctuation, the lemma's target-gloss text
     (``None`` for an OOV lemma that DROP removes), whether that is
-    punctuation, whether the dictionary lacks the lemma, and the baseline's
-    text of the target (of the lemma when dropped), ``_`` made a space."""
+    punctuation, and whether the dictionary lacks the lemma."""
     lemma = _source_lemma(table, surface)
     head, missed = target_of[lemma.text]
     if head is None:
-        return lemma.text, lemma.punct, None, False, missed, lemma.text.replace("_", " ")
-    return lemma.text, lemma.punct, head.text, head.punct, missed, head.text.replace("_", " ")
+        return lemma.text, lemma.punct, None, False, missed
+    return lemma.text, lemma.punct, head.text, head.punct, missed
 
 
 _Row = tuple[str, str, str, str]  # (analyzer line, source gloss, target gloss, target)
@@ -426,10 +428,10 @@ def _stages(
     and :meth:`GlossLine.render` make, assembled as text in one pass over a
     line's words (joined by :func:`join_tokens`' rule) from three memos,
     so each word costs two lookups: one by analyzer surface, holding its
-    restored lemma, that lemma's target (from the memo by lemma) and the
-    baseline's text of it, and one by tag run, holding its label tail
-    concatenated from the tags' rendered labels.  An error replays the
-    stages through the last two.  No gloss morph, token or line is built.
+    restored lemma and that lemma's target (from the memo by lemma), and one
+    by tag run, holding its label tail concatenated from the tags' rendered
+    labels.  An error replays the stages through the last two.  No gloss
+    morph, token or line is built.
     """
     target_of, tail_of = _Memo(_target, dictionary, oov_policy), _Memo(_tail, table)
     word_of = _Memo(_surface_word, table, target_of)
@@ -444,7 +446,7 @@ def _stages(
         try:
             words = _analyzer_words(line)
             for surface, run in words:
-                lemma, lemma_punct, head, head_punct, missed, plain = word_of[surface]
+                lemma, lemma_punct, head, head_punct, missed = word_of[surface]
                 rest, rest_punct, rest_split, rest_unknown = tail_of[run]
                 if rest_unknown:
                     unknown += len(rest_unknown)
@@ -467,11 +469,11 @@ def _stages(
                 else:
                     target.append(text)
                 target_after_word = not punct
-                if baseline:  # baseline_detokenize: the lemma, or the word if it is punctuation
-                    if head is not None or not rest:
-                        shaped.append(plain)
-                    elif punct:
-                        shaped.append(text.replace("_", " "))
+                if baseline:  # baseline_detokenize: the lemma, else a tail-less or punctuation word
+                    if head is not None:
+                        shaped.append(head)
+                    elif not rest or punct:
+                        shaped.append(text)
                 elif split_morphs and rest:  # render_spaced(True): one word per morph
                     shaped.append(rest_split[1:] if head is None else f"{head} {rest_split}")
                 else:
@@ -496,9 +498,7 @@ def _stages(
         report.gloss_tgt_tokens += len(words)
         report.unknown_labels += unknown
         report.oov_lemmas += oov
-        sentence = " ".join(shaped)
-        if baseline:
-            sentence = sentence[:1].upper() + sentence[1:]
+        sentence = _detokenized(shaped) if baseline else " ".join(shaped)
         yield line, " ".join(source), " ".join(target), sentence
 
 

@@ -361,6 +361,13 @@ def test_missing_input_file_is_operational_error(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_an_output_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    out = os.path.join(write(tmp_path / "file", ""), "table.txt")
+    assert main(["dump-table", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("igt: IO_ERROR: ") and err.count("\n") == 1
+
+
 def test_bad_ratios_is_operational_error(tmp_path, capsys):
     corpus = write(tmp_path / "c.igt", "id=a\tlang=und\ttgt=x\n")
     code = main([

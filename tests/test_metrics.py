@@ -85,6 +85,12 @@ def test_bleu_zero_when_any_precision_empty():
     assert bleu(hyps, refs, max_n=2, smooth=True) > 0.0
 
 
+@pytest.mark.parametrize("max_n", [0, 5])
+def test_bleu_rejects_an_order_outside_one_to_four(max_n):
+    with pytest.raises(BadArgumentError, match=f"^max_n must be in 1..4, got {max_n}$"):
+        bleu([["a"]], [["a"]], max_n=max_n)
+
+
 def test_bleu_rejects_length_mismatch():
     with pytest.raises(LengthMismatchError):
         bleu([["a"]], [])
@@ -491,7 +497,7 @@ def test_report_has_all_seven_numbers():
 def test_parse_annotations_round_trip():
     text = (
         "s1\tnouns=problem\tverbs=be\tsubj=3.SG\ttense=PRS\n"
-        "s2\tnouns=book,pen\n"
+        "s2\t\tnouns=book,pen\n"  # an empty field between two tabs is skipped
         "# comment\n"
         "s3\n"
     )
@@ -512,6 +518,13 @@ def test_parse_annotations_rejects_bad_rows(text):
         parse_annotations(text)
 
 
+def test_regular_rules_for_a_consonant_then_y_and_for_ie():
+    assert LEX.past_forms("cry") == {"cried"}
+    assert LEX.third_sg("fly") == "flies"
+    assert LEX.noun_forms("fly") == {"fly", "flies"}
+    assert LEX.gerund("die") == "dying"
+
+
 def test_custom_lexicon_merges_over_defaults():
     lexicon = load_lexicon("frob\tfrobbed\tfrobben\tfrobs\n")
     assert lexicon.irregular_past["frob"] == "frobbed"
@@ -525,6 +538,7 @@ def test_custom_lexicon_merges_over_defaults():
     [
         ("s1\tnouns=a\n\ns3\tsubj=none", "annotation line 3: bad subj 'none'"),
         ("s1\ttense=PLUPERFECT", "annotation line 1: bad tense 'PLUPERFECT'"),
+        ("s1\tsubj=4.SG", "annotation line 1: bad subject features (4, 'SG')"),
         ("s1\tmystery=1", "annotation line 1: unknown field 'mystery'"),
         ("# c\ns1\tnoequals", "annotation line 2: field without '=': 'noequals'"),
         ("s1\tnouns=a\ns2\tnouns=a\tverbs=b\tNouns=b",

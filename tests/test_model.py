@@ -50,6 +50,10 @@ def test_language_tag_rejects_bad_codes(code):
         LanguageTag(code)
 
 
+def test_a_language_tag_prints_as_its_code():
+    assert str(LanguageTag("tur")) == "tur"
+
+
 def test_a_bad_language_tag_has_its_own_code_and_is_a_bad_record_field():
     with pytest.raises(BadLanguageTagError) as exc:
         LanguageTag("TUR")

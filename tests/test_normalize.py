@@ -100,6 +100,11 @@ def test_variant_chain_is_rejected_so_normalizing_is_idempotent():
     loads_table("[registry]\n3 PL\n[variants]\nSG\tPL\n")  # no composite yields SG
 
 
+def test_an_empty_label_is_refused():
+    with pytest.raises(MalformedTokenError, match="^label must be non-empty$"):
+        default_table().lookup_label("")
+
+
 def test_self_mapping_is_a_fixed_point_not_a_cycle():
     text = "[registry]\nX\n[variants]\nX\tX\n"
     table = loads_table(text)
@@ -118,6 +123,11 @@ def test_self_mapping_is_a_fixed_point_not_a_cycle():
         ("[registry]\nA\n[variants]\nnotab\n", "tab-separated"),
         ("[registry]\nA\n[analyzer]\nTag\tA\tweird\n", "unknown analyzer flag"),
         ("[registry]\nA\n[variants]\nZAP\t-\n", "line 4: variant 'ZAP' maps to no label"),
+        # a stripped line starts with its key, so a leading tab leaves no second field
+        ("[variants]\n\tPST\n", "line 2: expected tab-separated fields"),
+        ("[registry]\nA\n[variants]\nv\t.\n", r"line 4: empty label sequence '\.'"),
+        ("[registry]\nA\n[analyzer]\nT\tA\nT\t-\n", "line 5: duplicate analyzer tag 'T'"),
+        ("[registry]\nA\n[restore]\nk\tK\nk\tL\n", "line 5: duplicate restore entry 'k'"),
     ],
 )
 def test_table_parse_errors(text, fragment):

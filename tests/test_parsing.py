@@ -248,6 +248,8 @@ def test_block_shape_validation():
         RawIgtBlock(lines=("only",))
     with pytest.raises(BlockShapeError):
         RawIgtBlock(lines=("1", "2", "3", "4", "5"))
+    with pytest.raises(BlockShapeError, match="^block lines must be non-empty after trimming$"):
+        RawIgtBlock(lines=("src", " \t", "the target"))
 
 
 def test_block_to_record_maps_three_lines():
@@ -650,6 +652,26 @@ def test_analyzer_words_equal_the_find_and_slice_reference_on_every_short_line()
 def test_analyzer_punctuation_token_must_not_carry_tags():
     with pytest.raises(MalformedTokenError):
         AnalyzerToken(".", ("Nom",))
+
+
+@pytest.mark.parametrize(
+    "surface, tags, message",
+    [
+        ("", (), "analyzer token has empty surface"),
+        ("gel", ("", "a b", "Past+A3sg"), "analyzer tag is empty or has whitespace"),
+        ("gel", ("Past", "a b"), "analyzer tag is empty or has whitespace"),
+        ("gel", ("A3sg\u2028",), "analyzer tag is empty or has whitespace"),
+        ("gel", ("Past+A3sg",), "analyzer tag holds a '+'"),
+    ],
+)
+def test_a_hand_built_analyzer_token_that_its_text_would_not_give_back_is_rejected(
+    surface, tags, message
+):
+    # parse_analyzer_line rejects the rendering of each: an empty tag, or a
+    # tag split in two at whitespace or at a "+"
+    with pytest.raises(MalformedTokenError) as info:
+        AnalyzerToken(surface, tags)
+    assert str(info.value) == (f"{message}: {tags!r}" if tags else message)
 
 
 def test_analyzer_segments_rejoin_to_input():

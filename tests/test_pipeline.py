@@ -59,6 +59,7 @@ from golden_data import (
 )
 from pipeline_reference import (
     _reference_target_lemma,
+    reference_baseline_detokenize,
     reference_iter_pipeline,
     reference_run_pipeline,
     reference_stages,
@@ -218,6 +219,36 @@ def test_baseline_detokenize_strips_labels():
 def test_baseline_detokenize_underscores_and_case():
     assert baseline_detokenize("1SG be_thirsty water") == "Be thirsty water"
     assert baseline_detokenize("water 1SG") == "Water"
+
+
+# lemmas with and without "_", upper-case lemmas and labels, label variants,
+# delimiters that make empty segments (kept as opaque text), and runs of
+# sentence punctuation ending a word or standing alone
+_BASELINE_SEGMENT = st.sampled_from([
+    "come", "go", "be_thirsty", "_", "x_", "kadın", "Kadin",
+    "ABD", "PST", "3SG", "3", "Past", "nom",
+])
+_BASELINE_DELIMITER = st.sampled_from(["-", ".", "=", "--", ".-", "=."])
+_BASELINE_PUNCT = st.sampled_from(["", "", ".", ",", "?!", "...", ";:"])
+
+
+@st.composite
+def _baseline_word(draw):
+    lead = draw(st.sampled_from(["", "", "-", "."]))
+    segments = draw(st.lists(_BASELINE_SEGMENT, min_size=1, max_size=4))
+    word = segments[0] + "".join(draw(_BASELINE_DELIMITER) + s for s in segments[1:])
+    return lead + word + draw(_BASELINE_PUNCT)
+
+
+_BASELINE_LINE = st.lists(
+    st.one_of(_baseline_word(), st.sampled_from([".", "?!", ",", "-", "_"])), min_size=1, max_size=6
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BASELINE_LINE)
+def test_baseline_detokenize_matches_the_reference(line):
+    assert baseline_detokenize(line) == reference_baseline_detokenize(line)
 
 
 def test_identity_translator_echoes():
