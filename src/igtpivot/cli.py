@@ -55,9 +55,10 @@ def _open(path: "str | None") -> AbstractContextManager[IO[bytes]]:
 
 
 def _read(path: "str | None") -> str:
-    r"""Every input, read by one rule: UTF-8, a leading BOM dropped, lines
-    split at ``\n`` only (each then ended by :func:`strip_eol`).  A byte that
-    is not UTF-8 fails with ``BAD_ENCODING`` naming the input and its line."""
+    r"""Every input, read by one rule: UTF-8 with a leading BOM dropped, its
+    lines then taken by :func:`split_lines` (split at ``\n`` only, a line's
+    trailing ``\r`` dropped).  A byte that is not UTF-8 fails with
+    ``BAD_ENCODING`` naming the input and its line."""
     with _open(path) as handle:
         return decode_utf8(handle.read(), path or "-", bom=True)
 

@@ -12,6 +12,7 @@ line, tab-separated ``key=value`` pairs) so corpora can be streamed.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import re
@@ -34,7 +35,7 @@ from .errors import (
 
 PUNCT_CHARS = ".,!?;:"
 
-_LANG_RE = re.compile(r"^[a-z]{3}$")
+_LANG_RE = re.compile(r"[a-z]{3}")
 # ``\s`` matches exactly the characters for which ``str.isspace`` is true
 _find_space = re.compile(r"\s").search
 
@@ -50,12 +51,6 @@ def is_word(text: str) -> bool:
     return bool(text) and not _find_space(text)
 
 
-def strip_eol(line: str) -> str:
-    r"""``line`` without one trailing ``\n`` and then one trailing ``\r``:
-    how every reader ends a line it split at ``\n``."""
-    return line.removesuffix("\n").removesuffix("\r")
-
-
 def decode_utf8(data: bytes, source: str, line: int = 1, *, bom: bool = False) -> str:
     """``data``, which starts at line ``line`` of ``source``, decoded as
     UTF-8, a leading byte-order mark dropped when ``bom``.  A byte that is
@@ -63,27 +58,38 @@ def decode_utf8(data: bytes, source: str, line: int = 1, *, bom: bool = False) -
     try:
         return data.decode("utf-8-sig" if bom else "utf-8")
     except UnicodeDecodeError as exc:
-        where = line + data.count(b"\n", 0, exc.start)
+        # exc.start counts from after a dropped mark, in exc.object
+        where = line + exc.object.count(b"\n", 0, exc.start)
         raise BadEncodingError(source, exc, line=where) from exc
 
 
-def decode_lines(lines: Iterable[bytes], source: str) -> Iterator[str]:
-    """Every input's lines, as ``split_lines`` of its decoded whole, one at a time."""
-    for lineno, raw in enumerate(lines, start=1):
-        text = decode_utf8(raw, source, lineno, bom=lineno == 1)
-        if text:  # empty only for an input that is just a BOM, which has no line
-            yield strip_eol(text)
+def decode_lines(handle: IO[bytes], source: str) -> Iterator[str]:
+    """``split_lines(decode_utf8(handle.read(), source, bom=True))``, one line
+    at a time: whole lines are read and decoded a buffer at a time, so
+    memory stays bounded.  Before a byte that is not UTF-8 raises, every
+    line above its own is yielded."""
+    line = 1
+    while chunk := handle.readlines(io.DEFAULT_BUFFER_SIZE):
+        bom = line == 1
+        try:
+            text = decode_utf8(b"".join(chunk), source, line, bom=bom)
+        except BadEncodingError as exc:
+            before = b"".join(chunk[: exc.line - line])
+            yield from split_lines(decode_utf8(before, source, line, bom=bom))
+            raise
+        yield from split_lines(text)
+        line += len(chunk)
 
 
 def split_lines(text: str) -> list[str]:
-    r"""Lines of ``text`` split at ``\n`` only, each ended by
-    :func:`strip_eol`; unlike :meth:`str.splitlines`, U+2028, U+0085, ``\v``,
-    ``\f`` and a lone ``\r`` stay inside their line, so a line is never
-    counted as two."""
+    r"""Lines of ``text`` split at ``\n`` only, each without one trailing
+    ``\r``: the one place a line ends.  Unlike :meth:`str.splitlines`,
+    U+2028, U+0085, ``\v``, ``\f`` and a lone ``\r`` elsewhere stay inside
+    their line, so a line is never counted as two."""
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
-    return [strip_eol(line) for line in lines]
+    return [line.removesuffix("\r") for line in lines]
 
 
 def _spool() -> IO[str]:
@@ -163,7 +169,7 @@ class LanguageTag:
     code: str
 
     def __post_init__(self) -> None:
-        if not _LANG_RE.match(self.code):
+        if not _LANG_RE.fullmatch(self.code):
             raise BadLanguageTagError(
                 f"language tag must be 3 lowercase letters, got {self.code!r}"
             )

@@ -63,12 +63,17 @@ class AnalyzerToken:
     tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.surface:
+        surface = self.surface
+        if not surface:
             raise MalformedTokenError("analyzer token has empty surface")
-        if self.is_punctuation and self.tags:
-            raise MalformedTokenError(
-                f"punctuation token {self.surface!r} must not carry tags"
-            )
+        if "+" in surface or _find_space(surface):
+            raise MalformedTokenError(f"analyzer surface holds a '+' or whitespace: {surface!r}")
+        if self.tags:
+            if self.is_punctuation:
+                raise MalformedTokenError(f"punctuation token {surface!r} must not carry tags")
+        elif surface[-1] in PUNCT_CHARS and not self.is_punctuation:
+            # its text would read back as the word and its punctuation
+            raise MalformedTokenError(f"untagged analyzer surface ends in punctuation: {surface!r}")
         text = "".join(self.tags)  # the tags checked at once: one search, not one per tag
         if "" in self.tags or _find_space(text):
             raise MalformedTokenError(f"analyzer tag is empty or has whitespace: {self.tags!r}")

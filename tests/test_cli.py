@@ -804,7 +804,11 @@ def test_parse_analyzer_names_a_malformed_word(word, message, tmp_path, capsys):
     assert not outfile.exists()
 
 
-@pytest.mark.parametrize("command,lang", [("parse-odin", "TUR"), ("parse-toolbox", "x")])
+# "tur\n": a "$" anchor would also match before the newline, which the
+# corpus line would then hold escaped
+@pytest.mark.parametrize(
+    "command,lang", [("parse-odin", "TUR"), ("parse-odin", "tur\n"), ("parse-toolbox", "x")]
+)
 def test_parse_commands_reject_a_bad_language_tag_with_its_code(command, lang, tmp_path, capsys):
     infile = write(tmp_path / "in.txt", "s\ng\nt\n")
     assert main([command, "--in", infile, "--lang", lang]) == 1

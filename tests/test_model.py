@@ -54,12 +54,14 @@ def test_a_language_tag_prints_as_its_code():
     assert str(LanguageTag("tur")) == "tur"
 
 
-def test_a_bad_language_tag_has_its_own_code_and_is_a_bad_record_field():
+# "tur\n": a "$" anchor would also match before the newline
+@pytest.mark.parametrize("code, escaped", [("TUR", "TUR"), ("tur\n", "tur\\n")])
+def test_a_bad_language_tag_has_its_own_code_and_is_a_bad_record_field(code, escaped):
     with pytest.raises(BadLanguageTagError) as exc:
-        LanguageTag("TUR")
+        LanguageTag(code)
     assert exc.value.code == "BAD_LANGUAGE_TAG" and isinstance(exc.value, ValueError)
     with pytest.raises(MalformedRecordError) as exc:
-        parse_record("id=x\tlang=TUR\ttgt=t")
+        parse_record(f"id=x\tlang={escaped}\ttgt=t")
     assert exc.value.field == "lang"
 
 

@@ -674,6 +674,41 @@ def test_a_hand_built_analyzer_token_that_its_text_would_not_give_back_is_reject
     assert str(info.value) == (f"{message}: {tags!r}" if tags else message)
 
 
+@pytest.mark.parametrize(
+    "surface, tags, message",
+    [
+        ("a+b", ("Nom",), "analyzer surface holds a '+' or whitespace"),
+        ("ge l", (), "analyzer surface holds a '+' or whitespace"),
+        ("gel\u2028", ("Nom",), "analyzer surface holds a '+' or whitespace"),
+        ("gel.", (), "untagged analyzer surface ends in punctuation"),
+        ("B!?", (), "untagged analyzer surface ends in punctuation"),
+    ],
+)
+def test_a_hand_built_analyzer_surface_that_its_text_would_not_give_back_is_rejected(
+    surface, tags, message
+):
+    # its text would split at the "+" or the whitespace, or split off the
+    # trailing punctuation as a token of its own
+    with pytest.raises(MalformedTokenError) as info:
+        AnalyzerToken(surface, tags)
+    assert str(info.value) == f"{message}: {surface!r}"
+
+
+@settings(max_examples=300)
+@given(
+    st.text(st.sampled_from("aB+.! "), max_size=5),
+    st.lists(st.text(st.sampled_from("aB"), min_size=1, max_size=2), max_size=2),
+)
+def test_a_hand_built_analyzer_token_reads_back_from_its_text_or_is_rejected(surface, tags):
+    # a tagged surface may end in punctuation: "B.+B" reads back as B. with
+    # tag B; tags that are punctuation are not drawn
+    try:
+        token = AnalyzerToken(surface, tuple(tags))
+    except MalformedTokenError:
+        return
+    assert parse_analyzer_line(token.render()) == [token]
+
+
 def test_analyzer_segments_rejoin_to_input():
     line = "Ali+A3sg+Pnon+Nom hakkinda+A3sg+P3sg+Loc ne düünüyor+A3sg+Pnon+Nom?"
     tokens = parse_analyzer_line(line)

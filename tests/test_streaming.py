@@ -24,10 +24,11 @@ from igtpivot import (
     load_dictionary,
     run_pipeline,
 )
-from igtpivot import cli
-from igtpivot.model import split_lines
+from igtpivot import BadEncodingError, cli
+from igtpivot.model import decode_lines, decode_utf8, split_lines
 from igtpivot.pipeline import PipelineReport, format_report
 
+from decode_reference import reference_decode_lines
 from gen_helpers import cv_words, random_analyzer_corpus, random_record
 from golden_data import PIVOT_DICTIONARY_TSV, TURKISH_ANALYZER_FIXTURE
 
@@ -82,6 +83,65 @@ def test_iter_lines_missing_file_fails_with_its_code(tmp_path, capsys):
     assert code == 1
     assert "FILE_NOT_FOUND" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- decode_lines against the per-line decoder ---------------------------------------
+
+
+# a line of up to ~6 KB, so that an input spans several io.DEFAULT_BUFFER_SIZE
+# buffers: a short text repeated, then its end
+_long_line = st.builds(
+    lambda text, times, end: (text * times + end).encode("utf-8"),
+    st.text(st.sampled_from("ab \r\ufeff\u00e7\u20ac\U0001d11e\u2028\x85"), max_size=6),
+    st.integers(0, 1000),
+    st.sampled_from(["\n", "\r\n", "\r\r\n"]),
+)
+
+
+def _decoded(lines):
+    """The lines a decoder yields, and the error that ends them."""
+    got: list[str] = []
+    try:
+        for line in lines:
+            got.append(line)
+    except BadEncodingError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bom=st.booleans(),
+    lines=st.lists(_long_line, max_size=12),
+    last_ended=st.booleans(),
+    # the bad byte's line, and its offset in that line: often at the line's start
+    bad=st.none() | st.tuples(st.integers(0), st.integers(0, 2) | st.integers(0)),
+)
+def test_decode_lines_reads_as_the_per_line_decoder_across_buffers(bom, lines, last_ended, bad):
+    # \r\n, a lone \r, a mark at the start and mid-line, multibyte
+    # characters, an unended last line, and a 0xff on a random line
+    if lines and not last_ended:
+        lines[-1] = lines[-1].removesuffix(b"\n")
+    if bad is not None:
+        lines = lines or [b""]
+        at = bad[0] % len(lines)
+        offset = bad[1] % (len(lines[at]) + 1)
+        lines[at] = lines[at][:offset] + b"\xff" + lines[at][offset:]
+    data = (b"\xef\xbb\xbf" if bom else b"") + b"".join(lines)
+    got = _decoded(decode_lines(io.BytesIO(data), "in"))
+    assert got == _decoded(reference_decode_lines(io.BytesIO(data), "in"))
+    if bad is None:
+        assert got == (split_lines(decode_utf8(data, "in", bom=True)), None)
+
+
+def test_a_bad_byte_below_a_byte_order_mark_is_named_on_its_own_line(tmp_path):
+    # the mark is dropped before decoding, so the error's offset counts from
+    # after it
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\n\xff\n")
+    for read in (cli._read, lambda path: list(cli._iter_lines(path))):
+        with pytest.raises(BadEncodingError, match="line 2:"):
+            read(str(path))
 
 
 # --- bounded memory --------------------------------------------------------------
