@@ -383,11 +383,22 @@ def _cmd_dump_table(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-def _add_io(parser: argparse.ArgumentParser, infile: bool = True, outfile: bool = True) -> None:
-    if infile:
-        parser.add_argument("--in", dest="infile", default=None, help="input file (default: stdin)")
-    if outfile:
-        parser.add_argument("--out", dest="outfile", default=None, help="output file (default: stdout)")
+# Options that several commands take, each defined here once.
+_SHARED_OPTIONS: "dict[str, dict]" = {
+    "--in": dict(dest="infile", default=None, help="input file (default: stdin)"),
+    "--out": dict(dest="outfile", default=None, help="output file (default: stdout)"),
+    "--table": dict(default="default", help="normalization table path or 'default'"),
+    "--number-first": dict(action="store_true", help="emit SG.3 instead of 3.SG"),
+    "--oov": dict(
+        choices=sorted(_OOV_BY_NAME), default="keep", help="what to do with a lemma --dict lacks"
+    ),
+    "--split-morphs": dict(action="store_true", help="one whitespace token per morph"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_SHARED_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,92 +409,82 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("parse-odin", help="parse blank-line-separated IGT blocks into corpus lines")
-    _add_io(p)
+    _add_shared(p, "--in", "--out")
     p.add_argument("--lang", required=True, help="3-letter language tag for all records")
     p.add_argument("--id-prefix", default="odin", help="record id prefix")
     p.set_defaults(func=_cmd_parse_odin)
 
     p = sub.add_parser("parse-toolbox", help="parse a ToolBox backslash-coded file into corpus lines")
-    _add_io(p)
+    _add_shared(p, "--in", "--out")
     p.add_argument("--lang", required=True, help="3-letter language tag for all records")
     p.add_argument("--map", default=None, help="marker map, e.g. t=source,g=gloss_tgt,f=target")
     p.add_argument("--id-prefix", default="toolbox", help="record id prefix")
     p.set_defaults(func=_cmd_parse_toolbox)
 
     p = sub.add_parser("parse-analyzer", help="turn analyzer output into glosses with source lemmas")
-    _add_io(p)
-    p.add_argument("--table", default="default", help="normalization table path or 'default'")
-    p.add_argument("--number-first", action="store_true", help="emit SG.3 instead of 3.SG")
+    _add_shared(p, "--in", "--out", "--table", "--number-first")
     p.set_defaults(func=_cmd_parse_analyzer)
 
     p = sub.add_parser("normalize", help="normalize morpheme labels in gloss lines")
-    _add_io(p)
-    p.add_argument("--table", default="default", help="normalization table path or 'default'")
-    p.add_argument("--number-first", action="store_true", help="emit SG.3 instead of 3.SG")
+    _add_shared(p, "--in", "--out", "--table", "--number-first")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("split", help="split a corpus into train/validation/test")
-    _add_io(p, outfile=False)
-    p.add_argument("--train-out", required=True)
-    p.add_argument("--valid-out", required=True)
-    p.add_argument("--test-out", required=True)
+    _add_shared(p, "--in")
+    p.add_argument("--train-out", required=True, help="train part of the corpus")
+    p.add_argument("--valid-out", required=True, help="validation part of the corpus")
+    p.add_argument("--test-out", required=True, help="test part of the corpus")
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,valid,test fractions")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="shuffle seed")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("align", help="train the word aligner and write a lemma dictionary")
     p.add_argument("--src", required=True, help="source side, one sentence per line")
     p.add_argument("--tgt", required=True, help="target side, one sentence per line")
-    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--iters", type=int, default=5, help="EM iterations")
     p.add_argument("--null", action="store_true", help="prepend a NULL token to target sentences")
     p.add_argument("--threshold", type=float, default=0.0, help="minimum entry probability")
     p.add_argument("--ttable-out", default=None, help="also dump the full probability table")
-    _add_io(p, infile=False)
+    _add_shared(p, "--out")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("dict", help="extract a dictionary from a dumped probability table")
-    p.add_argument("--ttable", required=True)
-    p.add_argument("--threshold", type=float, default=0.0)
-    _add_io(p, infile=False)
+    p.add_argument("--ttable", required=True, help="probability table dumped by align --ttable-out")
+    p.add_argument("--threshold", type=float, default=0.0, help="minimum entry probability")
+    _add_shared(p, "--out")
     p.set_defaults(func=_cmd_dict)
 
     p = sub.add_parser("subst", help="substitute target lemmas into gloss lines")
-    _add_io(p)
     p.add_argument("--dict", required=True, help="dictionary TSV (source, target[, probability])")
-    p.add_argument("--oov", choices=sorted(_OOV_BY_NAME), default="keep")
+    _add_shared(p, "--oov", "--in", "--out")
     p.set_defaults(func=_cmd_subst)
 
     p = sub.add_parser("prepare-multi", help="build language-tagged gloss/target training files")
-    _add_io(p, outfile=False)
-    p.add_argument("--src-out", required=True)
-    p.add_argument("--tgt-out", required=True)
-    p.add_argument("--split-morphs", action="store_true", help="one whitespace token per morph")
+    p.add_argument("--src-out", required=True, help="language-tagged gloss lines")
+    p.add_argument("--tgt-out", required=True, help="target lines")
+    _add_shared(p, "--split-morphs", "--in")
     p.set_defaults(func=_cmd_prepare_multi)
 
     p = sub.add_parser("pivot", help="run analyzer output through the full pivot pipeline")
     p.add_argument("--analyzer-out", required=True, help="analyzer output, one sentence per line")
-    p.add_argument("--table", default="default", help="normalization table path or 'default'")
     p.add_argument("--dict", required=True, help="lemma dictionary TSV")
     p.add_argument("--translator", default="baseline", help="baseline | identity | cmd:\"...\"")
     p.add_argument("--timeout", type=float, default=None, help="cmd: translator timeout (s, default 60)")
-    p.add_argument("--split-morphs", action="store_true")
-    p.add_argument("--oov", choices=sorted(_OOV_BY_NAME), default="keep")
-    p.add_argument("--number-first", action="store_true")
     p.add_argument("--report", default=None, help="write the stage report here")
-    _add_io(p, infile=False)
+    _add_shared(p, "--table", "--number-first", "--split-morphs", "--oov", "--out")
     p.set_defaults(func=_cmd_pivot)
 
     p = sub.add_parser("eval", help="score hypotheses against references and annotations")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
+    p.add_argument("--hyp", required=True, help="system output, one sentence per line")
+    p.add_argument("--ref", required=True, help="references, one sentence per line")
     p.add_argument("--ann", default=None, help="annotation TSV (optional)")
     p.add_argument("--lexicon", default=None, help="inflection lexicon TSV or 'default'")
     p.add_argument("--smooth", action="store_true", help="add-one smoothing for tiny test sets")
-    _add_io(p, infile=False)
+    _add_shared(p, "--out")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dump-table", help="write the embedded default normalization table")
-    _add_io(p, infile=False)
+    _add_shared(p, "--out")
     p.set_defaults(func=_cmd_dump_table)
 
     return parser

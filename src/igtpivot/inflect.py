@@ -106,10 +106,15 @@ _IRREGULAR_3SG = {"be": "is", "have": "has"}
 _VOWELS = "aeiou"
 
 
+def _consonant_y(lemma: str) -> bool:
+    """``lemma`` ends in a y after a consonant, which -ed and -s turn into i."""
+    return lemma.endswith("y") and len(lemma) > 1 and lemma[-2] not in _VOWELS
+
+
 def _regular_past(lemma: str) -> str:
     if lemma.endswith("e"):
         return lemma + "d"
-    if lemma.endswith("y") and len(lemma) > 1 and lemma[-2] not in _VOWELS:
+    if _consonant_y(lemma):
         return lemma[:-1] + "ied"
     return lemma + "ed"
 
@@ -117,7 +122,7 @@ def _regular_past(lemma: str) -> str:
 def _regular_s(lemma: str) -> str:
     if lemma.endswith(("s", "x", "z", "ch", "sh", "o")):
         return lemma + "es"
-    if lemma.endswith("y") and len(lemma) > 1 and lemma[-2] not in _VOWELS:
+    if _consonant_y(lemma):
         return lemma[:-1] + "ies"
     return lemma + "s"
 
@@ -144,12 +149,12 @@ class InflectionLexicon:
 
     def past_forms(self, lemma: str) -> set[str]:
         lemma = lemma.lower()
-        if lemma == "be":
-            return {"was", "were", "been"}
         forms = {self.irregular_past.get(lemma, _regular_past(lemma))}
         participle = self.irregular_participle.get(lemma)
         if participle:
             forms.add(participle)
+        if lemma == "be":
+            forms.add("were")
         return forms
 
     def third_sg(self, lemma: str) -> str:
@@ -159,23 +164,22 @@ class InflectionLexicon:
     def present_forms(self, lemma: str, person: int, number: str) -> set[str]:
         """Present-tense forms consistent with a (person, number) subject."""
         lemma = lemma.lower()
-        if lemma == "be":
-            return {"is"} if (person, number) == (3, "SG") else {"am", "are", "be"}
         if (person, number) == (3, "SG"):
             return {self.third_sg(lemma)}
+        if lemma == "be":
+            return {"am", "are", "be"}
         return {lemma}
+
+    def _any_present(self, lemma: str) -> set[str]:
+        """The present forms of every subject."""
+        return self.present_forms(lemma, 3, "SG") | self.present_forms(lemma, 1, "SG")
 
     def gerund(self, lemma: str) -> str:
         return _regular_ing(lemma.lower())
 
     def verb_forms(self, lemma: str) -> set[str]:
-        """Every form verb matching accepts: lemma, -s form, past forms."""
-        lemma = lemma.lower()
-        forms = {lemma, self.third_sg(lemma)}
-        forms.update(self.past_forms(lemma))
-        if lemma == "be":
-            forms.update({"am", "are", "is"})
-        return forms
+        """Every form verb matching accepts: any subject's present, the past."""
+        return self._any_present(lemma) | self.past_forms(lemma)
 
     def noun_forms(self, lemma: str) -> set[str]:
         lemma = lemma.lower()

@@ -215,6 +215,11 @@ def subj_verb_agreement(
     return 0
 
 
+# The auxiliaries of each tense: before V-ing they make a progressive, and
+# before the bare lemma the future.
+_AUXILIARIES = {"PST": ("was", "were"), "PRS": ("is", "are", "am"), "FUT": ("will",)}
+
+
 def tense_match(
     hypothesis: TokenList,
     annotation: EvalAnnotation,
@@ -232,24 +237,13 @@ def tense_match(
     bigrams = set(zip(tokens, tokens[1:]))
     for verb in annotation.expected_verbs:
         verb = verb.lower()
-        if tense == "PST":
-            if lexicon.past_forms(verb) & present:
-                return 1
-            gerund = lexicon.gerund(verb)
-            if any((aux, gerund) in bigrams for aux in ("was", "were")):
-                return 1
-        elif tense == "PRS":
-            forms = {verb, lexicon.third_sg(verb)}
-            if verb == "be":
-                forms |= {"is", "are", "am"}
-            if forms & present:
-                return 1
-            gerund = lexicon.gerund(verb)
-            if any((aux, gerund) in bigrams for aux in ("is", "are", "am")):
-                return 1
-        elif tense == "FUT":
-            if ("will", verb) in bigrams:
-                return 1
+        if tense == "FUT":
+            forms, after = set(), verb
+        else:
+            forms = lexicon.past_forms(verb) if tense == "PST" else lexicon._any_present(verb)
+            after = lexicon.gerund(verb)
+        if forms & present or any((aux, after) in bigrams for aux in _AUXILIARIES[tense]):
+            return 1
     return 0
 
 

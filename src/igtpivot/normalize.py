@@ -26,7 +26,6 @@ from .model import (
     Joiner,
     MorphKind,
     _MEMO_SIZE,
-    _check_morph_text,
     _Memo,
     is_punct,
     is_word,
@@ -338,7 +337,6 @@ def _tail(table: NormalizationTable, run: str) -> _Piece:
     for tag in run.split("+")[1:]:
         rendered = tag_labels.get(tag)
         if rendered is None:
-            _check_morph_text(tag)
             unknown.append(tag)
             rendered = (table._first_joiner(tag).value + tag,)
         labels.extend(rendered)

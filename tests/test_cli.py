@@ -61,6 +61,14 @@ def test_subcommand_help_exits_zero_and_documents_flags(command, capsys):
     assert "--help" in out
 
 
+def test_every_option_of_every_subcommand_has_help_text():
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    assert sorted(commands) == sorted(ALL_COMMANDS)
+    for command, parser in commands.items():
+        for action in parser._actions:
+            assert action.help, (command, action.option_strings)
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -544,6 +552,21 @@ def test_eval_lexicon_default_is_no_flag_and_a_user_lexicon_overrides_a_past_for
     # with the built-in lexicon "goed" is no past form of "go"; the user's row makes it one
     assert b" tense_match=0.00 " in outputs["none"]
     assert b" tense_match=100.00 " in outputs["user"]
+
+
+def test_eval_reads_every_form_of_a_be_lexicon_row(tmp_path):
+    hyp = write(tmp_path / "h.txt", "he iz here .\nhe wuz here .\n")
+    ann = write(
+        tmp_path / "a.tsv",
+        "s1\tverbs=be\tsubj=3.SG\ttense=PRS\ns2\tverbs=be\tsubj=3.SG\ttense=PST\n",
+    )
+    lexicon = write(tmp_path / "lex.tsv", "be\twuz\tbeen\tiz\n")
+    out = tmp_path / "eval.txt"
+    argv = ["eval", "--hyp", hyp, "--ref", hyp, "--ann", ann, "--lexicon", lexicon]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = read(out).splitlines()[-1]
+    for metric in ("verb_match", "subj_verb_agreement", "tense_match"):
+        assert f" {metric}=100.00 " in summary
 
 
 # --- python -m ------------------------------------------------------------------------------

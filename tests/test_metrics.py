@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from igtpivot import (
@@ -273,6 +273,51 @@ def test_tense_future_uses_will_plus_bare():
 def test_tense_auxiliary_patterns():
     assert tense("she is dancing", "PRS", "dance") == 1
     assert tense("she was dancing", "PST", "dance") == 1
+
+
+def test_be_has_its_built_in_forms():
+    assert LEX.past_forms("be") == {"was", "were", "been"}
+    assert LEX.present_forms("be", 3, "SG") == {"is"}
+    assert LEX.present_forms("be", 2, "PL") == {"am", "are", "be"}
+    assert LEX.verb_forms("Be") == {"be", "am", "are", "is", "was", "were", "been"}
+
+
+SUBJECTS = [(person, number) for person in (1, 2, 3) for number in ("SG", "PL")]
+_FORM = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+_LEMMA = st.one_of(st.sampled_from(["be", "have", "go", "cry", "talk"]), _FORM)
+
+
+@st.composite
+def lexicon_rows(draw):
+    """A lexicon's text of one to four rows, and one of its lemmas or
+    another lemma."""
+    lemmas = draw(st.lists(_LEMMA, min_size=1, max_size=4, unique=True))
+    rows = []
+    for lemma in lemmas:
+        optional = draw(st.lists(st.one_of(st.just(""), _FORM), max_size=2))
+        rows.append("\t".join([lemma, draw(_FORM), *optional]))
+    return "\n".join(rows) + "\n", draw(st.one_of(st.sampled_from(lemmas), _LEMMA))
+
+
+@given(lexicon_rows())
+@example(("be\twuz\tbeen\tiz\n", "be"))
+def test_every_verb_form_comes_from_present_forms_and_past_forms(drawn):
+    text, lemma = drawn
+    lexicon = load_lexicon(text)
+    present = {subject: lexicon.present_forms(lemma, *subject) for subject in SUBJECTS}
+    past = lexicon.past_forms(lemma)
+    assert lexicon.verb_forms(lemma) == set().union(*present.values()) | past
+    verbs = frozenset({lemma})
+    for subject in SUBJECTS:
+        for tense_label, forms in (("PRS", present[subject]), ("PST", past)):
+            ann = EvalAnnotation(
+                expected_verbs=verbs, subject_features=subject, expected_tense=tense_label
+            )
+            for form in forms:
+                assert subj_verb_agreement([form], ann, lexicon) == 1, (subject, form)
+                assert tense_match([form], ann, lexicon) == 1, (tense_label, form)
+    future = EvalAnnotation(expected_verbs=verbs, expected_tense="FUT")
+    assert tense_match(["will", lemma], future, lexicon) == 1
 
 
 # --- an annotation a metric cannot score ---------------------------------------------------
